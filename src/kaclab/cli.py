@@ -285,8 +285,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="kaclab-out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (numerics independent of it)")
     args = parser.parse_args(argv)
     try:
         cfg, cfg_hash = _load_config(args.config)

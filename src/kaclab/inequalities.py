@@ -366,18 +366,14 @@ def boltzmann_inequality_check(f_vals: np.ndarray, v: np.ndarray,
         else:
             notes.append(f"gaussian lower bound constant {c_low:.3e}")
     dv = v[1] - v[0]
-    w = np.full(v.shape, 2.0 * dv)
-    w[0] = w[-1] = dv
     p_need = max(2.0 * k, k * (1.0 + beta), 4.0)
     tail = float(f_vals[-1] * np.abs(v[-1]) ** p_need * dv)
     if tail > 1e-8:
         ok = False
         notes.append(f"moment of order {p_need:g} not resolved on the grid")
-    from .limit_eq import limit_production
+    from .limit_eq import half_grid_entropy, limit_production
 
-    log_m = -0.5 * v**2 - 0.5 * np.log(_TWO_PI)
-    h = float(np.sum(f_vals[live] * (np.log(f_vals[live]) - log_m[live])
-                     * w[live]))
+    h = half_grid_entropy(f_vals, v)
     d = limit_production(f_vals, v, gamma)
     if h < 1e-12:
         ratio = 0.0 if d < 1e-10 else np.inf
