@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         json.dump({"error": str(exc), "kind": "validation"}, sys.stderr)
         return EXIT_CONFIG
-    except (AccuracyError, AssertionError) as exc:
+    except AccuracyError as exc:
         json.dump({"error": str(exc), "kind": "tolerance"}, sys.stderr)
         return EXIT_TOLERANCE
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .densities import GridDensity1D, moment
 from .errors import AccuracyError, SamplingError
+from .limit_eq import gauss_legendre
 from .normalization import NormalizationLadder
 from .sphere import log_sphere_area
 
@@ -132,7 +133,7 @@ class ConditionedFamily:
 
     def _polar_tables(self, n_s: int, angles: AngleGrid):
         """Gauss-Legendre s-nodes with P(phi) = f(r cos) f(r sin) tables."""
-        x, ws = np.polynomial.legendre.leggauss(n_s)
+        x, ws = gauss_legendre(n_s)
         s = 0.5 * float(self.n) * (x + 1.0)
         ws = 0.5 * float(self.n) * ws
         phi = angles.nodes()

@@ -16,7 +16,8 @@ import numpy as np
 
 from .conditioned import ConditionedFamily
 from .densities import GridDensity1D, MixtureSpec, mixture, moment
-from .errors import ConfigurationError, DegenerateTestFunctionError
+from .errors import (AccuracyError, ConfigurationError,
+                     DegenerateTestFunctionError)
 from .normalization import NormalizationLadder, lambda_profile
 
 _TWO_PI = 2.0 * np.pi
@@ -71,9 +72,9 @@ def gamma_ratio_sweep(generators, gamma: float, n_list,
                 f"entropy {h:.2e} at N={n}: generator too close to Maxwellian")
         d = fam.production(gamma, **kwargs)
         if gamma == 0.0 and d / h < villani_floor(n):
-            raise AssertionError(
-                f"Villani bound violated at N={n}: {d / h:.6f} < "
-                f"{villani_floor(n):.6f}")
+            raise AccuracyError(
+                f"Villani bound violated at N={n}: D/H = {d / h:.6f} < "
+                f"2/(N-1) = {villani_floor(n):.6f}")
         rows.append(GapRatioRow(n, h, d))
     return rows
 

@@ -11,17 +11,19 @@ form: Delta_N = (N + 2) / (2 (N - 1)).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+import functools
+import math
+from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, DegenerateTestFunctionError
-from .sphere import VelocityEnsemble, rotate_pair, uniform_sphere_batch
+from .sphere import rotate_pair, uniform_sphere_batch
 
 _TWO_PI = 2.0 * np.pi
+# candidate events drawn per block; bounds memory on long runs
+_BLOCK = 2**16
 
 
 def spectral_gap(n: int) -> float:
@@ -43,7 +45,6 @@ class SimulationConfig:
     t_final: float = 1.0
     seed: int = 0
     renormalize_every: int = 1024
-    record_every: int = 0  # accepted collisions between snapshots; 0 = none
 
     def __post_init__(self):
         if self.n < 2:
@@ -52,6 +53,8 @@ class SimulationConfig:
             raise ConfigurationError("t_final must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError("gamma must lie in [0, 1]")
+        if self.renormalize_every < 1:
+            raise ConfigurationError("renormalize_every must be positive")
 
 
 @dataclass
@@ -63,28 +66,10 @@ class TrajectoryStats:
     time: float
     proposed: int
     accepted: int
-    snapshots: list = field(default_factory=list)
 
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / max(self.proposed, 1)
-
-    def to_json(self, path) -> None:
-        meta = {
-            "n": self.config.n, "gamma": self.config.gamma,
-            "t_final": self.config.t_final, "seed": self.config.seed,
-            "proposed": self.proposed, "accepted": self.accepted,
-            "time": self.time,
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2)
-
-
-def pair_jump_rate(n: int, gamma: float, s) -> np.ndarray:
-    """Collision rate of one pair with joint energy s: N (1+s)^gamma / C(N,2)."""
-    s = np.asarray(s, dtype=float)
-    out = n * (1.0 + s) ** gamma / (n * (n - 1) / 2.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
@@ -94,41 +79,59 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
     Candidate events arrive at the dominating rate N (1 + N)^gamma; a
     uniformly chosen pair is rotated by a uniform angle with probability
     ((1 + v_i^2 + v_j^2) / (1 + N))^gamma, which reproduces the
-    energy-dependent collision rates exactly.
+    energy-dependent collision rates exactly.  The candidates' times,
+    pairs, thinning uniforms and angles are drawn as arrays, a block at a
+    time; only the accept/rotate step runs per event.
     """
-    n, gamma = config.n, config.gamma
+    n, gamma, t_final = config.n, config.gamma, config.t_final
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     if initial is None:
-        v = uniform_sphere_batch(n, 1, rng)[0].copy()
+        v = uniform_sphere_batch(n, 1, rng)[0]
     else:
         v = np.array(initial, dtype=float)
         if v.shape != (n,):
             raise ConfigurationError(f"initial state must have shape ({n},)")
     lam = n * (1.0 + n) ** gamma
+    vel = v.tolist()
     t, proposed, accepted = 0.0, 0, 0
-    snapshots = []
+    countdown = config.renormalize_every
     while True:
-        t += rng.exponential(1.0 / lam)
-        if t >= config.t_final:
+        # enough candidates to reach t_final with high probability
+        expect = lam * (t_final - t)
+        size = min(_BLOCK, int(expect + 5.0 * math.sqrt(expect)) + 16)
+        times = t + np.cumsum(rng.exponential(1.0 / lam, size))
+        first = rng.integers(n, size=size)
+        second = rng.integers(n - 1, size=size)
+        second += second >= first  # uniform over j != i
+        if gamma > 0:
+            # u < ((1 + s) / (1 + N))^gamma  <=>  s > (1 + N) u^(1/gamma) - 1
+            threshold = (1.0 + n) * rng.random(size) ** (1.0 / gamma) - 1.0
+        else:
+            threshold = np.full(size, -1.0)
+        theta = rng.uniform(0.0, _TWO_PI, size)
+        stop = int(np.searchsorted(times, t_final))
+        proposed += stop
+        events = zip(first[:stop].tolist(), second[:stop].tolist(),
+                     threshold[:stop].tolist(), theta[:stop].tolist())
+        for i, j, cut, th in events:
+            vi, vj = vel[i], vel[j]
+            if vi * vi + vj * vj <= cut:
+                continue
+            c, s = math.cos(th), math.sin(th)
+            vel[i] = vi * c + vj * s
+            vel[j] = vj * c - vi * s
+            accepted += 1
+            countdown -= 1
+            if not countdown:
+                scale = math.sqrt(n / math.fsum(x * x for x in vel))
+                vel = [x * scale for x in vel]
+                countdown = config.renormalize_every
+        if stop < size:
             break
-        proposed += 1
-        i = rng.integers(n)
-        j = rng.integers(n - 1)
-        if j >= i:
-            j += 1
-        s = v[i] * v[i] + v[j] * v[j]
-        if gamma > 0 and rng.random() >= ((1.0 + s) / (1.0 + n)) ** gamma:
-            continue
-        theta = rng.uniform(0.0, _TWO_PI)
-        v[i], v[j] = rotate_pair(v[i], v[j], theta)
-        accepted += 1
-        if accepted % config.renormalize_every == 0:
-            v *= np.sqrt(n / np.sum(v * v))
-        if config.record_every and accepted % config.record_every == 0:
-            snapshots.append((t, v.copy()))
+        t = float(times[-1])
+    v = np.array(vel)
     v *= np.sqrt(n / np.sum(v * v))
-    return TrajectoryStats(config, v, config.t_final, proposed, accepted,
-                           snapshots)
+    return TrajectoryStats(config, v, t_final, proposed, accepted)
 
 
 def simulate_ensemble(config: SimulationConfig, replicas: int,
@@ -200,20 +203,51 @@ def _half_integer_moment(p: int, q: int) -> float:
     """(1/2pi) integral of cos^p sin^q over the circle (0 unless p, q even)."""
     if p % 2 or q % 2:
         return 0.0
-    return float(np.exp(gammaln((p + 1) / 2.0) + gammaln((q + 1) / 2.0)
-                        - gammaln((p + q + 2) / 2.0)) / np.pi)
+    return math.exp(math.lgamma((p + 1) / 2.0) + math.lgamma((q + 1) / 2.0)
+                    - math.lgamma((p + q + 2) / 2.0)) / math.pi
 
 
-def _sphere_even_moment(n: int, powers: np.ndarray) -> float:
+@functools.cache
+def _sphere_even_moment(n: int, powers: tuple) -> float:
     """E[prod v_i^{2 a_i}] on the sphere of radius sqrt(N).
 
-    Closed form from the Dirichlet distribution of v_i^2 / N.
+    Closed form from the Dirichlet distribution of v_i^2 / N.  ``powers``
+    is the sorted tuple of the nonzero a_i: the moment depends only on
+    that multiset.
     """
-    a = np.asarray(powers, dtype=int)
-    total = int(np.sum(a))
-    log_val = (gammaln(n / 2.0) - gammaln(n / 2.0 + total)
-               + np.sum(gammaln(a + 0.5)) - len(a) * gammaln(0.5))
-    return float(n**total * np.exp(log_val))
+    total = sum(powers)
+    log_val = (math.lgamma(n / 2.0) - math.lgamma(n / 2.0 + total)
+               + sum(math.lgamma(a + 0.5) - math.lgamma(0.5) for a in powers))
+    return n**total * math.exp(log_val)
+
+
+def _sphere_moment(n: int, p) -> float:
+    """E[prod v_i^{p_i}] on the sphere of radius sqrt(N)."""
+    if any(x % 2 for x in p):
+        return 0.0
+    return _sphere_even_moment(n, tuple(sorted(x // 2 for x in p if x)))
+
+
+@functools.cache
+def _rotation_average(pi: int, pj: int) -> tuple:
+    """Circle average of v_i^{pi} v_j^{pj} after rotating the pair (i, j).
+
+    Expands (vi c + vj s)^{pi} (-vi s + vj c)^{pj} binomially and averages
+    the trig coefficients, yielding ((power of vi, power of vj), coef)
+    terms.
+    """
+    out: dict[tuple, float] = {}
+    for a in range(pi + 1):
+        for b in range(pj + 1):
+            # cos exponent a + b, sin exponent (pi - a) + (pj - b)
+            trig = _half_integer_moment(a + b, pi - a + pj - b)
+            if trig == 0.0:
+                continue
+            coef = (math.comb(pi, a) * math.comb(pj, b) * (-1.0) ** (pj - b)
+                    * trig)
+            key = (a + pj - b, pi - a + b)
+            out[key] = out.get(key, 0.0) + coef
+    return tuple(out.items())
 
 
 def _monomials(n: int, degree: int):
@@ -231,34 +265,21 @@ def _monomials(n: int, degree: int):
     return basis
 
 
-def _expand_monomial(exps: tuple, n: int) -> list[tuple[np.ndarray, float]]:
+def _expand_monomial(exps: tuple, n: int) -> list[tuple[tuple, float]]:
     """Distinct-coordinate assignments realizing a symmetric monomial.
 
     Returns (power-vector, multiplicity-weight) pairs; point evaluation of
     the symmetrized basis function averages these assignments.
     """
-    k = len(exps)
-    if k == 0:
-        return [(np.zeros(n, dtype=int), 1.0)]
-    assigns = []
-
-    def rec(pos, used, current):
-        if pos == k:
-            assigns.append(tuple(current))
-            return
-        for c in range(n):
-            if c not in used:
-                rec(pos + 1, used | {c}, current + [c])
-    rec(0, frozenset(), [])
     table: dict[tuple, float] = {}
-    for coords in assigns:
-        p = np.zeros(n, dtype=int)
+    for coords in permutations(range(n), len(exps)):
+        p = [0] * n
         for c, e in zip(coords, exps):
             p[c] += 2 * e
         key = tuple(p)
         table[key] = table.get(key, 0.0) + 1.0
     total = sum(table.values())
-    return [(np.array(key), w / total) for key, w in table.items()]
+    return [(key, w / total) for key, w in table.items()]
 
 
 def generator_matrix_smalln(n: int, gamma: float = 0.0, degree: int = 4):
@@ -266,7 +287,10 @@ def generator_matrix_smalln(n: int, gamma: float = 0.0, degree: int = 4):
 
     A_{ab} = <p_a, -L p_b> and G_{ab} = <p_a, p_b> under the uniform
     sphere measure; pair-rotation averages of monomials are evaluated with
-    circle moments, sphere moments with Dirichlet closed forms.  Only
+    circle moments, sphere moments with Dirichlet closed forms.  The basis
+    functions are symmetric and the sphere measure is
+    permutation-invariant, so <p_a, Q_ij p_b> is the same for every pair
+    (i, j) and the pair average is its value on the pair (0, 1).  Only
     gamma = 0 keeps the polynomial sector invariant.
     """
     if gamma != 0.0:
@@ -274,61 +298,31 @@ def generator_matrix_smalln(n: int, gamma: float = 0.0, degree: int = 4):
             "exact polynomial Galerkin requires gamma = 0")
     if n < 3 or n > 8:
         raise ConfigurationError("small-N analysis supports 3 <= N <= 8")
-    basis = _monomials(n, degree)
-    expanded = [_expand_monomial(b, n) for b in basis]
-
-    def moment_of_powers(p: np.ndarray) -> float:
-        if np.any(p % 2):
-            return 0.0
-        return _sphere_even_moment(n, p // 2)
-
-    def rotated_terms(p: np.ndarray, i: int, j: int):
-        """Circle-average of v_i^{p_i} v_j^{p_j} after rotating pair (i, j).
-
-        Expands (vi c + vj s)^{p_i} (-vi s + vj c)^{p_j} binomially and
-        averages the trig coefficients, yielding monomials in (vi, vj).
-        """
-        pi, pj = int(p[i]), int(p[j])
-        out: dict[tuple, float] = {}
-        from math import comb
-        for a in range(pi + 1):
-            for b in range(pj + 1):
-                # cos exponent a + b, sin exponent (pi - a) + (pj - b)
-                trig = _half_integer_moment(a + b, pi - a + pj - b)
-                if trig == 0.0:
-                    continue
-                coef = comb(pi, a) * comb(pj, b) * (-1.0) ** (pj - b) * trig
-                key = (a + pj - b, pi - a + b)  # powers of (vi, vj)
-                out[key] = out.get(key, 0.0) + coef
-        return out
-
-    m = len(basis)
+    expanded = [_expand_monomial(b, n) for b in _monomials(n, degree)]
+    m = len(expanded)
     gram = np.zeros((m, m))
     amat = np.zeros((m, m))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_w = 1.0 / len(pairs)
     for a in range(m):
         for b in range(m):
             g = 0.0
-            q_avg = 0.0
+            q = 0.0
             for pa, wa in expanded[a]:
                 for pb, wb in expanded[b]:
-                    p_sum = pa + pb
-                    g += wa * wb * moment_of_powers(p_sum)
-                    # <p_a, Q p_b>: rotate p_b pairwise, multiply by p_a
-                    for (i, j) in pairs:
-                        if pb[i] == 0 and pb[j] == 0:
-                            q_avg += wa * wb * pair_w * moment_of_powers(p_sum)
-                            continue
-                        for (ei, ej), coef in rotated_terms(pb, i, j).items():
-                            p_rot = pa.copy().astype(int)
-                            p_rot += pb
-                            p_rot[i] += ei - pb[i]
-                            p_rot[j] += ej - pb[j]
-                            q_avg += (wa * wb * pair_w * coef
-                                      * moment_of_powers(p_rot))
+                    w = wa * wb
+                    p_sum = tuple(x + y for x, y in zip(pa, pb))
+                    mom = _sphere_moment(n, p_sum)
+                    g += w * mom
+                    # <p_a, Q_01 p_b>: rotate p_b on (0, 1), multiply by p_a;
+                    # a p_b free of the pair is left exactly as it is
+                    if pb[0] == 0 and pb[1] == 0:
+                        q += w * mom
+                        continue
+                    rest = p_sum[2:]
+                    for (e0, e1), coef in _rotation_average(pb[0], pb[1]):
+                        q += w * coef * _sphere_moment(
+                            n, (pa[0] + e0, pa[1] + e1) + rest)
             gram[a, b] = g
-            amat[a, b] = n * (g - q_avg)
+            amat[a, b] = n * (g - q)
     return amat, gram
 
 
@@ -350,7 +344,3 @@ def exact_gap_smalln(n: int, degree: int = 4) -> float:
     if nonzero.size == 0:
         raise DegenerateTestFunctionError("no nonzero spectrum in the basis")
     return float(np.min(nonzero))
-
-
-def export_states_csv(path, states: np.ndarray) -> None:
-    np.savetxt(path, states, delimiter=",")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from kaclab.conditioned import ConditionedFamily
 from kaclab.densities import MixtureSpec, gaussian, mixture
-from kaclab.errors import ConfigurationError, DegenerateTestFunctionError
+from kaclab.errors import (AccuracyError, ConfigurationError,
+                           DegenerateTestFunctionError)
 from kaclab.inequalities import (LogPowerWitness, boltzmann_inequality_check,
                                  fit_loglog_slope, gamma_ratio_sweep,
                                  log_over_power_sup, logpower_envelope,
@@ -63,6 +65,13 @@ def test_gamma_ratio_sweep_obeys_villani(mix):
 def test_gamma_ratio_sweep_rejects_maxwellian():
     with pytest.raises(DegenerateTestFunctionError):
         gamma_ratio_sweep(gaussian(1.0), 0.0, [16])
+
+
+def test_gamma_ratio_sweep_raises_on_villani_violation(mix, monkeypatch):
+    monkeypatch.setattr(ConditionedFamily, "production",
+                        lambda self, gamma, **kwargs: 0.0)
+    with pytest.raises(AccuracyError, match="N=16"):
+        gamma_ratio_sweep(mix, 0.0, [16])
 
 
 def test_fit_loglog_slope_exact():

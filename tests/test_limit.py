@@ -6,10 +6,11 @@ from scipy.interpolate import CubicSpline
 
 from kaclab.densities import gaussian, mixture
 from kaclab.errors import AccuracyError, ConfigurationError
+import kaclab.limit_eq as limit_eq
 from kaclab.limit_eq import (LimitSolver, _operator_geometry,
                              _production_geometry, cercignani_ratio,
-                             collision_operator, limit_production,
-                             suggested_dt)
+                             collision_operator, gauss_legendre,
+                             limit_production, suggested_dt)
 
 
 def maxwellian(v):
@@ -107,6 +108,8 @@ def test_geometry_cache_keys():
     assert _operator_geometry(v, 0.5, 32) is not geo
     assert _production_geometry(v.copy(), 16) is _production_geometry(v, 16)
     assert not geo.rate_weights.flags.writeable
+    assert gauss_legendre(160) is gauss_legendre(160)
+    assert not gauss_legendre(160)[0].flags.writeable
 
 
 def test_operator_vanishes_at_equilibrium():
@@ -145,6 +148,20 @@ def test_fourth_moment_law_at_gamma_zero():
     m4_0 = m4()
     solver.evolve(1.0, 0.01, record_every=0)
     assert m4() == pytest.approx(3.0 + (m4_0 - 3.0) * np.exp(-0.5), abs=1e-4)
+
+
+def test_mass_drift_shows_a_leaking_operator(monkeypatch):
+    # the per-step renormalisation must not hide mass the operator loses
+    exact = limit_eq.collision_operator
+    rec = LimitSolver(mixture(0.25), 0.0).evolve(0.1, 0.01, record_every=0)
+    assert rec.mass_drift[-1] < 1e-7
+    eps = 1e-2
+    monkeypatch.setattr(limit_eq, "collision_operator",
+                        lambda f, v, gamma, nodes: exact(f, v, gamma, nodes)
+                        - eps * f)
+    rec = LimitSolver(mixture(0.25), 0.0).evolve(0.1, 0.01, record_every=0)
+    assert rec.mass_drift[-1] == pytest.approx(1.0 - np.exp(-eps * 0.1),
+                                               rel=1e-3)
 
 
 def test_entropy_decays_monotonically():
