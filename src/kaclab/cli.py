@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import svg
-from .densities import MixtureSpec, gaussian, mixture
+from .densities import GridDensity1D, MixtureSpec, gaussian, mixture
 from .errors import AccuracyError, ConfigurationError
 from .conditioned import ConditionedFamily
 from .inequalities import (LogPowerWitness, fit_loglog_slope,
@@ -25,7 +25,8 @@ from .inequalities import (LogPowerWitness, fit_loglog_slope,
                            mixture_exponent_bound, rescaled_inequality_check,
                            villani_floor)
 from .limit_eq import LimitSolver, cercignani_ratio
-from .normalization import NormalizationLadder, clt_envelope, schedule_delta
+from .normalization import (NormalizationLadder, clt_envelope,
+                            clt_envelope_ndependent, schedule_delta)
 from .process import (SimulationConfig, dirichlet_rayleigh, exact_gap_smalln,
                       simulate_ensemble, spectral_gap)
 
@@ -41,11 +42,15 @@ def _load_config(path: str | None) -> tuple[dict, str]:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("config must be a JSON object")
     return cfg, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _generator(cfg: dict):
     spec = cfg.get("generator", {"kind": "mixture", "delta": 0.25})
+    if not isinstance(spec, dict):
+        raise ConfigurationError("generator must be a JSON object")
     kind = spec.get("kind", "mixture")
     if kind == "gaussian":
         return gaussian(spec.get("variance", 1.0))
@@ -55,6 +60,14 @@ def _generator(cfg: dict):
         beta = spec.get("beta", 0.1)
         return lambda n: mixture(schedule_delta(beta, n))
     raise ConfigurationError(f"unknown generator kind {kind!r}")
+
+
+def _n_list(cfg: dict, default: list) -> list:
+    n_list = cfg.get("n_list", default)
+    if not (isinstance(n_list, list) and n_list
+            and all(isinstance(n, int) for n in n_list)):
+        raise ConfigurationError("n_list must be a nonempty list of integers")
+    return n_list
 
 
 class Artifacts:
@@ -94,7 +107,7 @@ class Artifacts:
 
 
 def cmd_gap(cfg: dict, art: Artifacts, rng: np.random.Generator) -> int:
-    n_list = cfg.get("n_list", [3, 4, 5])
+    n_list = _n_list(cfg, [3, 4, 5])
     rows = []
     worst = 0.0
     for n in n_list:
@@ -112,13 +125,10 @@ def cmd_gap(cfg: dict, art: Artifacts, rng: np.random.Generator) -> int:
 
 def cmd_clt(cfg: dict, art: Artifacts, rng) -> int:
     gen = _generator(cfg)
-    n_list = cfg.get("n_list", [32, 64, 128, 256])
-    if callable(gen) and not hasattr(gen, "nodes"):
-        rows = []
-        from .normalization import clt_envelope_ndependent
-        for n, sig2, sup in clt_envelope_ndependent(
-                cfg.get("beta", 0.1), n_list, cfg.get("j", 0)):
-            rows.append((n, sig2, sup))
+    n_list = _n_list(cfg, [32, 64, 128, 256])
+    if not isinstance(gen, GridDensity1D):
+        rows = clt_envelope_ndependent(cfg.get("beta", 0.1), n_list,
+                                       cfg.get("j", 0))
     else:
         ladder = NormalizationLadder(gen, max(n_list),
                                      n_grid=cfg.get("n_grid", 2**15))
@@ -135,9 +145,9 @@ def cmd_clt(cfg: dict, art: Artifacts, rng) -> int:
 
 def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
     gen = _generator(cfg)
-    if callable(gen) and not hasattr(gen, "nodes"):
+    if not isinstance(gen, GridDensity1D):
         raise ConfigurationError("entropy-scan expects a fixed generator")
-    n_list = cfg.get("n_list", [32, 64, 128, 256])
+    n_list = _n_list(cfg, [32, 64, 128, 256])
     gamma = cfg.get("gamma", 0.0)
     rows = []
     for n in n_list:
@@ -156,7 +166,7 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
 
 def cmd_villani(cfg: dict, art: Artifacts, rng) -> int:
     gen = _generator(cfg)
-    n_list = cfg.get("n_list", [64, 128, 256, 512, 1024])
+    n_list = _n_list(cfg, [64, 128, 256, 512, 1024])
     rows = gamma_ratio_sweep(gen, cfg.get("gamma", 0.0), n_list,
                              n_grid=cfg.get("n_grid", 2**15))
     slope = fit_loglog_slope([r.n for r in rows], [r.ratio for r in rows])
@@ -197,7 +207,7 @@ def cmd_inequality(cfg: dict, art: Artifacts, rng) -> int:
     witness = LogPowerWitness(beta=cfg.get("beta", 1.0), k=cfg.get("k", 3.0),
                               phi=mixture_exponent_bound(MixtureSpec(delta)),
                               epsilon=cfg.get("epsilon", 0.5))
-    n_list = cfg.get("n_list", [32, 64, 128, 256])
+    n_list = _n_list(cfg, [32, 64, 128, 256])
     env = logpower_envelope(f, witness, n_list,
                             n_grid=cfg.get("n_grid", 2**15))
     reports = rescaled_inequality_check(f, cfg.get("gamma", 0.5), witness,
@@ -249,7 +259,7 @@ def cmd_chaos(cfg: dict, art: Artifacts, rng) -> int:
     solver.evolve(t_final, cfg.get("dt", 0.01), record_every=0)
     pde = solver.density()
     rows = []
-    for n in cfg.get("n_list", [64, 512]):
+    for n in _n_list(cfg, [64, 512]):
         sim = SimulationConfig(n=n, gamma=gamma, t_final=t_final,
                                seed=art.seed)
         init = ConditionedFamily(f0, n).sample(cfg.get("replicas", 200), rng)
@@ -295,7 +305,8 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         return _COMMANDS[args.command](cfg, art, rng)
-    except ConfigurationError as exc:
+    except (ConfigurationError, ValueError) as exc:
+        # ValueError is the library's bad-argument type (see errors.py)
         json.dump({"error": str(exc), "kind": "validation"}, sys.stderr)
         return EXIT_CONFIG
     except AccuracyError as exc:

@@ -5,46 +5,32 @@ restricted to the sphere S^{N-1}(sqrt N) has marginals, entropy and
 entropy production that all reduce to one-dimensional integrals against
 ratios of convolution powers of the energy density h.  Those ratios come
 from a shared :class:`~kaclab.normalization.NormalizationLadder`, so every
-functional here is a quadrature over explicit log-domain tables.
+functional here is a quadrature over explicit log-domain tables.  The
+production and log-power integrals use the polar-shell fold of
+:mod:`kaclab.quadrature`, which needs an even generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .densities import GridDensity1D, moment
+from .densities import GridDensity1D
 from .errors import AccuracyError, SamplingError
-from .limit_eq import gauss_legendre
 from .normalization import NormalizationLadder
-from .sphere import log_sphere_area
-
-_TWO_PI = 2.0 * np.pi
-
-
-@dataclass
-class AngleGrid:
-    """Uniform angle nodes for the pair-rotation averages."""
-
-    count: int = 256
-
-    def nodes(self) -> np.ndarray:
-        return _TWO_PI * (np.arange(self.count) + 0.5) / self.count
-
-    @property
-    def weight(self) -> float:
-        return _TWO_PI / self.count
+from .quadrature import (ANGLES, TWO_PI, angle_midpoints, energy_shells, fold,
+                         log_power_kernel, pair_kernel, quadrant_angles,
+                         require_even, shell_sum, trapezoid_weights)
 
 
 class ConditionedFamily:
-    """Marginals and entropy functionals of F_N for one generator f."""
+    """Marginals and entropy functionals of F_N for one even generator f."""
 
     def __init__(self, f: GridDensity1D, n: int,
                  ladder: NormalizationLadder | None = None,
                  n_grid: int = 2**15):
         if n < 3:
             raise ValueError("need at least three particles")
+        require_even(f)
         self.f = f
         self.n = n
         self.ladder = ladder if ladder is not None else NormalizationLadder(
@@ -54,11 +40,6 @@ class ConditionedFamily:
         self._log_zn = float(self.ladder.log_z(n, float(n)))
 
     # -- marginals ------------------------------------------------------
-
-    @property
-    def log_partition(self) -> float:
-        """log Z_N(f, sqrt N)."""
-        return self._log_zn
 
     def log_marginal_weight(self, k: int, s) -> np.ndarray:
         """log of the energy factor h^{*(N-k)}(N - s) / h^{*N}(N).
@@ -85,31 +66,16 @@ class ConditionedFamily:
                             -np.inf)
         return np.exp(logf + self.log_marginal_weight(1, v * v))
 
-    def marginal2(self, v1, v2) -> np.ndarray:
-        """Second marginal F_{N,2}(v1, v2)."""
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        fv = np.maximum(self.f(v1) * self.f(v2), 0.0)
-        with np.errstate(divide="ignore"):
-            logf = np.where(fv > 0, np.log(np.maximum(fv, 1e-300)), -np.inf)
-        return np.exp(logf + self.log_marginal_weight(2, v1 * v1 + v2 * v2))
-
     def _marginal_quadrature(self):
         """Velocity nodes, weights and unit-mass marginal values."""
         vmax = min(self.f.v_max, np.sqrt(self.n))
         v = np.linspace(-vmax, vmax, 4097)
         dens = self.marginal1(v)
-        w = np.full(v.shape, v[1] - v[0])
-        w[0] = w[-1] = 0.5 * (v[1] - v[0])
+        w = trapezoid_weights(v)
         mass = float(np.sum(dens * w))
         if not 0.9 < mass < 1.1:
             raise AccuracyError(f"first marginal mass {mass:.4f} far from 1")
         return v, w, dens / mass
-
-    def chaos_distance(self) -> float:
-        """L^1 distance between the first marginal and the generator."""
-        v, w, dens = self._marginal_quadrature()
-        return float(np.sum(np.abs(dens - self.f(v)) * w))
 
     # -- entropy --------------------------------------------------------
 
@@ -123,27 +89,36 @@ class ConditionedFamily:
         """
         v, w, dens = self._marginal_quadrature()
         fv = np.maximum(self.f(v), 1e-300)
-        log_m = -0.5 * v * v - 0.5 * np.log(_TWO_PI)
+        log_m = -0.5 * v * v - 0.5 * np.log(TWO_PI)
         integrand = dens * (np.log(fv) - log_m)
         cross = float(np.sum(integrand * w))
-        return (self.n * cross - 0.5 * self.n - 0.5 * self.n * np.log(_TWO_PI)
+        return (self.n * cross - 0.5 * self.n - 0.5 * self.n * np.log(TWO_PI)
                 - self._log_zn)
 
     # -- entropy production ---------------------------------------------
 
-    def _polar_tables(self, n_s: int, angles: AngleGrid):
-        """Gauss-Legendre s-nodes with P(phi) = f(r cos) f(r sin) tables."""
-        x, ws = gauss_legendre(n_s)
-        s = 0.5 * float(self.n) * (x + 1.0)
-        ws = 0.5 * float(self.n) * ws
-        phi = angles.nodes()
-        r = np.sqrt(s)
-        p = (self.f(np.outer(r, np.cos(phi)))
-             * self.f(np.outer(r, np.sin(phi))))
-        return s, ws, phi, np.maximum(p, 0.0)
+    def _shells(self, n_s: int, angle_nodes: int):
+        """Energy shells s in [0, N], their weights, the conditioning
+        weight of the second marginal and the folded f(r cos) f(r sin)."""
+        s, ws = energy_shells(n_s, float(self.n))
+        e = self.f(np.outer(np.sqrt(s), np.cos(quadrant_angles(angle_nodes))))
+        return (s, ws, np.exp(self.log_marginal_weight(2, s)),
+                fold(np.maximum(e, 0.0)))
+
+    @staticmethod
+    def _refined(what: str, value, n_s: int, check: bool) -> float:
+        """value(n_s, ANGLES); with check, the value on twice the shells
+        and angles, which must agree with it to 1e-3."""
+        val = value(n_s, ANGLES)
+        if check:
+            ref = value(2 * n_s, 2 * ANGLES)
+            if abs(val - ref) > 1e-3 * max(abs(ref), 1e-12):
+                raise AccuracyError(
+                    f"{what} quadrature not converged: {val} vs {ref}")
+            val = ref
+        return val
 
     def production(self, gamma: float, n_s: int = 192,
-                   angles: AngleGrid | None = None,
                    check: bool = True) -> float:
         """Entropy production D_{N,gamma}(F_N) with rate (1 + v_i^2 + v_j^2)^gamma.
 
@@ -152,68 +127,29 @@ class ConditionedFamily:
         angle pairs collapses to two inner products, so the cost is linear
         in the number of angle nodes.
         """
-        val = self._production_value(gamma, n_s, angles or AngleGrid())
-        if check:
-            ref = self._production_value(gamma, 2 * n_s,
-                                         AngleGrid(2 * (angles or AngleGrid()).count))
-            if abs(val - ref) > 1e-3 * max(abs(ref), 1e-12):
-                raise AccuracyError(
-                    f"production quadrature not converged: {val} vs {ref}")
-            val = ref
-        return val
+        def production_value(n_s, angle_nodes):
+            s, ws, weight, p = self._shells(n_s, angle_nodes)
+            rate = weight * (1.0 + s) ** gamma
+            # jacobian dv1 dv2 = (1/2) ds dphi, prefactor N / 4 pi
+            return self.n / (4.0 * np.pi) * 0.5 * shell_sum(
+                ws, rate, pair_kernel(p, angle_nodes), angle_nodes)
 
-    def _production_value(self, gamma: float, n_s: int, angles: AngleGrid) -> float:
-        s, ws, phi, p = self._polar_tables(n_s, angles)
-        dphi = angles.weight
-        logw = self.log_marginal_weight(2, s)
-        k = p.shape[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
-        pl = p * logp
-        # sum_{i,j} (p_i - p_j)(log p_i - log p_j)
-        #   = 2 K sum p_i log p_i - 2 (sum p)(sum log... p)
-        pair = 2.0 * (k * np.sum(pl, axis=1)
-                      - np.sum(p, axis=1) * np.sum(logp * (p > 0), axis=1))
-        shell = np.exp(logw) * (1.0 + s) ** gamma * pair * dphi * dphi
-        # jacobian dv1 dv2 = (1/2) ds dphi, prefactor N / 4 pi
-        return float(self.n / (4.0 * np.pi) * 0.5 * np.sum(ws * shell))
+        return self._refined("production", production_value, n_s, check)
 
     def log_power_integral(self, beta: float, n_s: int = 192,
-                           angles: AngleGrid | None = None,
                            check: bool = True) -> float:
         """The |log|^{1+beta}-weighted collision integral of F_N.
 
         Same reduction as :meth:`production` with the kernel
-        psi_beta(x, y) = (x - y) |log(x/y)|^{1+beta} and no rate weight,
-        but the kernel does not factorize, so angle pairs cost O(K^2).
+        psi_beta(x, y) = (x - y) |log(x/y)|^{1+beta} and no rate weight.
         """
-        val = self._log_power_value(beta, n_s, angles or AngleGrid())
-        if check:
-            ref = self._log_power_value(beta, 2 * n_s,
-                                        AngleGrid(2 * (angles or AngleGrid()).count))
-            if abs(val - ref) > 1e-3 * max(abs(ref), 1e-12):
-                raise AccuracyError(
-                    f"log-power quadrature not converged: {val} vs {ref}")
-            val = ref
-        return val
+        def log_power_value(n_s, angle_nodes):
+            s, ws, weight, p = self._shells(n_s, angle_nodes)
+            pair = log_power_kernel(p, beta)
+            # prefactor 1 / 2 pi and the polar jacobian 1/2; no N scaling
+            return shell_sum(ws, weight, pair, angle_nodes) / TWO_PI * 0.5
 
-    def _log_power_value(self, beta: float, n_s: int, angles: AngleGrid) -> float:
-        s, ws, phi, p = self._polar_tables(n_s, angles)
-        dphi = angles.weight
-        logw = self.log_marginal_weight(2, s)
-        with np.errstate(divide="ignore"):
-            logp = np.log(np.maximum(p, 1e-300))
-        total = 0.0
-        for a in range(len(s)):
-            row, lrow = p[a], logp[a]
-            live = row > 0
-            x, lx = row[live], lrow[live]
-            d = x[:, None] - x[None, :]
-            dl = lx[:, None] - lx[None, :]
-            pair = float(np.sum(d * np.sign(dl) * np.abs(dl) ** (1.0 + beta)))
-            total += ws[a] * np.exp(logw[a]) * pair * dphi * dphi
-        # prefactor 1 / 2 pi and the polar jacobian 1/2; no N scaling here
-        return float(total / _TWO_PI * 0.5)
+        return self._refined("log-power", log_power_value, n_s, check)
 
     # -- sampling -------------------------------------------------------
 
@@ -262,7 +198,7 @@ class ConditionedFamily:
         """Last two coordinates on the circle of radius sqrt(energy)."""
         size = energy.shape[0]
         rho = np.sqrt(energy)
-        phi_grid = _TWO_PI * np.arange(grid_nodes) / grid_nodes
+        phi_grid = TWO_PI * np.arange(grid_nodes) / grid_nodes
         pgrid = np.maximum(self.f(np.outer(rho, np.cos(phi_grid)))
                            * self.f(np.outer(rho, np.sin(phi_grid))), 0.0)
         pmax = pgrid.max(axis=1) * 1.05
@@ -271,7 +207,7 @@ class ConditionedFamily:
         phi = np.empty(size)
         todo = np.arange(size)
         for _ in range(10_000):
-            cand = rng.random(todo.size) * _TWO_PI
+            cand = rng.random(todo.size) * TWO_PI
             val = (self.f(rho[todo] * np.cos(cand))
                    * self.f(rho[todo] * np.sin(cand)))
             keep = rng.random(todo.size) * pmax[todo] < val
@@ -285,19 +221,24 @@ class ConditionedFamily:
 
     # -- Monte Carlo cross-checks ---------------------------------------
 
+    def _batches(self, samples: int, rng: np.random.Generator, batch: int,
+                 velocities: np.ndarray | None):
+        """States in batches: consecutive rows of velocities, else draws."""
+        if velocities is not None and len(velocities) < samples:
+            raise ValueError(f"velocities has {len(velocities)} rows, fewer "
+                             f"than samples={samples}")
+        for start in range(0, samples, batch):
+            b = min(batch, samples - start)
+            yield (velocities[start:start + b] if velocities is not None
+                   else self.sample(b, rng))
+
     def entropy_monte_carlo(self, samples: int, rng: np.random.Generator,
                             batch: int = 50_000,
                             velocities: np.ndarray | None = None) -> float:
         """Sampling estimate of the entropy, for validating the quadrature."""
-        total, count = 0.0, 0
-        while count < samples:
-            b = min(batch, samples - count)
-            v = (velocities[count:count + b] if velocities is not None
-                 else self.sample(b, rng))
-            with np.errstate(divide="ignore"):
-                lf = np.log(np.maximum(self.f(v), 1e-300))
-            total += float(np.sum(lf))
-            count += b
+        total = 0.0
+        for v in self._batches(samples, rng, batch, velocities):
+            total += float(np.sum(np.log(np.maximum(self.f(v), 1e-300))))
         return total / samples - self._log_zn
 
     def production_monte_carlo(self, gamma: float, samples: int,
@@ -307,17 +248,14 @@ class ConditionedFamily:
                                velocities: np.ndarray | None = None) -> float:
         """Sampling estimate of D_{N,gamma}, for validating the quadrature.
 
-        Averages the theta-integral of (1 - rho)(−log rho) over sampled
+        Averages the theta-integral of (1 - rho)(-log rho) over sampled
         states, with rho the post/pre collision density ratio of the
         leading pair.
         """
-        theta = _TWO_PI * (np.arange(angle_nodes) + 0.5) / angle_nodes
-        dtheta = _TWO_PI / angle_nodes
-        total, count = 0.0, 0
-        while count < samples:
-            b = min(batch, samples - count)
-            v = (velocities[count:count + b] if velocities is not None
-                 else self.sample(b, rng))
+        theta = angle_midpoints(angle_nodes)
+        dtheta = TWO_PI / angle_nodes
+        total = 0.0
+        for v in self._batches(samples, rng, batch, velocities):
             v1, v2 = v[:, 0], v[:, 1]
             base = np.maximum(self.f(v1) * self.f(v2), 1e-300)
             w1 = v1[:, None] * np.cos(theta) + v2[:, None] * np.sin(theta)
@@ -326,5 +264,4 @@ class ConditionedFamily:
             inner = np.sum((1.0 - ratio) * (-np.log(ratio)), axis=1) * dtheta
             s = v1 * v1 + v2 * v2
             total += float(np.sum((1.0 + s) ** gamma * inner))
-            count += b
         return self.n / (4.0 * np.pi) * total / samples

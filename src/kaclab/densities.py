@@ -1,23 +1,21 @@
 """One-dimensional density toolkit.
 
 Gridded probability densities on a truncation window, the two-Gaussian
-mixture family used as generators of conditioned states, moments,
-relative entropy, Fisher information, the squared-velocity pushforward,
-and the collision kernels psi / psi_beta.
+mixture family used as generators of conditioned states, moments and
+relative entropy.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtr, xlogy
 
 from .errors import AccuracyError, ConfigurationError
+from .quadrature import trapezoid_weights
 
-DENSITY_FLOOR = 1e-300
 DEFAULT_V_MAX = 16.0
 DEFAULT_NODES = 4096
 LOG_2PI = np.log(2.0 * np.pi)
@@ -62,20 +60,11 @@ class GridDensity1D:
         return float(np.max(self.values))
 
 
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.empty_like(nodes)
-    d = np.diff(nodes)
-    w[0] = d[0] / 2.0
-    w[-1] = d[-1] / 2.0
-    w[1:-1] = (d[1:] + d[:-1]) / 2.0
-    return w
-
-
 def from_callable(pdf, v_max, n_nodes=DEFAULT_NODES, cdf=None, tag=""):
     """Tabulate ``pdf`` on a symmetric grid and renormalize to unit mass."""
     nodes = np.linspace(-v_max, v_max, n_nodes)
     vals = np.maximum(np.asarray(pdf(nodes), dtype=float), 0.0)
-    w = _trapezoid_weights(nodes)
+    w = trapezoid_weights(nodes)
     total = float(np.sum(vals * w))
     if not total > 0:
         raise ValueError("pdf vanishes on the whole grid")
@@ -157,25 +146,6 @@ def moment(f: GridDensity1D, p: int) -> float:
     return result
 
 
-def square_pushforward(f: GridDensity1D, u_max: float | None = None,
-                       n_nodes: int = 4096) -> GridDensity1D:
-    """Density of V^2 when V ~ f:  h(u) = (f(sqrt u) + f(-sqrt u)) / (2 sqrt u).
-
-    The u-nodes are squares of a uniform velocity grid, so quadrature in u
-    is an exact change of variables back to v and the 1/sqrt(u) singularity
-    costs nothing; the sliver below the first node is folded into its weight.
-    """
-    if u_max is None:
-        u_max = f.v_max**2
-    v = np.linspace(np.sqrt(u_max) / n_nodes, np.sqrt(u_max), n_nodes)
-    nodes = v * v
-    vals = (f(v) + f(-v)) / (2.0 * v)
-    # du = 2 v dv: map trapezoid-in-v weights to the u grid
-    w = _trapezoid_weights(v) * 2.0 * v
-    w[0] += 2.0 * v[0] ** 2  # head cell (0, u_1]
-    return GridDensity1D(u_max, nodes, vals, w, tag=f"pushforward[{f.tag}]")
-
-
 def relative_entropy(f: GridDensity1D) -> float:
     """H(f|M) = int f log f + 1/2 + log(2 pi)/2; needs unit second moment."""
     m2 = moment(f, 2)
@@ -183,58 +153,3 @@ def relative_entropy(f: GridDensity1D) -> float:
         raise ValueError(f"second moment {m2} != 1; relative entropy identity needs it")
     flogf = float(np.sum(xlogy(f.values, f.values) * f.quadrature_weights))
     return flogf + 0.5 + 0.5 * LOG_2PI
-
-
-def fisher_information(f: GridDensity1D) -> float:
-    """int (f')^2 / f by central differences on the grid interior."""
-    interior = f.values[1:-1]
-    if np.any(interior <= 0):
-        raise ZeroDivisionError("density vanishes at an interior node")
-    dv = f.nodes[1] - f.nodes[0]
-    fprime = (f.values[2:] - f.values[:-2]) / (2.0 * dv)
-    integrand = fprime**2 / interior
-    return float(np.sum(integrand) * dv)
-
-
-def psi(x, y):
-    """(x - y) log(x / y): the entropy-production kernel, >= 0."""
-    if np.any(np.asarray(x) <= 0) or np.any(np.asarray(y) <= 0):
-        raise ValueError("psi needs positive arguments")
-    x = np.maximum(np.asarray(x, dtype=float), DENSITY_FLOOR)
-    y = np.maximum(np.asarray(y, dtype=float), DENSITY_FLOOR)
-    out = (x - y) * (np.log(x) - np.log(y))
-    return float(out) if out.ndim == 0 else out
-
-
-def psi_beta(x, y, beta):
-    """|x - y| |log(x/y)|^{1+beta}: the log-power kernel."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if np.any(np.asarray(x) <= 0) or np.any(np.asarray(y) <= 0):
-        raise ValueError("psi_beta needs positive arguments")
-    x = np.maximum(np.asarray(x, dtype=float), DENSITY_FLOOR)
-    y = np.maximum(np.asarray(y, dtype=float), DENSITY_FLOOR)
-    out = np.abs(x - y) * np.abs(np.log(x) - np.log(y)) ** (1.0 + beta)
-    return float(out) if out.ndim == 0 else out
-
-
-def save_csv(f: GridDensity1D, path) -> None:
-    """Two-column CSV with a JSON provenance header line."""
-    header = json.dumps(
-        {"v_max": f.v_max, "n_nodes": int(f.nodes.size), "tag": f.tag}
-    )
-    with open(path, "w") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("node,value\n")
-        for x, y in zip(f.nodes, f.values):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-
-def load_csv(path) -> GridDensity1D:
-    with open(path) as fh:
-        meta = json.loads(fh.readline().lstrip("# ").strip())
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",")
-    nodes, vals = data[:, 0], data[:, 1]
-    return GridDensity1D(meta["v_max"], nodes, vals, _trapezoid_weights(nodes),
-                         tag=meta.get("tag", ""))

@@ -17,9 +17,5 @@ class SamplingError(Exception):
     """A rejection loop exceeded its trial budget."""
 
 
-class StateError(Exception):
-    """A required precomputed table (e.g. a ladder level) is missing."""
-
-
 class DegenerateTestFunctionError(Exception):
     """Rayleigh quotient requested for a statistically constant observable."""

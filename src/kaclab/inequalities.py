@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditioned import ConditionedFamily
-from .densities import GridDensity1D, MixtureSpec, mixture, moment
+from .densities import GridDensity1D, MixtureSpec
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
+from .limit_eq import half_grid_entropy, limit_production
 from .normalization import NormalizationLadder, lambda_profile
-
-_TWO_PI = 2.0 * np.pi
+from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
+                         energy_shells, fold, quadrant_angles, require_even,
+                         shell_sum, trapezoid_weights)
 
 
 def villani_floor(n: int) -> float:
@@ -50,8 +52,7 @@ class GapRatioRow:
 
 
 def gamma_ratio_sweep(generators, gamma: float, n_list,
-                      n_grid: int = 2**15,
-                      production_kwargs: dict | None = None) -> list[GapRatioRow]:
+                      n_grid: int = 2**15) -> list[GapRatioRow]:
     """Gamma_N = D_{N,gamma}(F_N) / H_N(F_N) along an N-sweep.
 
     ``generators`` is either a single density (fixed f) or a callable
@@ -60,8 +61,6 @@ def gamma_ratio_sweep(generators, gamma: float, n_list,
     a violation raises immediately: it would mean a numerical bug, never
     physics.
     """
-    kwargs = dict(n_s=160, check=False)
-    kwargs.update(production_kwargs or {})
     rows = []
     for n in n_list:
         f = generators if isinstance(generators, GridDensity1D) else generators(n)
@@ -70,7 +69,7 @@ def gamma_ratio_sweep(generators, gamma: float, n_list,
         if h / n < 1e-5:
             raise DegenerateTestFunctionError(
                 f"entropy {h:.2e} at N={n}: generator too close to Maxwellian")
-        d = fam.production(gamma, **kwargs)
+        d = fam.production(gamma, n_s=160, check=False)
         if gamma == 0.0 and d / h < villani_floor(n):
             raise AccuracyError(
                 f"Villani bound violated at N={n}: D/H = {d / h:.6f} < "
@@ -137,28 +136,31 @@ def log_over_power_sup(epsilon: float) -> float:
     return 1.0 / (np.e * epsilon)
 
 
-def moment_envelope(f: GridDensity1D, witness: LogPowerWitness,
-                    angle_nodes: int = 128) -> dict:
+def moment_envelope(f: GridDensity1D, witness: LogPowerWitness) -> dict:
     """The three moment pieces of the envelope and their total.
 
     total = 2 (sup log x / x^eps)^{1+beta} ||f||_inf^{eps (1+beta)}
             + int Phi^{1+beta} f + int (int_0^{2pi} Phi(v1(th))^{1+beta} dth) f f.
+
+    With (v1, v2) = r (cos a, sin a), v1(th) = r cos(th - a), so the angle
+    integral is B(r) = int_0^{2pi} Phi(r cos th)^{1+beta} dth for every a,
+    and the last piece is (1/2) int B(sqrt s) A(s) ds over the energy
+    shells s = r^2 in [0, v_max^2], A(s) = int_0^{2pi} f(r cos) f(r sin).
+    A uses the quadrant fold, so f must be even.
     """
+    require_even(f)
     beta, eps = witness.beta, witness.epsilon
     v = np.linspace(-f.v_max, f.v_max, 2001)
-    dv = v[1] - v[0]
-    w = np.full(v.shape, dv)
-    w[0] = w[-1] = 0.5 * dv
     fv = np.maximum(f(v), 0.0)
-    m_phi = float(np.sum(witness.phi(v) ** (1.0 + beta) * fv * w))
-    th = _TWO_PI * (np.arange(angle_nodes) + 0.5) / angle_nodes
-    # marginalize v2 first: for each (v1, th) integrate over v2
-    inner = np.zeros(v.shape)
-    for t, dth in zip(th, np.full(angle_nodes, _TWO_PI / angle_nodes)):
-        rotated = v[:, None] * np.cos(t) + v[None, :] * np.sin(t)
-        inner += dth * np.sum(witness.phi(rotated) ** (1.0 + beta)
-                              * (fv * w)[None, :], axis=1)
-    m_avg = float(np.sum(inner * fv * w))
+    m_phi = float(np.sum(witness.phi(v) ** (1.0 + beta) * fv
+                         * trapezoid_weights(v)))
+    s, ws = energy_shells(SHELLS, f.v_max ** 2)
+    r = np.sqrt(s)
+    b = np.sum(witness.phi(np.outer(r, np.cos(angle_midpoints(ANGLES))))
+               ** (1.0 + beta), axis=1)
+    e = np.maximum(f(np.outer(r, np.cos(quadrant_angles(ANGLES)))), 0.0)
+    # four quadrants per folded value; the jacobian dv1 dv2 = ds da / 2
+    m_avg = 0.5 * shell_sum(ws, b, 4.0 * np.sum(fold(e), axis=1), ANGLES)
     head = (2.0 * log_over_power_sup(eps) ** (1.0 + beta)
             * f.sup_norm() ** (eps * (1.0 + beta)))
     return {"head": head, "m_phi": m_phi, "m_avg": m_avg,
@@ -183,8 +185,7 @@ class EnvelopeRow:
 
 
 def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness, n_list,
-                      n_grid: int = 2**15,
-                      integral_kwargs: dict | None = None) -> list[EnvelopeRow]:
+                      n_grid: int = 2**15) -> list[EnvelopeRow]:
     """Measured log-power integrals against the certified constant.
 
     The envelope at each N uses the local-CLT remainder suprema of levels
@@ -193,21 +194,19 @@ def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness, n_list,
     """
     witness.validate_lower_bound(f)
     beta = witness.beta
-    kwargs = dict(n_s=160, check=False)
-    kwargs.update(integral_kwargs or {})
     m_total = moment_envelope(f, witness)["total"]
     ladder = NormalizationLadder(f, max(n_list), n_grid=n_grid)
     rows = []
     for n in n_list:
         fam = ConditionedFamily(f, n, ladder=ladder)
-        measured = fam.log_power_integral(beta, **kwargs)
+        measured = fam.log_power_integral(beta, n_s=160, check=False)
         sup_n = float(np.max(np.abs(lambda_profile(ladder, n)[1])))
         sup_nm1 = float(np.max(np.abs(lambda_profile(ladder, n - 1)[1])))
-        denom = 1.0 - np.sqrt(_TWO_PI) * sup_n
+        denom = 1.0 - np.sqrt(TWO_PI) * sup_n
         if denom <= 0:
             bound = None
         else:
-            ratio = (1.0 + np.sqrt(_TWO_PI) * sup_nm1) / denom
+            ratio = (1.0 + np.sqrt(TWO_PI) * sup_nm1) / denom
             bound = float(2.0 ** (1.0 + 2.0 * beta) * np.sqrt(3.0)
                           * ratio * m_total)
         rows.append(EnvelopeRow(n, measured, bound, sup_n, sup_nm1))
@@ -270,9 +269,7 @@ def optimized_constant(gamma: float, beta: float, k: float,
 
 def rescaled_inequality_check(f: GridDensity1D, gamma: float,
                               witness: LogPowerWitness, n_list,
-                              c1: float = 2.0, n_grid: int = 2**15,
-                              lambda_points: int = 100,
-                              production_kwargs: dict | None = None
+                              c1: float = 2.0, n_grid: int = 2**15
                               ) -> list[RescaledReport]:
     """Verify the lambda-split inequality and its optimized consequence.
 
@@ -285,7 +282,6 @@ def rescaled_inequality_check(f: GridDensity1D, gamma: float,
         raise ConfigurationError("gamma must lie in [0, 1)")
     beta, k = witness.beta, witness.k
     kwargs = dict(n_s=160, check=False)
-    kwargs.update(production_kwargs or {})
     ladder = NormalizationLadder(f, max(n_list), n_grid=n_grid)
     families = {n: ConditionedFamily(f, n, ladder=ladder) for n in n_list}
     # sweep-sup estimates of C_beta^{1+beta} and M_{2k}
@@ -302,7 +298,7 @@ def rescaled_inequality_check(f: GridDensity1D, gamma: float,
         h = fam.entropy()
         d_g = fam.production(gamma, **kwargs)
         d_1 = fam.production(1.0, **kwargs)
-        grid = np.logspace(-3, 3, lambda_points)
+        grid = np.logspace(-3, 3, 100)
         rhs = _intermediate_rhs(grid, gamma, beta, k, d_g / n, c_beta, m_2k)
         grid_ok = bool(np.all(d_1 / n <= rhs * (1.0 + 1e-12)))
         # analytic minimizer of the right-hand side
@@ -372,8 +368,6 @@ def boltzmann_inequality_check(f_vals: np.ndarray, v: np.ndarray,
     if tail > 1e-8:
         ok = False
         notes.append(f"moment of order {p_need:g} not resolved on the grid")
-    from .limit_eq import half_grid_entropy, limit_production
-
     h = half_grid_entropy(f_vals, v)
     d = limit_production(f_vals, v, gamma)
     if h < 1e-12:

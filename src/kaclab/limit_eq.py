@@ -9,15 +9,11 @@ where <.>_th is the uniform average over rotation angles.  The gain term
 depends on (v, w) only through r = sqrt(v^2 + w^2), so one radial table
 A(r) = <f(r cos) f(r sin)>_th serves every grid pair.
 
-Quadrant fold.  f is even and the angle midpoints th_k are symmetric
-about both axes, so every quadrant of an angle average repeats the first
-one.  With q = angle_nodes / 4 and E[r, k] = f(r cos th_k) for k < q,
-sin th_k = cos th_{q-1-k} gives f(r cos th_k) f(r sin th_k) =
-E[r, k] E[r, q-1-k].  The radial table and the polar production
-integral both use this product, on a quarter of the angles and with a
-single spline evaluation per point.  The gain is even in w and
-symmetric in (v, w), so it is evaluated at the half-grid pairs
-v_i <= v_j only.
+Quadrant fold.  f is even, so the radial table and the polar production
+integral use the first-quadrant fold of :mod:`kaclab.quadrature`, on a
+quarter of the angles and with a single spline evaluation per point.
+The gain is even in w and symmetric in (v, w), so it is evaluated at the
+half-grid pairs v_i <= v_j only.
 
 Cached geometry.  The evaluation points never change for a given grid,
 gamma and angle_nodes: each point's spline interval and local offset,
@@ -36,24 +32,17 @@ from scipy.interpolate import CubicSpline
 
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
-
-_TWO_PI = 2.0 * np.pi
-
-
-def _half_grid_weights(v: np.ndarray) -> np.ndarray:
-    """Full-line trapezoid weights for an even function on the half grid."""
-    dv = v[1] - v[0]
-    w = np.full(v.shape, 2.0 * dv)
-    w[0] = w[-1] = dv
-    return w
+from .quadrature import (ANGLES, SHELLS, TWO_PI, energy_shells, fold, freeze,
+                         half_grid_weights, pair_kernel, quadrant_angles,
+                         quadrant_count, shell_sum, trapezoid_weights)
 
 
 def half_grid_entropy(f_vals: np.ndarray, v: np.ndarray) -> float:
     """H(f | M) of an even profile on the half grid, M the unit Gaussian."""
     live = f_vals > 0
-    log_m = -0.5 * v[live] ** 2 - 0.5 * np.log(_TWO_PI)
+    log_m = -0.5 * v[live] ** 2 - 0.5 * np.log(TWO_PI)
     return float(np.sum(f_vals[live] * (np.log(f_vals[live]) - log_m)
-                        * _half_grid_weights(v)[live]))
+                        * half_grid_weights(v)[live]))
 
 
 def _stencil(knots: np.ndarray, x: np.ndarray):
@@ -76,30 +65,6 @@ def _spline_at(c: np.ndarray, idx: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _freeze(*arrays) -> None:
-    # cached geometry is shared by every caller
-    for a in arrays:
-        a.flags.writeable = False
-
-
-@functools.cache
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [-1, 1], built once per n.
-
-    The arrays are shared by every caller and therefore read-only.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    _freeze(x, w)
-    return x, w
-
-
-def _quadrant_count(angle_nodes: int) -> int:
-    if angle_nodes < 4 or angle_nodes % 4:
-        raise ConfigurationError(
-            f"angle_nodes must be a positive multiple of 4, got {angle_nodes}")
-    return angle_nodes // 4
-
-
 class _QuadrantFold:
     """f(r cos th) f(r sin th) of an even f, folded to the first quadrant.
 
@@ -109,24 +74,22 @@ class _QuadrantFold:
     """
 
     def __init__(self, v: np.ndarray, radii: np.ndarray, angle_nodes: int):
-        q = _quadrant_count(angle_nodes)
-        th = _TWO_PI * (np.arange(q) + 0.5) / angle_nodes
+        th = quadrant_angles(angle_nodes)
         x = np.outer(radii, np.cos(th)).ravel()
         self.v = v
-        self.shape = (len(radii), q)
+        self.shape = (len(radii), len(th))
         self.idx, self.offset = _stencil(v, x)
         # points beyond v_max read the zero column appended in products()
         beyond = x > v[-1]
         self.idx[beyond] = len(v) - 1
         self.offset[beyond] = 0.0
-        _freeze(self.idx, self.offset)
+        freeze(self.idx, self.offset)
 
     def products(self, f_vals: np.ndarray) -> np.ndarray:
         c = np.zeros((4, len(self.v)))
         c[:, :-1] = CubicSpline(self.v, np.maximum(f_vals, 0.0)).c
         e = np.maximum(_spline_at(c, self.idx, self.offset), 0.0)
-        e = e.reshape(self.shape)
-        return e * e[:, ::-1]
+        return fold(e.reshape(self.shape))
 
 
 @dataclass(frozen=True)
@@ -168,14 +131,14 @@ def _operator_geometry(v: np.ndarray, gamma: float,
     gain_pairs[upper_i, upper_j] = np.arange(len(upper_i))
     gain_pairs[upper_j, upper_i] = np.arange(len(upper_i))
     rate_weights = ((1.0 + sq[:, None] + sq[None, :]) ** gamma
-                    * _half_grid_weights(v))
-    _freeze(r_grid, gain_idx, gain_offset, gain_pairs, rate_weights)
+                    * half_grid_weights(v))
+    freeze(r_grid, gain_idx, gain_offset, gain_pairs, rate_weights)
     return _OperatorGeometry(fold, r_grid, gain_idx, gain_offset, gain_pairs,
                              rate_weights)
 
 
 def collision_operator(f_vals: np.ndarray, v: np.ndarray, gamma: float,
-                       angle_nodes: int = 256) -> np.ndarray:
+                       angle_nodes: int = ANGLES) -> np.ndarray:
     """Right-hand side of the limit equation on a symmetric uniform grid.
 
     Assumes f is even; f_vals are values on the v >= 0 half-grid.
@@ -207,15 +170,14 @@ class LimitSolver:
     """RK4 integrator for the limit equation on [0, v_max]."""
 
     def __init__(self, f0: GridDensity1D, gamma: float, v_max: float = 8.0,
-                 nodes: int = 257, angle_nodes: int = 256,
+                 nodes: int = 257, angle_nodes: int = ANGLES,
                  clip_tolerance: float = 1e-6):
         if not 0.0 <= gamma <= 1.0:
             raise ConfigurationError("gamma must lie in [0, 1]")
-        _quadrant_count(angle_nodes)
+        quadrant_count(angle_nodes)
         self.gamma = gamma
         self.v = np.linspace(0.0, v_max, nodes)
-        self.dv = self.v[1] - self.v[0]
-        self._weights = _half_grid_weights(self.v)
+        self._weights = half_grid_weights(self.v)
         self.vals = np.maximum(np.asarray(f0(self.v), dtype=float), 0.0)
         self.angle_nodes = angle_nodes
         self.clip_tolerance = clip_tolerance
@@ -292,46 +254,29 @@ class LimitSolver:
         """Current profile as a symmetric grid density on [-v_max, v_max]."""
         v_full = np.concatenate([-self.v[:0:-1], self.v])
         vals = np.concatenate([self.vals[:0:-1], self.vals])
-        w = np.full(v_full.shape, self.dv)
-        w[0] = w[-1] = 0.5 * self.dv
-        return GridDensity1D(float(self.v[-1]), v_full, vals, w,
+        return GridDensity1D(float(self.v[-1]), v_full, vals,
+                             trapezoid_weights(v_full),
                              tag=f"limit(t={self.time:g})")
-
-
-def suggested_dt(gamma: float, v_max: float) -> float:
-    """Conservative explicit step bound from the dominating loss rate."""
-    return 0.25 / (1.0 + 2.0 * v_max**2) ** gamma
 
 
 @_grid_cache
 def _production_geometry(v: np.ndarray, angle_nodes: int):
     """Quadrant fold on Gauss-Legendre energy shells s in [0, 2 v_max^2]."""
-    x, w = gauss_legendre(256)
-    s_max = 2.0 * v[-1] ** 2
-    s = 0.5 * s_max * (x + 1.0)
-    ws = 0.5 * s_max * w
-    _freeze(s, ws)
+    s, ws = energy_shells(SHELLS, 2.0 * v[-1] ** 2)
+    freeze(s, ws)
     return _QuadrantFold(v, np.sqrt(s), angle_nodes), s, ws
 
 
 def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float,
-                     angle_nodes: int = 256) -> float:
+                     angle_nodes: int = ANGLES) -> float:
     """D_gamma(f) = (1/2pi) int (1+v^2+w^2)^gamma psi(ff, f(th)f(th)).
 
-    Reduced to polar coordinates exactly like the N-particle production,
-    with the conditioning weight replaced by 1.  On each shell the four
-    quadrants repeat, so with p on the q = angle_nodes/4 folded angles the
-    pair kernel 2 (K sum p log p - sum p sum log p) over all K angles is
-    2 (4 K sum_q p log p - 16 sum_q p sum_q log p).
+    The polar-shell reduction of the N-particle production (see
+    :mod:`kaclab.quadrature`) with the conditioning weight replaced by 1.
     """
-    fold, s, ws = _production_geometry(v, angle_nodes)
-    p = fold.products(f_vals)
-    logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
-    pair = 2.0 * (4.0 * angle_nodes * np.sum(p * logp, axis=1)
-                  - 16.0 * np.sum(p, axis=1) * np.sum(logp, axis=1))
-    dphi = _TWO_PI / angle_nodes
-    shell = (1.0 + s) ** gamma * pair * dphi * dphi
-    return float(np.sum(ws * shell) / _TWO_PI * 0.5)
+    quadrant, s, ws = _production_geometry(v, angle_nodes)
+    pair = pair_kernel(quadrant.products(f_vals), angle_nodes)
+    return shell_sum(ws, (1.0 + s) ** gamma, pair, angle_nodes) / TWO_PI * 0.5
 
 
 def cercignani_ratio(f_vals: np.ndarray, v: np.ndarray,

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .densities import GridDensity1D, moment
+from .densities import GridDensity1D, mixture, moment
 from .errors import ConfigurationError
 from .sphere import log_sphere_area
-
-LOG_FLOOR = np.log(1e-300)
 
 
 def sigma_squared(f: GridDensity1D) -> float:
@@ -89,15 +87,6 @@ class NormalizationLadder:
         self._masses[n] = out
         return out
 
-    def build_all(self, n_top: int | None = None) -> None:
-        """Sequentially materialize every level up to n_top."""
-        n_top = self.n_max if n_top is None else n_top
-        prev = self.level(1)
-        for n in range(2, n_top + 1):
-            if n not in self._masses:
-                self._masses[n] = self._convolve(prev, self._masses[1])
-            prev = self._masses[n]
-
     # -- queries --------------------------------------------------------
 
     def mass(self, n: int) -> float:
@@ -133,34 +122,6 @@ class NormalizationLadder:
                - log_sphere_area(n))
         return float(out) if out.ndim == 0 else out
 
-    def log_z_ratio(self, n_num: int, u_num, n_den: int, u_den) -> np.ndarray:
-        """log [Z_{n_num}(f, sqrt(u_num)) / Z_{n_den}(f, sqrt(u_den))].
-
-        The area and power prefactors are combined in log space before any
-        exponentiation, so the ratio is usable at any n.
-        """
-        u_num = np.asarray(u_num, dtype=float)
-        u_den = np.asarray(u_den, dtype=float)
-        return (
-            self.log_density(n_num, u_num) - self.log_density(n_den, u_den)
-            - 0.5 * (n_num - 2) * np.log(np.maximum(u_num, 1e-300))
-            + 0.5 * (n_den - 2) * np.log(np.maximum(u_den, 1e-300))
-            - log_sphere_area(n_num) + log_sphere_area(n_den)
-        )
-
-    def export_csv(self, path, levels) -> None:
-        with open(path, "w") as fh:
-            fh.write("n,u,log_hconv\n")
-            for n in levels:
-                tab = self.log_density_table(n)
-                for u, lv in zip(self.grid, tab):
-                    fh.write(f"{n},{u!r},{lv!r}\n")
-
-
-def build_ladder(f: GridDensity1D, n_max: int, u_max: float | None = None,
-                 n_grid: int = 2**15) -> NormalizationLadder:
-    return NormalizationLadder(f, n_max, u_max=u_max, n_grid=n_grid)
-
 
 # -- local-CLT approximation and error envelopes ------------------------
 
@@ -174,20 +135,6 @@ class CltEnvelope:
 
     def rows(self):
         return [(n, self.sigma2, s) for n, s in sorted(self.lambda_sup.items())]
-
-
-def clt_leading_log(f_or_sigma2, n: int, u) -> np.ndarray:
-    """log of the Gaussian leading term of Z_n(f, sqrt(u))."""
-    sig2 = (sigma_squared(f_or_sigma2)
-            if isinstance(f_or_sigma2, GridDensity1D) else float(f_or_sigma2))
-    if sig2 <= 0:
-        raise ValueError("sigma^2 must be positive")
-    u = np.asarray(u, dtype=float)
-    var = n * sig2
-    out = (np.log(2.0) - 0.5 * np.log(n * sig2) - log_sphere_area(n)
-           - 0.5 * (n - 2) * np.log(np.maximum(u, 1e-300))
-           - (u - n) ** 2 / (2.0 * var) - 0.5 * np.log(2.0 * np.pi))
-    return float(out) if out.ndim == 0 else out
 
 
 def lambda_profile(ladder: NormalizationLadder, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +172,6 @@ def clt_envelope_ndependent(beta: float, n_list, j: int,
     Valid for 0 < beta < 1/6, where delta_N = N^{2 beta - 1} satisfies both
     growth conditions of the N-dependent concentration theorem.
     """
-    from .densities import mixture
-
     if not 0.0 < beta < 1.0 / 6.0:
         raise ValueError("beta must lie in (0, 1/6)")
     if j not in (0, 1, 2):

@@ -19,9 +19,9 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateTestFunctionError
+from .quadrature import TWO_PI, angle_midpoints
 from .sphere import rotate_pair, uniform_sphere_batch
 
-_TWO_PI = 2.0 * np.pi
 # candidate events drawn per block; bounds memory on long runs
 _BLOCK = 2**16
 
@@ -108,7 +108,7 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
             threshold = (1.0 + n) * rng.random(size) ** (1.0 / gamma) - 1.0
         else:
             threshold = np.full(size, -1.0)
-        theta = rng.uniform(0.0, _TWO_PI, size)
+        theta = rng.uniform(0.0, TWO_PI, size)
         stop = int(np.searchsorted(times, t_final))
         proposed += stop
         events = zip(first[:stop].tolist(), second[:stop].tolist(),
@@ -147,18 +147,6 @@ def simulate_ensemble(config: SimulationConfig, replicas: int,
     return out
 
 
-def empirical_marginal(states: np.ndarray, bins: int = 101,
-                       v_max: float | None = None):
-    """Histogram density of the pooled single-particle velocities."""
-    pooled = np.ravel(states)
-    if v_max is None:
-        v_max = float(np.max(np.abs(pooled))) * 1.01
-    hist, edges = np.histogram(pooled, bins=bins, range=(-v_max, v_max),
-                               density=True)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    return centers, hist
-
-
 # -- Rayleigh quotient estimates ----------------------------------------
 
 
@@ -183,7 +171,7 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
     jdx = np.where(jdx >= idx, jdx + 1, jdx)
     rows = np.arange(samples)
     vi, vj = v[rows, idx], v[rows, jdx]
-    theta = _TWO_PI * (np.arange(angle_nodes) + 0.5) / angle_nodes
+    theta = angle_midpoints(angle_nodes)
     acc = np.zeros(samples)
     s = vi * vi + vj * vj
     for th in theta:
@@ -282,8 +270,8 @@ def _expand_monomial(exps: tuple, n: int) -> list[tuple[tuple, float]]:
     return [(key, w / total) for key, w in table.items()]
 
 
-def generator_matrix_smalln(n: int, gamma: float = 0.0, degree: int = 4):
-    """Exact Galerkin matrices (A, G) of -L on the even polynomial sector.
+def generator_matrix_smalln(n: int, degree: int = 4):
+    """Exact Galerkin matrices (A, G) of -L at gamma = 0, even polynomials.
 
     A_{ab} = <p_a, -L p_b> and G_{ab} = <p_a, p_b> under the uniform
     sphere measure; pair-rotation averages of monomials are evaluated with
@@ -293,9 +281,6 @@ def generator_matrix_smalln(n: int, gamma: float = 0.0, degree: int = 4):
     (i, j) and the pair average is its value on the pair (0, 1).  Only
     gamma = 0 keeps the polynomial sector invariant.
     """
-    if gamma != 0.0:
-        raise ConfigurationError(
-            "exact polynomial Galerkin requires gamma = 0")
     if n < 3 or n > 8:
         raise ConfigurationError("small-N analysis supports 3 <= N <= 8")
     expanded = [_expand_monomial(b, n) for b in _monomials(n, degree)]
@@ -332,7 +317,7 @@ def exact_gap_smalln(n: int, degree: int = 4) -> float:
     Solves the generalized problem A x = mu G x after projecting out the
     Gram null space (redundant symmetrized monomials) and the constant.
     """
-    amat, gram = generator_matrix_smalln(n, 0.0, degree)
+    amat, gram = generator_matrix_smalln(n, degree)
     amat = 0.5 * (amat + amat.T)
     gram = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(gram)

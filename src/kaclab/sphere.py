@@ -1,79 +1,20 @@
 """Geometry of the constant-energy sphere S^{N-1}(sqrt(N)).
 
-Pair rotations, uniform sampling, and the log-domain geometric kernels
-that appear in marginal formulas.  All large-n area factors are kept in
-log form; ratios are assembled by log-subtraction before exponentiation.
+Pair rotations, uniform sampling and surface areas.  Large-n area
+factors are kept in log form; ratios are assembled by log-subtraction
+before exponentiation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
-
-ENERGY_RTOL = 1e-10
-TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class VelocityEnsemble:
-    """N velocities with total kinetic energy N (a point on the sphere)."""
-
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.velocities, dtype=float)
-        object.__setattr__(self, "velocities", v)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("need at least 2 velocities")
-        energy = float(np.sum(v * v))
-        if abs(energy - v.size) > ENERGY_RTOL * v.size:
-            raise ValueError(
-                f"energy {energy} deviates from {v.size} beyond tolerance"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.velocities.size
-
-    def energy(self) -> float:
-        return float(np.sum(self.velocities**2))
-
-
-@dataclass(frozen=True)
-class RotationSpec:
-    """A 2-plane rotation acting on coordinates i < j by angle theta."""
-
-    i: int
-    j: int
-    theta: float
-
-    def __post_init__(self):
-        if self.i < 0 or self.j <= self.i:
-            raise ValueError("need 0 <= i < j")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
 
 
 def rotate_pair(vi, vj, theta):
     """The post-collision velocities of a single pair."""
     c, s = np.cos(theta), np.sin(theta)
     return vi * c + vj * s, -vi * s + vj * c
-
-
-def apply_rotation(v: VelocityEnsemble, r: RotationSpec) -> VelocityEnsemble:
-    if r.j >= v.n:
-        raise ValueError(f"index {r.j} out of range for ensemble of size {v.n}")
-    w = v.velocities.copy()
-    w[r.i], w[r.j] = rotate_pair(w[r.i], w[r.j], r.theta)
-    return VelocityEnsemble(w)
-
-
-def renormalize_energy(velocities: np.ndarray) -> np.ndarray:
-    """Rescale in place to exact radius sqrt(N); returns the array."""
-    n = velocities.size
-    velocities *= np.sqrt(n / np.sum(velocities**2))
-    return velocities
 
 
 def uniform_sphere_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,44 +26,8 @@ def uniform_sphere_batch(n: int, size: int, rng: np.random.Generator) -> np.ndar
     return g
 
 
-def uniform_sphere_sample(n: int, rng: np.random.Generator) -> VelocityEnsemble:
-    """One draw from the uniform probability measure on the energy sphere."""
-    return VelocityEnsemble(uniform_sphere_batch(n, 1, rng)[0])
-
-
 def log_sphere_area(n: int) -> float:
     """log of the surface area of the unit (n-1)-sphere in R^n."""
     if n <= 0:
         raise ValueError("n must be positive")
     return np.log(2.0) + 0.5 * n * np.log(np.pi) - gammaln(0.5 * n)
-
-
-def sphere_area(n: int) -> float:
-    return float(np.exp(log_sphere_area(n)))
-
-
-def log_marginal_kernel(n: int, k: int, s) -> np.ndarray:
-    """log of the geometric prefactor of the k-marginal at used energy s.
-
-    The factor is (|S^{n-k-1}|/|S^{n-1}|) n^{-(n-2)/2} (n-s)_+^{(n-k-2)/2};
-    -inf where s >= n.
-    """
-    if not 1 <= k <= n - 2:
-        raise ValueError(f"k={k} out of range for n={n}")
-    s = np.asarray(s, dtype=float)
-    resid = n - s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            log_sphere_area(n - k)
-            - log_sphere_area(n)
-            - 0.5 * (n - 2) * np.log(n)
-            + 0.5 * (n - k - 2) * np.where(resid > 0, np.log(np.maximum(resid, 1e-300)), -np.inf)
-        )
-    return np.where(resid > 0, out, -np.inf)
-
-
-def marginal_kernel(n: int, k: int, s) -> np.ndarray:
-    out = np.exp(log_marginal_kernel(n, k, s))
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return float(out)
-    return out

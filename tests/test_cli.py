@@ -62,11 +62,30 @@ def test_cercignani_subcommand(tmp_path):
     assert rows[0, 1] > rows[1, 1]
 
 
-def test_invalid_config_exit_code(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["gap", "--config", str(bad), "--out",
-                 str(tmp_path / "o")]) == 2
+# (subcommand, config text): each must exit 2 with a JSON error
+INVALID_CONFIGS = [
+    ("gap", "{not json"),
+    ("gap", "[1, 2]"),
+    ("clt", '{"generator": "mixture"}'),
+    ("pde", '{"delta": 1.5}'),
+    ("villani", '{"n_list": []}'),
+    ("inequality", '{"n_list": []}'),
+    ("clt", '{"n_list": []}'),
+    ("entropy-scan", '{"n_list": []}'),
+    ("chaos", '{"n_list": []}'),
+    ("villani", '{"n_list": "64"}'),
+    ("clt", '{"n_list": [16, "32"]}'),
+]
+
+
+def test_invalid_config_exit_code(tmp_path, capsys):
+    for k, (command, text) in enumerate(INVALID_CONFIGS):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_text(text)
+        code = main([command, "--config", str(bad), "--out",
+                     str(tmp_path / "o")])
+        assert code == 2, (command, text)
+        assert "error" in json.loads(capsys.readouterr().err), (command, text)
 
 
 def test_unknown_generator_exit_code(tmp_path):

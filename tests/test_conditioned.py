@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from kaclab.conditioned import AngleGrid, ConditionedFamily
-from kaclab.densities import gaussian, mixture, relative_entropy
+from kaclab.conditioned import ConditionedFamily
+from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
+from kaclab.errors import ConfigurationError
+from kaclab.quadrature import ANGLES, angle_midpoints
 
 N_GAUSS = 16
 
@@ -37,10 +39,19 @@ def test_gaussian_marginal_is_sphere_marginal(gauss_family):
 
 
 def test_gaussian_marginal2_uniformity(gauss_family):
-    # for the uniform state, F_{N,2} depends only on v1^2 + v2^2
-    a = float(gauss_family.marginal2(1.0, 0.5))
-    b = float(gauss_family.marginal2(np.sqrt(1.25), 0.0))
-    assert a == pytest.approx(b, rel=1e-6)
+    # for the uniform state, F_{N,2} = f f exp(weight) depends only on
+    # v1^2 + v2^2 and is the sphere's own second marginal
+    def marginal2(v1, v2):
+        f = gauss_family.f
+        return float(f(v1) * f(v2) * np.exp(
+            gauss_family.log_marginal_weight(2, v1 * v1 + v2 * v2)))
+
+    n = N_GAUSS
+    exact = (np.exp(gammaln(n / 2.0) - gammaln((n - 2) / 2.0)) / (np.pi * n)
+             * (1.0 - 1.25 / n) ** ((n - 4) / 2.0))
+    assert marginal2(1.0, 0.5) == pytest.approx(
+        marginal2(np.sqrt(1.25), 0.0), rel=1e-6)
+    assert marginal2(1.0, 0.5) == pytest.approx(exact, rel=1e-4)
 
 
 def test_gaussian_entropy_vanishes(gauss_family):
@@ -85,10 +96,15 @@ def test_log_power_integral_positive(mix_family):
 
 
 def test_chaos_distance_shrinks():
+    # L1 distance between the first marginal and the generator
     f = mixture(0.25)
-    d16 = ConditionedFamily(f, 16).chaos_distance()
-    d64 = ConditionedFamily(f, 64).chaos_distance()
-    assert d64 < d16
+    v = np.linspace(-4.0, 4.0, 4001)
+
+    def distance(n):
+        return np.trapezoid(np.abs(ConditionedFamily(f, n).marginal1(v)
+                                   - f(v)), v)
+
+    assert distance(64) < distance(16)
 
 
 def test_sampler_energy_constraint(mix_family):
@@ -125,11 +141,89 @@ def test_monte_carlo_agrees_small_sample():
 
 
 def test_angle_grid():
-    g = AngleGrid(8)
-    assert g.nodes().size == 8
-    assert g.weight * 8 == pytest.approx(2 * np.pi)
+    th = angle_midpoints(8)
+    assert th.size == 8
+    assert th[0] == pytest.approx(np.pi / 8)
+    assert np.allclose(np.diff(th), 2 * np.pi / 8)
+    # symmetric about both axes, as the quadrant fold needs
+    assert np.allclose(np.cos(th[:2]), np.sin(th[:2][::-1]))
 
 
 def test_rejects_tiny_n():
     with pytest.raises(ValueError):
         ConditionedFamily(gaussian(1.0), 2)
+
+
+# -- direct references: every angle, no fold -----------------------------
+
+
+def _reference_shells(fam, n_s, angle_nodes):
+    x, ws = np.polynomial.legendre.leggauss(n_s)
+    s = 0.5 * float(fam.n) * (x + 1.0)
+    ws = 0.5 * float(fam.n) * ws
+    phi = 2.0 * np.pi * (np.arange(angle_nodes) + 0.5) / angle_nodes
+    r = np.sqrt(s)
+    p = np.maximum(fam.f(np.outer(r, np.cos(phi)))
+                   * fam.f(np.outer(r, np.sin(phi))), 0.0)
+    return s, ws, np.exp(fam.log_marginal_weight(2, s)), p
+
+
+def reference_production(fam, gamma, n_s, angle_nodes):
+    s, ws, weight, p = _reference_shells(fam, n_s, angle_nodes)
+    dphi = 2.0 * np.pi / angle_nodes
+    logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
+    pair = 2.0 * (angle_nodes * np.sum(p * logp, axis=1)
+                  - np.sum(p, axis=1) * np.sum(logp, axis=1))
+    shell = weight * (1.0 + s) ** gamma * pair * dphi * dphi
+    return float(fam.n / (4.0 * np.pi) * 0.5 * np.sum(ws * shell))
+
+
+def reference_log_power(fam, beta, n_s, angle_nodes):
+    s, ws, weight, p = _reference_shells(fam, n_s, angle_nodes)
+    dphi = 2.0 * np.pi / angle_nodes
+    logp = np.log(np.maximum(p, 1e-300))
+    total = 0.0
+    for a in range(len(s)):
+        d = p[a][:, None] - p[a][None, :]
+        dl = logp[a][:, None] - logp[a][None, :]
+        pair = float(np.sum(d * np.sign(dl) * np.abs(dl) ** (1.0 + beta)))
+        total += ws[a] * weight[a] * pair * dphi * dphi
+    return float(total / (2.0 * np.pi) * 0.5)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_production_matches_unfolded_reference(mix_family, gamma):
+    got = mix_family.production(gamma, n_s=64, check=False)
+    ref = reference_production(mix_family, gamma, 64, ANGLES)
+    assert got == pytest.approx(ref, rel=1e-12)
+    # check=True returns the value on twice the shells and angles
+    got = mix_family.production(gamma, n_s=32, check=True)
+    ref = reference_production(mix_family, gamma, 64, 2 * ANGLES)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_log_power_matches_unfolded_reference(mix_family, beta):
+    got = mix_family.log_power_integral(beta, n_s=24, check=False)
+    ref = reference_log_power(mix_family, beta, 24, ANGLES)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_uneven_generator_rejected():
+    shifted = from_callable(lambda v: np.exp(-0.5 * (v - 0.3) ** 2), 12.0)
+    with pytest.raises(ConfigurationError, match="not even"):
+        ConditionedFamily(shifted, 8)
+
+
+def test_monte_carlo_rejects_short_velocity_arrays():
+    fam = ConditionedFamily(mixture(0.3), 8)
+    rng = np.random.default_rng(9)
+    draws = fam.sample(100, rng)
+    with pytest.raises(ValueError, match="fewer than samples"):
+        fam.entropy_monte_carlo(200, rng, velocities=draws)
+    with pytest.raises(ValueError, match="fewer than samples"):
+        fam.production_monte_carlo(0.5, 200, rng, velocities=draws)
+    # exactly enough rows, in several batches, is fine
+    full = fam.entropy_monte_carlo(100, rng, velocities=draws)
+    assert fam.entropy_monte_carlo(100, rng, batch=30,
+                                   velocities=draws) == pytest.approx(full)

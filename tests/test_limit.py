@@ -9,8 +9,8 @@ from kaclab.errors import AccuracyError, ConfigurationError
 import kaclab.limit_eq as limit_eq
 from kaclab.limit_eq import (LimitSolver, _operator_geometry,
                              _production_geometry, cercignani_ratio,
-                             collision_operator, gauss_legendre,
-                             limit_production, suggested_dt)
+                             collision_operator, limit_production)
+from kaclab.quadrature import gauss_legendre
 
 
 def maxwellian(v):
@@ -224,11 +224,6 @@ def test_unstable_step_raises():
     solver = LimitSolver(mixture(0.25), 1.0, v_max=8.0, nodes=257)
     with pytest.raises(AccuracyError):
         solver.evolve(1.0, 0.5, record_every=0)
-
-
-def test_suggested_dt_scaling():
-    assert suggested_dt(0.0, 8.0) == pytest.approx(0.25)
-    assert suggested_dt(1.0, 8.0) < suggested_dt(0.5, 8.0) < 0.25
 
 
 def test_density_export_round_trip():

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from kaclab.densities import gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.normalization import (NormalizationLadder, clt_envelope,
-                                  clt_envelope_ndependent, clt_leading_log,
-                                  lambda_profile, schedule_delta,
-                                  sigma_squared)
+                                  clt_envelope_ndependent, lambda_profile,
+                                  schedule_delta, sigma_squared)
+from kaclab.sphere import log_sphere_area
 
 
 @pytest.fixture(scope="module")
@@ -54,18 +55,13 @@ def test_levels_conserve_mass_and_mean(mix_ladder):
 
 def test_binary_decomposition_matches_sequential():
     f = mixture(0.3)
-    a = NormalizationLadder(f, 12)
-    b = NormalizationLadder(f, 12)
-    b.build_all(12)
-    la, lb = a.level(12), b.level(12)
-    assert np.allclose(la, lb, rtol=1e-9, atol=1e-12 * la.max())
-
-
-def test_log_z_ratio_consistency(mix_ladder):
-    direct = (float(mix_ladder.log_z(63, 60.0))
-              - float(mix_ladder.log_z(64, 64.0)))
-    via_ratio = float(mix_ladder.log_z_ratio(63, 60.0, 64, 64.0))
-    assert via_ratio == pytest.approx(direct, abs=1e-10)
+    ladder = NormalizationLadder(f, 12)
+    base = ladder.level(1)
+    seq = base
+    for _ in range(11):
+        seq = np.maximum(fftconvolve(seq, base)[:ladder.n_grid], 0.0)
+    la = ladder.level(12)
+    assert np.allclose(la, seq, rtol=1e-9, atol=1e-12 * la.max())
 
 
 def test_truncated_grid_rejected():
@@ -79,9 +75,11 @@ def test_out_of_range_query(mix_ladder):
 
 
 def test_clt_leading_term_near_center(gauss_ladder):
-    # at u = n the Gaussian leading term dominates the exact value
-    n = 32
-    lead = float(clt_leading_log(2.0, n, float(n)))
+    # at u = n the Gaussian leading term of Z_n, with h^{*n}(n) replaced by
+    # the normal density 1/sqrt(2 pi n Sigma^2), dominates the exact value
+    n, sig2 = 32, 2.0
+    lead = (np.log(2.0) - 0.5 * np.log(2.0 * np.pi * n * sig2)
+            - log_sphere_area(n) - 0.5 * (n - 2) * np.log(float(n)))
     exact = float(gauss_ladder.log_z(n, float(n)))
     assert lead == pytest.approx(exact, abs=0.05)
 

@@ -8,9 +8,8 @@ from scipy.special import gammaln
 
 from kaclab.errors import ConfigurationError, DegenerateTestFunctionError
 from kaclab.process import (SimulationConfig, _monomials, dirichlet_rayleigh,
-                            empirical_marginal, exact_gap_smalln,
-                            generator_matrix_smalln, simulate,
-                            simulate_ensemble, spectral_gap)
+                            exact_gap_smalln, generator_matrix_smalln,
+                            simulate, simulate_ensemble, spectral_gap)
 
 
 def test_spectral_gap_closed_form():
@@ -100,11 +99,6 @@ def test_galerkin_matches_all_pairs_reference(n):
     assert np.max(np.abs(gram - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
 
 
-def test_exact_gap_rejects_gamma():
-    with pytest.raises(ConfigurationError):
-        generator_matrix_smalln(4, gamma=0.5)
-
-
 def test_simulate_conserves_energy():
     cfg = SimulationConfig(n=20, gamma=0.0, t_final=3.0, seed=1)
     stats = simulate(cfg)
@@ -156,14 +150,6 @@ def test_fourth_moment_law_at_gamma_zero():
     s4 = np.sum(states**4, axis=1) / n
     se = np.std(s4, ddof=1) / np.sqrt(replicas)
     assert abs(np.mean(s4) - law) < 5.0 * se
-
-
-def test_empirical_marginal_normalized():
-    rng = np.random.default_rng(0)
-    states = rng.standard_normal((100, 50))
-    centers, hist = empirical_marginal(states, bins=41)
-    dv = centers[1] - centers[0]
-    assert np.sum(hist) * dv == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rayleigh_quotient_above_gap():
