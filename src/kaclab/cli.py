@@ -31,6 +31,7 @@ from .process import (SimulationConfig, dirichlet_rayleigh, exact_gap_smalln,
                       simulate_ensemble, spectral_gap)
 
 EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE = 0, 2, 3
+SCHEDULE_BETA = 0.1  # beta of a schedule generator that states none
 
 
 def _load_config(path: str | None) -> tuple[dict, str]:
@@ -47,17 +48,30 @@ def _load_config(path: str | None) -> tuple[dict, str]:
     return cfg, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _get(cfg: dict, key: str, default):
+    """cfg[key], or default when it is absent.
+
+    The value must have the default's JSON type, else ConfigurationError:
+    an int passes where the default is a float, a bool never passes as a
+    number.
+    """
+    value = cfg.get(key, default)
+    number = type(default) is float and type(value) in (int, float)
+    if not (number or type(value) is type(default)):
+        raise ConfigurationError(
+            f"{key} must be of type {type(default).__name__}, got {value!r}")
+    return value
+
+
 def _generator(cfg: dict):
-    spec = cfg.get("generator", {"kind": "mixture", "delta": 0.25})
-    if not isinstance(spec, dict):
-        raise ConfigurationError("generator must be a JSON object")
-    kind = spec.get("kind", "mixture")
+    spec = _get(cfg, "generator", {"kind": "mixture", "delta": 0.25})
+    kind = _get(spec, "kind", "mixture")
     if kind == "gaussian":
-        return gaussian(spec.get("variance", 1.0))
+        return gaussian(_get(spec, "variance", 1.0))
     if kind == "mixture":
-        return mixture(spec.get("delta", 0.25))
+        return mixture(_get(spec, "delta", 0.25))
     if kind == "schedule":
-        beta = spec.get("beta", 0.1)
+        beta = _get(spec, "beta", SCHEDULE_BETA)
         return lambda n: mixture(schedule_delta(beta, n))
     raise ConfigurationError(f"unknown generator kind {kind!r}")
 
@@ -80,7 +94,7 @@ class Artifacts:
         self.config_hash = config_hash
         self.seed = seed
 
-    def csv(self, name: str, columns, rows) -> str:
+    def csv(self, name: str, columns, rows) -> None:
         path = os.path.join(self.dir, name)
         with open(path, "w") as fh:
             fh.write(self.header)
@@ -89,15 +103,13 @@ class Artifacts:
                 fh.write(",".join(
                     repr(float(x)) if isinstance(x, (float, np.floating))
                     else str(x) for x in row) + "\n")
-        return path
 
-    def json(self, name: str, payload: dict) -> str:
+    def json(self, name: str, payload: dict) -> None:
         path = os.path.join(self.dir, name)
         payload = {"config_hash": self.config_hash, "seed": self.seed,
                    **payload}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
-        return path
 
     def svg_path(self, name: str) -> str:
         return os.path.join(self.dir, name)
@@ -108,13 +120,14 @@ class Artifacts:
 
 def cmd_gap(cfg: dict, art: Artifacts, rng: np.random.Generator) -> int:
     n_list = _n_list(cfg, [3, 4, 5])
+    samples = _get(cfg, "rayleigh_samples", 100_000)
     rows = []
     worst = 0.0
     for n in n_list:
         exact = spectral_gap(n)
         numeric = exact_gap_smalln(n)
         rayleigh = dirichlet_rayleigh(lambda v: v[:, 0] ** 2, n, 0.0,
-                                      cfg.get("rayleigh_samples", 100_000), rng)
+                                      samples, rng)
         worst = max(worst, abs(numeric - exact))
         rows.append((n, numeric, exact, rayleigh))
     art.csv("gap.csv", ["n", "gap_numeric", "gap_exact", "rayleigh_v1sq"], rows)
@@ -126,14 +139,12 @@ def cmd_gap(cfg: dict, art: Artifacts, rng: np.random.Generator) -> int:
 def cmd_clt(cfg: dict, art: Artifacts, rng) -> int:
     gen = _generator(cfg)
     n_list = _n_list(cfg, [32, 64, 128, 256])
-    if not isinstance(gen, GridDensity1D):
-        rows = clt_envelope_ndependent(cfg.get("beta", 0.1), n_list,
-                                       cfg.get("j", 0))
+    if isinstance(gen, GridDensity1D):
+        rows = clt_envelope(NormalizationLadder(gen, max(n_list)), n_list)
     else:
-        ladder = NormalizationLadder(gen, max(n_list),
-                                     n_grid=cfg.get("n_grid", 2**15))
-        env = clt_envelope(ladder, n_list)
-        rows = env.rows()
+        rows = clt_envelope_ndependent(
+            _get(cfg["generator"], "beta", SCHEDULE_BETA), n_list,
+            _get(cfg, "j", 0))
     art.csv("clt.csv", ["n", "sigma2", "lambda_sup"], rows)
     svg.line_chart(art.svg_path("clt.svg"),
                    [("sup|lambda_N|", [r[0] for r in rows],
@@ -148,10 +159,10 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
     if not isinstance(gen, GridDensity1D):
         raise ConfigurationError("entropy-scan expects a fixed generator")
     n_list = _n_list(cfg, [32, 64, 128, 256])
-    gamma = cfg.get("gamma", 0.0)
+    gamma = _get(cfg, "gamma", 0.0)
     rows = []
     for n in n_list:
-        fam = ConditionedFamily(gen, n, n_grid=cfg.get("n_grid", 2**15))
+        fam = ConditionedFamily(gen, n)
         rows.append((n, fam.entropy() / n,
                      fam.production(gamma, n_s=160, check=False) / n))
     art.csv("entropy_scan.csv", ["n", "entropy_per_n", "production_per_n"],
@@ -167,8 +178,7 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
 def cmd_villani(cfg: dict, art: Artifacts, rng) -> int:
     gen = _generator(cfg)
     n_list = _n_list(cfg, [64, 128, 256, 512, 1024])
-    rows = gamma_ratio_sweep(gen, cfg.get("gamma", 0.0), n_list,
-                             n_grid=cfg.get("n_grid", 2**15))
+    rows = gamma_ratio_sweep(gen, _get(cfg, "gamma", 0.0), n_list)
     slope = fit_loglog_slope([r.n for r in rows], [r.ratio for r in rows])
     art.csv("villani.csv", ["n", "entropy", "production", "ratio", "floor"],
             [(r.n, r.entropy, r.production, r.ratio, villani_floor(r.n))
@@ -184,12 +194,12 @@ def cmd_villani(cfg: dict, art: Artifacts, rng) -> int:
 
 
 def cmd_cercignani(cfg: dict, art: Artifacts, rng) -> int:
-    deltas = cfg.get("deltas", [0.1, 0.03, 0.01, 0.003])
+    deltas = _get(cfg, "deltas", [0.1, 0.03, 0.01, 0.003])
     rows = []
     for d in deltas:
         f = mixture(d)
-        v = np.linspace(0.0, f.v_max, cfg.get("nodes", 513))
-        ratio = cercignani_ratio(f(v), v, cfg.get("gamma", 0.0))
+        v = np.linspace(0.0, f.v_max, _get(cfg, "nodes", 513))
+        ratio = cercignani_ratio(f(v), v, _get(cfg, "gamma", 0.0))
         rows.append((d, ratio, d * np.log(1.0 / d)))
     art.csv("cercignani.csv", ["delta", "ratio", "delta_log_inv_delta"], rows)
     svg.line_chart(art.svg_path("cercignani.svg"),
@@ -202,17 +212,16 @@ def cmd_cercignani(cfg: dict, art: Artifacts, rng) -> int:
 
 
 def cmd_inequality(cfg: dict, art: Artifacts, rng) -> int:
-    delta = cfg.get("delta", 0.25)
+    delta = _get(cfg, "delta", 0.25)
     f = mixture(delta)
-    witness = LogPowerWitness(beta=cfg.get("beta", 1.0), k=cfg.get("k", 3.0),
+    witness = LogPowerWitness(beta=_get(cfg, "beta", 1.0),
+                              k=_get(cfg, "k", 3.0),
                               phi=mixture_exponent_bound(MixtureSpec(delta)),
-                              epsilon=cfg.get("epsilon", 0.5))
+                              epsilon=_get(cfg, "epsilon", 0.5))
     n_list = _n_list(cfg, [32, 64, 128, 256])
-    env = logpower_envelope(f, witness, n_list,
-                            n_grid=cfg.get("n_grid", 2**15))
-    reports = rescaled_inequality_check(f, cfg.get("gamma", 0.5), witness,
-                                        n_list, c1=cfg.get("c1", 2.0),
-                                        n_grid=cfg.get("n_grid", 2**15))
+    env = logpower_envelope(f, witness, n_list)
+    reports = rescaled_inequality_check(f, _get(cfg, "gamma", 0.5), witness,
+                                        n_list, c1=_get(cfg, "c1", 2.0))
     art.csv("logpower.csv",
             ["n", "measured", "bound", "lambda_sup_n", "holds"],
             [(r.n, r.measured, r.bound if r.bound is not None else "",
@@ -229,13 +238,19 @@ def cmd_inequality(cfg: dict, art: Artifacts, rng) -> int:
     return EXIT_OK
 
 
+def _limit_solver(cfg: dict):
+    """mixture(delta) and a LimitSolver started from it, from a pde or
+    chaos config."""
+    f0 = mixture(_get(cfg, "delta", 0.25))
+    return f0, LimitSolver(f0, _get(cfg, "gamma", 0.0),
+                           v_max=_get(cfg, "v_max", 8.0),
+                           nodes=_get(cfg, "nodes", 257))
+
+
 def cmd_pde(cfg: dict, art: Artifacts, rng) -> int:
-    f0 = mixture(cfg.get("delta", 0.25))
-    gamma = cfg.get("gamma", 0.0)
-    solver = LimitSolver(f0, gamma, v_max=cfg.get("v_max", 8.0),
-                         nodes=cfg.get("nodes", 257))
-    rec = solver.evolve(cfg.get("t_final", 5.0), cfg.get("dt", 0.01),
-                        record_every=cfg.get("record_every", 10))
+    _, solver = _limit_solver(cfg)
+    rec = solver.evolve(_get(cfg, "t_final", 5.0), _get(cfg, "dt", 0.01),
+                        record_every=_get(cfg, "record_every", 10))
     rows = list(zip(rec.times, rec.entropy, rec.production, rec.mass_drift))
     art.csv("pde.csv", ["t", "entropy", "production", "mass_drift"], rows)
     svg.line_chart(art.svg_path("pde.svg"),
@@ -251,26 +266,24 @@ def cmd_pde(cfg: dict, art: Artifacts, rng) -> int:
 def cmd_chaos(cfg: dict, art: Artifacts, rng) -> int:
     from scipy.stats import wasserstein_distance
 
-    f0 = mixture(cfg.get("delta", 0.25))
-    t_final = cfg.get("t_final", 1.0)
-    gamma = cfg.get("gamma", 0.0)
-    solver = LimitSolver(f0, gamma, v_max=cfg.get("v_max", 8.0),
-                         nodes=cfg.get("nodes", 257))
-    solver.evolve(t_final, cfg.get("dt", 0.01), record_every=0)
+    f0, solver = _limit_solver(cfg)
+    t_final = _get(cfg, "t_final", 1.0)
+    replicas = _get(cfg, "replicas", 200)
+    solver.evolve(t_final, _get(cfg, "dt", 0.01), record_every=0)
     pde = solver.density()
     rows = []
     for n in _n_list(cfg, [64, 512]):
-        sim = SimulationConfig(n=n, gamma=gamma, t_final=t_final,
+        sim = SimulationConfig(n=n, gamma=solver.gamma, t_final=t_final,
                                seed=art.seed)
-        init = ConditionedFamily(f0, n).sample(cfg.get("replicas", 200), rng)
-        states = simulate_ensemble(sim, cfg.get("replicas", 200),
-                                   initial=init, seed=art.seed)
+        init = ConditionedFamily(f0, n).sample(replicas, rng)
+        states = simulate_ensemble(sim, replicas, initial=init,
+                                   seed=art.seed)
         pooled = np.ravel(states)
         w1 = wasserstein_distance(pooled, pde.nodes,
                                   v_weights=pde.values * pde.quadrature_weights)
         rows.append((n, w1))
     art.csv("chaos.csv", ["n", "wasserstein1"], rows)
-    if rows[-1][1] > cfg.get("w1_tolerance", 0.05):
+    if rows[-1][1] > _get(cfg, "w1_tolerance", 0.05):
         raise AccuracyError(f"W1 bridge too wide: {rows[-1][1]:.4f}")
     return EXIT_OK
 

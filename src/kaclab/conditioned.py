@@ -21,20 +21,22 @@ from .quadrature import (ANGLES, TWO_PI, angle_midpoints, energy_shells, fold,
                          log_power_kernel, pair_kernel, quadrant_angles,
                          require_even, shell_sum, trapezoid_weights)
 
+# Monte Carlo states per batch
+_MC_BATCH = 50_000
+
 
 class ConditionedFamily:
     """Marginals and entropy functionals of F_N for one even generator f."""
 
     def __init__(self, f: GridDensity1D, n: int,
-                 ladder: NormalizationLadder | None = None,
-                 n_grid: int = 2**15):
+                 ladder: NormalizationLadder | None = None):
         if n < 3:
             raise ValueError("need at least three particles")
         require_even(f)
         self.f = f
         self.n = n
-        self.ladder = ladder if ladder is not None else NormalizationLadder(
-            f, n, n_grid=n_grid)
+        self.ladder = (ladder if ladder is not None
+                       else NormalizationLadder(f, n))
         if self.ladder.u_max < n:
             raise ValueError("ladder grid does not reach the total energy")
         self._log_zn = float(self.ladder.log_z(n, float(n)))
@@ -153,22 +155,22 @@ class ConditionedFamily:
 
     # -- sampling -------------------------------------------------------
 
-    def sample(self, size: int, rng: np.random.Generator,
-               grid_nodes: int = 256) -> np.ndarray:
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws from F_N, shape (size, N); energies sum to N.
 
         Sequential conditionals: given the residual energy E, the next
         coordinate has density proportional to f(v) h^{*(m-1)}(E - v^2)
-        where m coordinates remain, inverted per sample on an adaptive
-        velocity grid.  The final pair is drawn on its energy circle.
+        where m coordinates remain, inverted per sample on a 256-node
+        velocity grid spanning |v| <= sqrt(E).  The final pair is drawn
+        on its energy circle.
         """
         n = self.n
         out = np.empty((size, n))
         energy = np.full(size, float(n))
+        t = np.linspace(-1.0, 1.0, 256)
         for pos in range(n - 2):
             m = n - pos  # coordinates still unset
             vmax = np.sqrt(energy) * (1.0 - 1e-12)
-            t = np.linspace(-1.0, 1.0, grid_nodes)
             v = vmax[:, None] * t[None, :]
             res = energy[:, None] - v * v
             logd = self.ladder.log_density(m - 1, np.maximum(res, 0.0))
@@ -183,7 +185,7 @@ class ConditionedFamily:
                 raise SamplingError("degenerate conditional in coordinate draw")
             u = rng.random(size) * tot
             idx = np.sum(cum < u[:, None], axis=1)
-            idx = np.clip(idx, 0, grid_nodes - 2)
+            idx = np.clip(idx, 0, len(t) - 2)
             lo = np.where(idx > 0, cum[np.arange(size), idx - 1], 0.0)
             frac = (u - lo) / np.maximum(cum[np.arange(size), idx] - lo, 1e-300)
             draw = v[np.arange(size), idx] + frac * (
@@ -193,12 +195,13 @@ class ConditionedFamily:
         out[:, n - 2:] = self._sample_pair(energy, rng)
         return out
 
-    def _sample_pair(self, energy: np.ndarray, rng: np.random.Generator,
-                     grid_nodes: int = 512) -> np.ndarray:
-        """Last two coordinates on the circle of radius sqrt(energy)."""
+    def _sample_pair(self, energy: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Last two coordinates on the circle of radius sqrt(energy), by
+        rejection under 1.05 times the maximum on 512 angles."""
         size = energy.shape[0]
         rho = np.sqrt(energy)
-        phi_grid = TWO_PI * np.arange(grid_nodes) / grid_nodes
+        phi_grid = TWO_PI * np.arange(512) / 512
         pgrid = np.maximum(self.f(np.outer(rho, np.cos(phi_grid)))
                            * self.f(np.outer(rho, np.sin(phi_grid))), 0.0)
         pmax = pgrid.max(axis=1) * 1.05
@@ -221,41 +224,39 @@ class ConditionedFamily:
 
     # -- Monte Carlo cross-checks ---------------------------------------
 
-    def _batches(self, samples: int, rng: np.random.Generator, batch: int,
+    def _batches(self, samples: int, rng: np.random.Generator,
                  velocities: np.ndarray | None):
-        """States in batches: consecutive rows of velocities, else draws."""
+        """States in batches of _MC_BATCH: consecutive rows of velocities,
+        else draws."""
         if velocities is not None and len(velocities) < samples:
             raise ValueError(f"velocities has {len(velocities)} rows, fewer "
                              f"than samples={samples}")
-        for start in range(0, samples, batch):
-            b = min(batch, samples - start)
+        for start in range(0, samples, _MC_BATCH):
+            b = min(_MC_BATCH, samples - start)
             yield (velocities[start:start + b] if velocities is not None
                    else self.sample(b, rng))
 
     def entropy_monte_carlo(self, samples: int, rng: np.random.Generator,
-                            batch: int = 50_000,
                             velocities: np.ndarray | None = None) -> float:
         """Sampling estimate of the entropy, for validating the quadrature."""
         total = 0.0
-        for v in self._batches(samples, rng, batch, velocities):
+        for v in self._batches(samples, rng, velocities):
             total += float(np.sum(np.log(np.maximum(self.f(v), 1e-300))))
         return total / samples - self._log_zn
 
     def production_monte_carlo(self, gamma: float, samples: int,
                                rng: np.random.Generator,
-                               angle_nodes: int = 64,
-                               batch: int = 50_000,
                                velocities: np.ndarray | None = None) -> float:
         """Sampling estimate of D_{N,gamma}, for validating the quadrature.
 
         Averages the theta-integral of (1 - rho)(-log rho) over sampled
         states, with rho the post/pre collision density ratio of the
-        leading pair.
+        leading pair, on 64 angle midpoints.
         """
-        theta = angle_midpoints(angle_nodes)
-        dtheta = TWO_PI / angle_nodes
+        theta = angle_midpoints(64)
+        dtheta = TWO_PI / theta.size
         total = 0.0
-        for v in self._batches(samples, rng, batch, velocities):
+        for v in self._batches(samples, rng, velocities):
             v1, v2 = v[:, 0], v[:, 1]
             base = np.maximum(self.f(v1) * self.f(v2), 1e-300)
             w1 = v1[:, None] * np.cos(theta) + v2[:, None] * np.sin(theta)

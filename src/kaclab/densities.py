@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr, xlogy
 
-from .errors import AccuracyError, ConfigurationError
+from .errors import AccuracyError
 from .quadrature import trapezoid_weights
 
 DEFAULT_V_MAX = 16.0
@@ -60,31 +60,30 @@ class GridDensity1D:
         return float(np.max(self.values))
 
 
-def from_callable(pdf, v_max, n_nodes=DEFAULT_NODES, cdf=None, tag=""):
-    """Tabulate ``pdf`` on a symmetric grid and renormalize to unit mass."""
-    nodes = np.linspace(-v_max, v_max, n_nodes)
+def from_callable(pdf, v_max, cdf=None, tag=""):
+    """Tabulate ``pdf`` on a symmetric DEFAULT_NODES-point grid and
+    renormalize to unit mass."""
+    nodes = np.linspace(-v_max, v_max, DEFAULT_NODES)
     vals = np.maximum(np.asarray(pdf(nodes), dtype=float), 0.0)
     w = trapezoid_weights(nodes)
     total = float(np.sum(vals * w))
     if not total > 0:
         raise ValueError("pdf vanishes on the whole grid")
-    vals = vals / total
-    scaled_pdf = (lambda v, c=total: np.asarray(pdf(v)) / c) if pdf else None
-    return GridDensity1D(v_max, nodes, vals, w, pdf=scaled_pdf, cdf=cdf, tag=tag)
+    return GridDensity1D(v_max, nodes, vals / total, w, cdf=cdf, tag=tag,
+                         pdf=lambda v: np.asarray(pdf(v)) / total)
 
 
-def gaussian(a: float, v_max: float | None = None, n_nodes=DEFAULT_NODES) -> GridDensity1D:
-    """Centered Gaussian with variance a."""
+def gaussian(a: float) -> GridDensity1D:
+    """Centered Gaussian with variance a, on |v| <= max(16, 8 sqrt(a))."""
     if a <= 0:
         raise ValueError("variance must be positive")
-    if v_max is None:
-        v_max = max(DEFAULT_V_MAX, 8.0 * np.sqrt(a))
+    v_max = max(DEFAULT_V_MAX, 8.0 * np.sqrt(a))
     sd = np.sqrt(a)
 
     def pdf(v):
         return np.exp(-np.asarray(v) ** 2 / (2.0 * a)) / np.sqrt(2.0 * np.pi * a)
 
-    return from_callable(pdf, v_max, n_nodes, cdf=lambda v: ndtr(np.asarray(v) / sd),
+    return from_callable(pdf, v_max, cdf=lambda v: ndtr(np.asarray(v) / sd),
                          tag=f"gauss(a={a:g})")
 
 
@@ -99,19 +98,13 @@ class MixtureSpec:
             raise ValueError("delta must lie in (0, 1)")
 
 
-def mixture(delta, v_max: float | None = None, n_nodes=DEFAULT_NODES) -> GridDensity1D:
-    """delta-weighted hot/cold Gaussian mixture with unit second moment."""
-    spec = delta if isinstance(delta, MixtureSpec) else MixtureSpec(float(delta))
-    d = spec.delta
+def mixture(delta) -> GridDensity1D:
+    """delta-weighted hot/cold Gaussian mixture with unit second moment, on
+    |v| <= max(16, 8 standard deviations of its wider component)."""
+    d = MixtureSpec(float(delta)).delta
     a_hot = 1.0 / (2.0 * d)
     a_cold = 1.0 / (2.0 * (1.0 - d))
-    needed = 8.0 / np.sqrt(2.0 * min(d, 1.0 - d))
-    if v_max is None:
-        v_max = max(DEFAULT_V_MAX, needed)
-    elif v_max < needed:
-        raise ConfigurationError(
-            f"v_max={v_max} does not resolve the hot component (need >= {needed:.1f})"
-        )
+    v_max = max(DEFAULT_V_MAX, 8.0 / np.sqrt(2.0 * min(d, 1.0 - d)))
     s_hot, s_cold = np.sqrt(a_hot), np.sqrt(a_cold)
 
     def pdf(v):
@@ -125,7 +118,7 @@ def mixture(delta, v_max: float | None = None, n_nodes=DEFAULT_NODES) -> GridDen
         v = np.asarray(v)
         return d * ndtr(v / s_hot) + (1 - d) * ndtr(v / s_cold)
 
-    return from_callable(pdf, v_max, n_nodes, cdf=cdf, tag=f"mix(delta={d:g})")
+    return from_callable(pdf, v_max, cdf=cdf, tag=f"mix(delta={d:g})")
 
 
 def moment(f: GridDensity1D, p: int) -> float:
@@ -133,10 +126,9 @@ def moment(f: GridDensity1D, p: int) -> float:
     if p < 0:
         raise ValueError("moment order must be nonnegative")
     g = np.abs(f.nodes) ** p * f.values
-    total = float(np.sum(g * f.quadrature_weights)) if p % 2 == 0 else None
-    signed = f.nodes**p * f.values
-    result = float(np.sum(signed * f.quadrature_weights))
-    scale = total if total else max(abs(result), 1.0)
+    result = float(np.sum(f.nodes**p * f.values * f.quadrature_weights))
+    # an even moment is the integral of g itself
+    scale = result if p % 2 == 0 and result else max(abs(result), 1.0)
     dv = f.nodes[1] - f.nodes[0]
     tail = (g[0] + g[-1]) * dv * 10.0
     if tail > 1e-10 * max(scale, 1e-30):

@@ -10,7 +10,7 @@ survives the mean-field limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .densities import GridDensity1D, MixtureSpec
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
 from .limit_eq import half_grid_entropy, limit_production
-from .normalization import NormalizationLadder, lambda_profile
+from .normalization import NormalizationLadder, lambda_sup
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
                          energy_shells, fold, quadrant_angles, require_even,
                          shell_sum, trapezoid_weights)
@@ -51,8 +51,7 @@ class GapRatioRow:
         return self.production / self.entropy
 
 
-def gamma_ratio_sweep(generators, gamma: float, n_list,
-                      n_grid: int = 2**15) -> list[GapRatioRow]:
+def gamma_ratio_sweep(generators, gamma: float, n_list) -> list[GapRatioRow]:
     """Gamma_N = D_{N,gamma}(F_N) / H_N(F_N) along an N-sweep.
 
     ``generators`` is either a single density (fixed f) or a callable
@@ -64,7 +63,7 @@ def gamma_ratio_sweep(generators, gamma: float, n_list,
     rows = []
     for n in n_list:
         f = generators if isinstance(generators, GridDensity1D) else generators(n)
-        fam = ConditionedFamily(f, n, n_grid=n_grid)
+        fam = ConditionedFamily(f, n)
         h = fam.entropy()
         if h / n < 1e-5:
             raise DegenerateTestFunctionError(
@@ -114,7 +113,6 @@ class LogPowerWitness:
     k: float
     phi: object  # callable v -> exponent with f >= exp(-phi)
     epsilon: float = 0.5
-    measured: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.beta <= 0 or self.epsilon <= 0:
@@ -173,7 +171,6 @@ class EnvelopeRow:
     measured: float
     bound: float | None          # C_beta^{1+beta}; None when undefined
     lambda_sup_n: float
-    lambda_sup_nm1: float
 
     @property
     def applicable(self) -> bool:
@@ -184,8 +181,8 @@ class EnvelopeRow:
         return self.bound is not None and self.measured <= self.bound
 
 
-def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness, n_list,
-                      n_grid: int = 2**15) -> list[EnvelopeRow]:
+def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness,
+                      n_list) -> list[EnvelopeRow]:
     """Measured log-power integrals against the certified constant.
 
     The envelope at each N uses the local-CLT remainder suprema of levels
@@ -195,13 +192,13 @@ def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness, n_list,
     witness.validate_lower_bound(f)
     beta = witness.beta
     m_total = moment_envelope(f, witness)["total"]
-    ladder = NormalizationLadder(f, max(n_list), n_grid=n_grid)
+    ladder = NormalizationLadder(f, max(n_list))
     rows = []
     for n in n_list:
         fam = ConditionedFamily(f, n, ladder=ladder)
         measured = fam.log_power_integral(beta, n_s=160, check=False)
-        sup_n = float(np.max(np.abs(lambda_profile(ladder, n)[1])))
-        sup_nm1 = float(np.max(np.abs(lambda_profile(ladder, n - 1)[1])))
+        sup_n = lambda_sup(ladder, n)
+        sup_nm1 = lambda_sup(ladder, n - 1)
         denom = 1.0 - np.sqrt(TWO_PI) * sup_n
         if denom <= 0:
             bound = None
@@ -209,9 +206,7 @@ def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness, n_list,
             ratio = (1.0 + np.sqrt(TWO_PI) * sup_nm1) / denom
             bound = float(2.0 ** (1.0 + 2.0 * beta) * np.sqrt(3.0)
                           * ratio * m_total)
-        rows.append(EnvelopeRow(n, measured, bound, sup_n, sup_nm1))
-    witness.measured["c_beta_power"] = max(
-        (r.measured for r in rows), default=np.nan)
+        rows.append(EnvelopeRow(n, measured, bound, sup_n))
     return rows
 
 
@@ -245,9 +240,14 @@ class RescaledReport:
         return self.final_lhs >= self.final_rhs
 
 
+def _split_weight(beta, k, c_beta, m_2k):
+    """The weight b of the lambda^{1 - k beta/(1+beta)} term of the split."""
+    return (2.0 ** (beta / (1.0 + beta)) * 3.0 ** (k * beta / (1.0 + beta))
+            * c_beta / 2.0) * (1.0 + 2.0 * m_2k) ** (beta / (1.0 + beta))
+
+
 def _intermediate_rhs(lam, gamma, beta, k, d_gamma_per_n, c_beta, m_2k):
-    b = (2.0 ** (beta / (1.0 + beta)) * 3.0 ** (k * beta / (1.0 + beta))
-         * c_beta / 2.0) * (1.0 + 2.0 * m_2k) ** (beta / (1.0 + beta))
+    b = _split_weight(beta, k, c_beta, m_2k)
     lam = np.asarray(lam, dtype=float)
     return (lam ** (1.0 - gamma) * d_gamma_per_n
             + b * lam ** (1.0 - k * beta / (1.0 + beta)))
@@ -269,8 +269,7 @@ def optimized_constant(gamma: float, beta: float, k: float,
 
 def rescaled_inequality_check(f: GridDensity1D, gamma: float,
                               witness: LogPowerWitness, n_list,
-                              c1: float = 2.0, n_grid: int = 2**15
-                              ) -> list[RescaledReport]:
+                              c1: float = 2.0) -> list[RescaledReport]:
     """Verify the lambda-split inequality and its optimized consequence.
 
     Uses sweep-suprema of the measured log-power integral and of the
@@ -282,7 +281,7 @@ def rescaled_inequality_check(f: GridDensity1D, gamma: float,
         raise ConfigurationError("gamma must lie in [0, 1)")
     beta, k = witness.beta, witness.k
     kwargs = dict(n_s=160, check=False)
-    ladder = NormalizationLadder(f, max(n_list), n_grid=n_grid)
+    ladder = NormalizationLadder(f, max(n_list))
     families = {n: ConditionedFamily(f, n, ladder=ladder) for n in n_list}
     # sweep-sup estimates of C_beta^{1+beta} and M_{2k}
     c_beta = max(families[n].log_power_integral(beta, **kwargs)
@@ -303,8 +302,7 @@ def rescaled_inequality_check(f: GridDensity1D, gamma: float,
         grid_ok = bool(np.all(d_1 / n <= rhs * (1.0 + 1e-12)))
         # analytic minimizer of the right-hand side
         m = k * beta / (1.0 + beta)
-        b = (2.0 ** (beta / (1.0 + beta)) * 3.0 ** m * c_beta / 2.0) \
-            * (1.0 + 2.0 * m_2k) ** (beta / (1.0 + beta))
+        b = _split_weight(beta, k, c_beta, m_2k)
         lam_star = (b * (m - 1.0) / ((1.0 - gamma) * d_g / n)) ** (1.0 / (m - gamma))
         lam_argmin = float(grid[np.argmin(rhs)])
         big_k, q = optimized_constant(gamma, beta, k, c_beta, m_2k)
@@ -340,8 +338,8 @@ class BoltzmannReport:
 
 
 def boltzmann_inequality_check(f_vals: np.ndarray, v: np.ndarray,
-                               gamma: float, beta: float, k: float,
-                               fisher: float | None = None) -> BoltzmannReport:
+                               gamma: float, beta: float,
+                               k: float) -> BoltzmannReport:
     """Instantiate the limit inequality D_gamma >= C H^{1+eta} on a profile.
 
     Hypothesis failures (missing Gaussian lower bound, infinite moments)
@@ -374,8 +372,5 @@ def boltzmann_inequality_check(f_vals: np.ndarray, v: np.ndarray,
         ratio = 0.0 if d < 1e-10 else np.inf
     else:
         ratio = d / h ** exponent
-    if fisher is not None and not np.isfinite(fisher):
-        ok = False
-        notes.append("Fisher information not finite")
     return BoltzmannReport(gamma, beta, k, exponent, ok, notes,
                            max(h, 0.0), max(d, 0.0), ratio)

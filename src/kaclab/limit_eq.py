@@ -15,8 +15,8 @@ quarter of the angles and with a single spline evaluation per point.
 The gain is even in w and symmetric in (v, w), so it is evaluated at the
 half-grid pairs v_i <= v_j only.
 
-Cached geometry.  The evaluation points never change for a given grid,
-gamma and angle_nodes: each point's spline interval and local offset,
+Cached geometry.  The evaluation points never change for a given grid
+and gamma: each point's spline interval and local offset,
 and the trapezoid weights times the rate (1 + v^2 + w^2)^gamma, are
 built once per key and held in a small cache.  A right-hand side call
 then fits two cubic splines and does gathers and sums only.
@@ -34,7 +34,7 @@ from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
 from .quadrature import (ANGLES, SHELLS, TWO_PI, energy_shells, fold, freeze,
                          half_grid_weights, pair_kernel, quadrant_angles,
-                         quadrant_count, shell_sum, trapezoid_weights)
+                         shell_sum, trapezoid_weights)
 
 
 def half_grid_entropy(f_vals: np.ndarray, v: np.ndarray) -> float:
@@ -70,11 +70,11 @@ class _QuadrantFold:
 
     f is max(0, S) with S the cubic spline of max(f_vals, 0) on the half
     grid, and vanishes beyond the last knot.  Rows are radii, columns the
-    q first-quadrant angle midpoints of an angle_nodes-point rule.
+    q first-quadrant angle midpoints of the ANGLES-point rule.
     """
 
-    def __init__(self, v: np.ndarray, radii: np.ndarray, angle_nodes: int):
-        th = quadrant_angles(angle_nodes)
+    def __init__(self, v: np.ndarray, radii: np.ndarray):
+        th = quadrant_angles(ANGLES)
         x = np.outer(radii, np.cos(th)).ravel()
         self.v = v
         self.shape = (len(radii), len(th))
@@ -117,11 +117,10 @@ def _grid_cache(build):
 
 
 @_grid_cache
-def _operator_geometry(v: np.ndarray, gamma: float,
-                       angle_nodes: int) -> _OperatorGeometry:
+def _operator_geometry(v: np.ndarray, gamma: float) -> _OperatorGeometry:
     n = len(v)
     r_grid = np.linspace(0.0, np.sqrt(2.0) * v[-1], 4 * n)
-    fold = _QuadrantFold(v, r_grid, angle_nodes)
+    fold = _QuadrantFold(v, r_grid)
     sq = v * v
     # r(v, w) = r(w, v) exactly, so the gain is evaluated on i <= j only
     upper_i, upper_j = np.triu_indices(n)
@@ -137,14 +136,13 @@ def _operator_geometry(v: np.ndarray, gamma: float,
                              rate_weights)
 
 
-def collision_operator(f_vals: np.ndarray, v: np.ndarray, gamma: float,
-                       angle_nodes: int = ANGLES) -> np.ndarray:
+def collision_operator(f_vals: np.ndarray, v: np.ndarray,
+                       gamma: float) -> np.ndarray:
     """Right-hand side of the limit equation on a symmetric uniform grid.
 
     Assumes f is even; f_vals are values on the v >= 0 half-grid.
-    angle_nodes must be a multiple of 4.
     """
-    geo = _operator_geometry(v, gamma, angle_nodes)
+    geo = _operator_geometry(v, gamma)
     a_of_r = geo.fold.products(f_vals).mean(axis=1)
     c = CubicSpline(geo.r_grid, a_of_r).c
     gain = np.maximum(_spline_at(c, geo.gain_idx, geo.gain_offset), 0.0)
@@ -169,18 +167,17 @@ class EvolutionRecord:
 class LimitSolver:
     """RK4 integrator for the limit equation on [0, v_max]."""
 
+    # largest negative mass a step may clip before it counts as unstable
+    clip_tolerance = 1e-6
+
     def __init__(self, f0: GridDensity1D, gamma: float, v_max: float = 8.0,
-                 nodes: int = 257, angle_nodes: int = ANGLES,
-                 clip_tolerance: float = 1e-6):
+                 nodes: int = 257):
         if not 0.0 <= gamma <= 1.0:
             raise ConfigurationError("gamma must lie in [0, 1]")
-        quadrant_count(angle_nodes)
         self.gamma = gamma
         self.v = np.linspace(0.0, v_max, nodes)
         self._weights = half_grid_weights(self.v)
         self.vals = np.maximum(np.asarray(f0(self.v), dtype=float), 0.0)
-        self.angle_nodes = angle_nodes
-        self.clip_tolerance = clip_tolerance
         self.time = 0.0
         self.record = EvolutionRecord()
         self._last_clipped = 0.0
@@ -201,8 +198,7 @@ class LimitSolver:
 
     def production(self) -> float:
         """The limit production D_gamma(f) of the current profile."""
-        return limit_production(self.vals, self.v, self.gamma,
-                                angle_nodes=self.angle_nodes)
+        return limit_production(self.vals, self.v, self.gamma)
 
     def _normalize(self) -> float:
         m = self.mass()
@@ -212,7 +208,7 @@ class LimitSolver:
         return m
 
     def _rhs(self, vals: np.ndarray) -> np.ndarray:
-        return collision_operator(vals, self.v, self.gamma, self.angle_nodes)
+        return collision_operator(vals, self.v, self.gamma)
 
     def step(self, dt: float) -> None:
         y = self.vals
@@ -260,23 +256,22 @@ class LimitSolver:
 
 
 @_grid_cache
-def _production_geometry(v: np.ndarray, angle_nodes: int):
+def _production_geometry(v: np.ndarray):
     """Quadrant fold on Gauss-Legendre energy shells s in [0, 2 v_max^2]."""
     s, ws = energy_shells(SHELLS, 2.0 * v[-1] ** 2)
     freeze(s, ws)
-    return _QuadrantFold(v, np.sqrt(s), angle_nodes), s, ws
+    return _QuadrantFold(v, np.sqrt(s)), s, ws
 
 
-def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float,
-                     angle_nodes: int = ANGLES) -> float:
+def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float) -> float:
     """D_gamma(f) = (1/2pi) int (1+v^2+w^2)^gamma psi(ff, f(th)f(th)).
 
     The polar-shell reduction of the N-particle production (see
     :mod:`kaclab.quadrature`) with the conditioning weight replaced by 1.
     """
-    quadrant, s, ws = _production_geometry(v, angle_nodes)
-    pair = pair_kernel(quadrant.products(f_vals), angle_nodes)
-    return shell_sum(ws, (1.0 + s) ** gamma, pair, angle_nodes) / TWO_PI * 0.5
+    quadrant, s, ws = _production_geometry(v)
+    pair = pair_kernel(quadrant.products(f_vals), ANGLES)
+    return shell_sum(ws, (1.0 + s) ** gamma, pair, ANGLES) / TWO_PI * 0.5
 
 
 def cercignani_ratio(f_vals: np.ndarray, v: np.ndarray,

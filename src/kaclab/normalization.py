@@ -14,8 +14,6 @@ analytically inside ratio queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.signal import fftconvolve
 
@@ -29,23 +27,22 @@ def sigma_squared(f: GridDensity1D) -> float:
     return moment(f, 4) - 1.0
 
 
-def default_u_max(n_max: int, sig2: float) -> float:
-    return n_max + 10.0 * np.sqrt(max(n_max * sig2, 1.0))
-
-
 class NormalizationLadder:
-    """Log-domain tables of h^{(*n)} for a single generator density."""
+    """Log-domain tables of h^{(*n)} for a single generator density.
 
-    def __init__(self, f: GridDensity1D, n_max: int, u_max: float | None = None,
-                 n_grid: int = 2**15):
+    The u-grid has n_grid cells up to
+    u_max = n_max + 10 sqrt(max(n_max Sigma^2, 1)), ten standard deviations
+    of the level-n_max energy above its mean.
+    """
+
+    def __init__(self, f: GridDensity1D, n_max: int, n_grid: int = 2**15):
         if n_max < 2:
             raise ValueError("n_max must be >= 2")
         self.generator = f
         self.sigma2 = sigma_squared(f)
-        if u_max is None:
-            u_max = default_u_max(n_max, self.sigma2)
         self.n_max = n_max
-        self.u_max = float(u_max)
+        self.u_max = float(n_max + 10.0 * np.sqrt(max(n_max * self.sigma2,
+                                                      1.0)))
         self.n_grid = int(n_grid)
         self.du = self.u_max / self.n_grid
         self.grid = self.du * np.arange(self.n_grid)
@@ -54,7 +51,7 @@ class NormalizationLadder:
         # leakage of the single-particle energy density past the grid
         if 1.0 - float(np.sum(self._masses[1])) > 1e-4:
             raise ConfigurationError(
-                f"u_max={u_max:.3g} truncates the energy density "
+                f"u_max={self.u_max:.3g} truncates the energy density "
                 f"(mass {np.sum(self._masses[1]):.6f})"
             )
 
@@ -126,17 +123,6 @@ class NormalizationLadder:
 # -- local-CLT approximation and error envelopes ------------------------
 
 
-@dataclass
-class CltEnvelope:
-    """Per-level suprema of the local-CLT remainder lambda_n."""
-
-    sigma2: float
-    lambda_sup: dict[int, float] = field(default_factory=dict)
-
-    def rows(self):
-        return [(n, self.sigma2, s) for n, s in sorted(self.lambda_sup.items())]
-
-
 def lambda_profile(ladder: NormalizationLadder, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The remainder lambda_n(u) on the grid, restricted to u in [0, n].
 
@@ -152,12 +138,15 @@ def lambda_profile(ladder: NormalizationLadder, n: int) -> tuple[np.ndarray, np.
     return u, scale * dens - gauss
 
 
-def clt_envelope(ladder: NormalizationLadder, n_list) -> CltEnvelope:
-    env = CltEnvelope(sigma2=ladder.sigma2)
-    for n in n_list:
-        _, lam = lambda_profile(ladder, n)
-        env.lambda_sup[n] = float(np.max(np.abs(lam)))
-    return env
+def lambda_sup(ladder: NormalizationLadder, n: int) -> float:
+    """sup over u in [0, n] of |lambda_n(u)|."""
+    return float(np.max(np.abs(lambda_profile(ladder, n)[1])))
+
+
+def clt_envelope(ladder: NormalizationLadder,
+                 n_list) -> list[tuple[int, float, float]]:
+    """(N, Sigma^2, sup|lambda_N|) for one generator's ladder."""
+    return [(n, ladder.sigma2, lambda_sup(ladder, n)) for n in n_list]
 
 
 def schedule_delta(beta: float, n: int) -> float:
@@ -165,8 +154,8 @@ def schedule_delta(beta: float, n: int) -> float:
     return float(n) ** (2.0 * beta - 1.0)
 
 
-def clt_envelope_ndependent(beta: float, n_list, j: int,
-                            n_grid: int = 2**15) -> list[tuple[int, float, float]]:
+def clt_envelope_ndependent(beta: float, n_list,
+                            j: int) -> list[tuple[int, float, float]]:
     """(N, Sigma^2_{delta_N}, sup|lambda_j(N-j, .)|) along the schedule.
 
     Valid for 0 < beta < 1/6, where delta_N = N^{2 beta - 1} satisfies both
@@ -178,8 +167,6 @@ def clt_envelope_ndependent(beta: float, n_list, j: int,
         raise ValueError("j must be 0, 1 or 2")
     rows = []
     for n in n_list:
-        f = mixture(schedule_delta(beta, n))
-        ladder = NormalizationLadder(f, n - j, n_grid=n_grid)
-        _, lam = lambda_profile(ladder, n - j)
-        rows.append((n, ladder.sigma2, float(np.max(np.abs(lam)))))
+        ladder = NormalizationLadder(mixture(schedule_delta(beta, n)), n - j)
+        rows.append((n, ladder.sigma2, lambda_sup(ladder, n - j)))
     return rows

@@ -24,6 +24,10 @@ from .sphere import rotate_pair, uniform_sphere_batch
 
 # candidate events drawn per block; bounds memory on long runs
 _BLOCK = 2**16
+# accepted events between energy renormalisations of a trajectory
+_RENORMALIZE_EVERY = 1024
+# largest total degree of the Galerkin basis polynomials
+_DEGREE = 4
 
 
 def spectral_gap(n: int) -> float:
@@ -44,7 +48,6 @@ class SimulationConfig:
     gamma: float = 0.0
     t_final: float = 1.0
     seed: int = 0
-    renormalize_every: int = 1024
 
     def __post_init__(self):
         if self.n < 2:
@@ -53,8 +56,6 @@ class SimulationConfig:
             raise ConfigurationError("t_final must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError("gamma must lie in [0, 1]")
-        if self.renormalize_every < 1:
-            raise ConfigurationError("renormalize_every must be positive")
 
 
 @dataclass
@@ -94,7 +95,7 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
     lam = n * (1.0 + n) ** gamma
     vel = v.tolist()
     t, proposed, accepted = 0.0, 0, 0
-    countdown = config.renormalize_every
+    countdown = _RENORMALIZE_EVERY
     while True:
         # enough candidates to reach t_final with high probability
         expect = lam * (t_final - t)
@@ -125,7 +126,7 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
             if not countdown:
                 scale = math.sqrt(n / math.fsum(x * x for x in vel))
                 vel = [x * scale for x in vel]
-                countdown = config.renormalize_every
+                countdown = _RENORMALIZE_EVERY
         if stop < size:
             break
         t = float(times[-1])
@@ -151,15 +152,15 @@ def simulate_ensemble(config: SimulationConfig, replicas: int,
 
 
 def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
-                       rng: np.random.Generator,
-                       angle_nodes: int = 32) -> float:
+                       rng: np.random.Generator) -> float:
     """Monte Carlo Rayleigh quotient <phi, -L phi> / Var(phi).
 
     The Dirichlet form of the generator is
     (N / 2) E[(1 + v_i^2 + v_j^2)^gamma (phi(V) - phi(RV))^2] with the
     expectation over a uniform sphere point, a uniform pair and a uniform
-    rotation angle.  The quotient upper-bounds nothing and lower-bounds
-    nothing per se, but concentrates above the true gap for any phi.
+    rotation angle (a midpoint rule on 32 angles).  The quotient
+    upper-bounds nothing and lower-bounds nothing per se, but concentrates
+    above the true gap for any phi.
     """
     v = uniform_sphere_batch(n, samples, rng)
     base = phi(v)
@@ -171,7 +172,7 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
     jdx = np.where(jdx >= idx, jdx + 1, jdx)
     rows = np.arange(samples)
     vi, vj = v[rows, idx], v[rows, jdx]
-    theta = angle_midpoints(angle_nodes)
+    theta = angle_midpoints(32)
     acc = np.zeros(samples)
     s = vi * vi + vj * vj
     for th in theta:
@@ -180,7 +181,7 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
         w[rows, idx] = wi
         w[rows, jdx] = wj
         acc += (phi(w) - base) ** 2
-    dirichlet = 0.5 * n * np.mean((1.0 + s) ** gamma * acc / angle_nodes)
+    dirichlet = 0.5 * n * np.mean((1.0 + s) ** gamma * acc / theta.size)
     return float(dirichlet / np.var(base))
 
 
@@ -238,17 +239,17 @@ def _rotation_average(pi: int, pj: int) -> tuple:
     return tuple(out.items())
 
 
-def _monomials(n: int, degree: int):
-    """Multi-indices of symmetric even monomials up to the given degree.
+def _monomials(n: int):
+    """Multi-indices of symmetric even monomials up to degree _DEGREE.
 
     Basis functions are symmetrized products prod_i v_{c_i}^{2 e_i} over
     distinct coordinates; odd monomials decouple at gamma = 0 and carry
     no lower spectrum, so the even sector suffices for the gap.
     """
     basis = [()]
-    for k in range(1, degree // 2 + 1):
-        for combo in combinations_with_replacement(range(1, degree // 2 + 1), k):
-            if sum(combo) * 2 <= degree and k <= n:
+    for k in range(1, _DEGREE // 2 + 1):
+        for combo in combinations_with_replacement(range(1, _DEGREE // 2 + 1), k):
+            if sum(combo) * 2 <= _DEGREE and k <= n:
                 basis.append(tuple(sorted(combo, reverse=True)))
     return basis
 
@@ -270,7 +271,7 @@ def _expand_monomial(exps: tuple, n: int) -> list[tuple[tuple, float]]:
     return [(key, w / total) for key, w in table.items()]
 
 
-def generator_matrix_smalln(n: int, degree: int = 4):
+def generator_matrix_smalln(n: int):
     """Exact Galerkin matrices (A, G) of -L at gamma = 0, even polynomials.
 
     A_{ab} = <p_a, -L p_b> and G_{ab} = <p_a, p_b> under the uniform
@@ -283,7 +284,7 @@ def generator_matrix_smalln(n: int, degree: int = 4):
     """
     if n < 3 or n > 8:
         raise ConfigurationError("small-N analysis supports 3 <= N <= 8")
-    expanded = [_expand_monomial(b, n) for b in _monomials(n, degree)]
+    expanded = [_expand_monomial(b, n) for b in _monomials(n)]
     m = len(expanded)
     gram = np.zeros((m, m))
     amat = np.zeros((m, m))
@@ -311,13 +312,13 @@ def generator_matrix_smalln(n: int, degree: int = 4):
     return amat, gram
 
 
-def exact_gap_smalln(n: int, degree: int = 4) -> float:
+def exact_gap_smalln(n: int) -> float:
     """Smallest nonzero eigenvalue of -L restricted to even polynomials.
 
     Solves the generalized problem A x = mu G x after projecting out the
     Gram null space (redundant symmetrized monomials) and the constant.
     """
-    amat, gram = generator_matrix_smalln(n, degree)
+    amat, gram = generator_matrix_smalln(n)
     amat = 0.5 * (amat + amat.T)
     gram = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(gram)

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 TWO_PI = 2.0 * np.pi
-# angle midpoints per energy shell and Gauss-Legendre shells per integral,
-# unless a caller states otherwise
+# angle midpoints per energy shell (a multiple of 4, for the fold) and
+# Gauss-Legendre shells per integral
 ANGLES = 256
 SHELLS = 256
 
@@ -70,17 +70,10 @@ def angle_midpoints(count: int) -> np.ndarray:
     return TWO_PI * (np.arange(count) + 0.5) / count
 
 
-def quadrant_count(angle_nodes: int) -> int:
-    """Angles per quadrant; the fold needs a positive multiple of 4."""
-    if angle_nodes < 4 or angle_nodes % 4:
-        raise ConfigurationError(
-            f"angle_nodes must be a positive multiple of 4, got {angle_nodes}")
-    return angle_nodes // 4
-
-
 def quadrant_angles(angle_nodes: int) -> np.ndarray:
-    """The first-quadrant midpoints of an angle_nodes-point rule."""
-    return angle_midpoints(angle_nodes)[:quadrant_count(angle_nodes)]
+    """The first-quadrant midpoints of an angle_nodes-point rule, for
+    angle_nodes a multiple of 4."""
+    return angle_midpoints(angle_nodes)[:angle_nodes // 4]
 
 
 def fold(e: np.ndarray) -> np.ndarray:

@@ -13,13 +13,6 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return raw
-
-
 def line_chart(path, series, title: str = "", x_label: str = "",
                y_label: str = "", log_x: bool = False,
                log_y: bool = False) -> None:
@@ -55,14 +48,14 @@ def line_chart(path, series, title: str = "", x_label: str = "",
     # frame and ticks
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                f'height="{_H - _MT - _MB}" fill="none" stroke="#444"/>')
-    for v in _ticks(x0, x1):
+    for v in np.linspace(x0, x1, 6):
         p = px(v)
         label = f"{10**v:.3g}" if log_x else f"{v:.3g}"
         out.append(f'<line x1="{p:.1f}" y1="{_H - _MB}" x2="{p:.1f}" '
                    f'y2="{_H - _MB + 5}" stroke="#444"/>')
         out.append(f'<text x="{p:.1f}" y="{_H - _MB + 18}" '
                    f'text-anchor="middle">{label}</text>')
-    for v in _ticks(y0, y1):
+    for v in np.linspace(y0, y1, 6):
         p = py(v)
         label = f"{10**v:.3g}" if log_y else f"{v:.3g}"
         out.append(f'<line x1="{_ML - 5}" y1="{p:.1f}" x2="{_ML}" '

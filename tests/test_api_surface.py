@@ -1,10 +1,12 @@
-"""Every public module-level function and class of kaclab has a consumer.
+"""Every public module-level function and class of kaclab has a consumer,
+and every option of kaclab is set by one.
 
 A name is used when it is referenced outside its own definition in
 ``src/kaclab``, in the acceptance gate ``tests/test_acceptance.py`` or in
 ``bench/``.  References are identifiers, attribute names, imported names
 and string constants equal to the name (the bench tracer patches
-functions by name).
+functions by name).  A defaulted parameter or dataclass field is set when
+a call in the same places passes it.
 """
 
 import ast
@@ -61,3 +63,132 @@ def test_every_public_name_has_a_consumer():
                     and node.name not in _references(tree, skip=node)):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public names without a consumer: {unused}"
+
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _plain_default(value) -> bool:
+    """A field default other than field(default_factory=...)."""
+    if value is None:
+        return False
+    return not (isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"
+                and any(kw.arg == "default_factory" for kw in value.keywords))
+
+
+def _scan(tree, knobs: list, calls: list) -> None:
+    """Append to knobs each (definition, called name, parameter, positional
+    index or None) of a defaulted parameter or plain-default dataclass
+    field, and to calls each (call, called name, enclosing function,
+    enclosing class's __init__)."""
+    def visit(node, func, cls, init):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [s for s in child.body
+                              if isinstance(s, ast.AnnAssign)
+                              and isinstance(s.target, ast.Name)]
+                    knobs.extend((child, child.name, s.target.id, i)
+                                 for i, s in enumerate(fields)
+                                 if _plain_default(s.value))
+                inits = [s for s in child.body if isinstance(s, ast.FunctionDef)
+                         and s.name == "__init__"]
+                visit(child, None, child, inits[0] if inits else None)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and func is None and not static:
+                    positional = positional[1:]  # self or cls
+                name = child.name
+                if name == "__init__" and cls is not None and func is None:
+                    name = cls.name
+                first = len(positional) - len(args.defaults)
+                knobs.extend((child, name, a.arg, first + i)
+                             for i, a in enumerate(positional[first:]))
+                knobs.extend((child, name, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None)
+                visit(child, child, cls, init)
+            else:
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    called = getattr(f, "id", getattr(f, "attr", None))
+                    if called is not None:
+                        calls.append((child, called, func, init))
+                visit(child, func, cls, init)
+
+    visit(tree, None, None, None)
+
+
+def _argument(call: ast.Call, param: str, index):
+    """The expression call passes as param, True when a starred argument
+    may cover it, None when it does not pass it."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    if index is None:
+        return None
+    for pos, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return True if pos <= index else None
+    return call.args[index] if len(call.args) > index else None
+
+
+def _forwards(arg, func, init, unset: set) -> bool:
+    """Whether arg only passes on a knob that is itself never set: a
+    parameter of the enclosing function, or self.<name> of an __init__
+    parameter of the enclosing class."""
+    if isinstance(arg, ast.Name) and func is not None:
+        return (id(func), arg.id) in unset
+    if (isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name)
+            and arg.value.id == "self" and init is not None):
+        return (id(init), arg.attr) in unset
+    return False
+
+
+def test_every_default_is_set_somewhere():
+    """Each defaulted parameter, and each dataclass field with a plain
+    default, is set by a call outside its own definition in src/, the
+    acceptance gate or bench/; otherwise it is a constant.
+
+    A call that only passes on another knob that nothing sets does not
+    count, so a knob plumbed through several layers is still found.
+    """
+    knobs, calls, owner = [], [], {}
+    for path in sorted(SRC.glob("*.py")):
+        start = len(knobs)
+        _scan(_parse(path), knobs, calls)
+        owner.update((id(k[0]), path.stem) for k in knobs[start:])
+    for path in CONSUMERS:
+        _scan(_parse(path), [], calls)
+    inside = {id(node): {id(n) for n in ast.walk(node)}
+              for node, *_ in knobs}
+    unset = {(id(node), param) for node, _, param, _ in knobs}
+    while True:
+        still = set()
+        for node, name, param, index in knobs:
+            for call, called, func, init in calls:
+                if called != name or id(call) in inside[id(node)]:
+                    continue
+                arg = _argument(call, param, index)
+                if arg is True or (arg is not None and not _forwards(
+                        arg, func, init, unset)):
+                    break
+            else:
+                still.add((id(node), param))
+        if still == unset:
+            break
+        unset = still
+    names = sorted(f"{owner[id(node)]}.{name}({param})"
+                   for node, name, param, _ in knobs
+                   if (id(node), param) in unset)
+    assert not names, f"defaults that nothing sets: {names}"

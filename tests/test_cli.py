@@ -53,6 +53,21 @@ def test_clt_subcommand(tmp_path):
     assert rows[0, 2] > rows[1, 2] > 0
 
 
+def test_clt_schedule_uses_its_beta(tmp_path):
+    rows = {}
+    for beta in (0.05, 0.15):
+        out = tmp_path / f"clt{beta}"
+        cfg = tmp_path / f"cfg{beta}.json"
+        cfg.write_text(json.dumps({"generator": {"kind": "schedule",
+                                                 "beta": beta},
+                                   "n_list": [64]}))
+        assert main(["clt", "--config", str(cfg), "--out", str(out)]) == 0
+        rows[beta] = np.loadtxt(out / "clt.csv", delimiter=",", skiprows=2)
+    # the hot weight N^{2 beta - 1} shrinks as beta falls, so Sigma^2 grows
+    assert rows[0.05][1] > rows[0.15][1]
+    assert rows[0.05][2] != rows[0.15][2]
+
+
 def test_cercignani_subcommand(tmp_path):
     out = tmp_path / "cerc"
     cfg = tmp_path / "cfg.json"
@@ -75,6 +90,10 @@ INVALID_CONFIGS = [
     ("chaos", '{"n_list": []}'),
     ("villani", '{"n_list": "64"}'),
     ("clt", '{"n_list": [16, "32"]}'),
+    ("entropy-scan", '{"gamma": "0.5", "n_list": [16]}'),
+    ("villani", '{"gamma": true, "n_list": [16]}'),
+    ("entropy-scan",
+     '{"generator": {"kind": "mixture", "delta": "0.25"}, "n_list": [16]}'),
 ]
 
 

@@ -223,7 +223,11 @@ def test_monte_carlo_rejects_short_velocity_arrays():
         fam.entropy_monte_carlo(200, rng, velocities=draws)
     with pytest.raises(ValueError, match="fewer than samples"):
         fam.production_monte_carlo(0.5, 200, rng, velocities=draws)
-    # exactly enough rows, in several batches, is fine
+    # exactly enough rows is fine, also over several 50 000-row batches
     full = fam.entropy_monte_carlo(100, rng, velocities=draws)
-    assert fam.entropy_monte_carlo(100, rng, batch=30,
-                                   velocities=draws) == pytest.approx(full)
+    tiled = np.tile(draws, (501, 1))
+    assert fam.entropy_monte_carlo(len(tiled), rng,
+                                   velocities=tiled) == pytest.approx(full)
+    assert fam.production_monte_carlo(0.5, len(tiled), rng, velocities=tiled
+                                      ) == pytest.approx(
+        fam.production_monte_carlo(0.5, 100, rng, velocities=draws))

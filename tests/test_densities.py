@@ -79,7 +79,8 @@ def test_relative_entropy_requires_unit_energy():
 
 def test_moment_tail_guard():
     # a wide Gaussian on the default grid cannot resolve high moments
-    f = gaussian(4.0, v_max=16.0)
+    f = gaussian(4.0)
+    assert f.v_max == 16.0
     with pytest.raises(AccuracyError):
         moment(f, 12)
 

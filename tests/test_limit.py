@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from kaclab.densities import gaussian, mixture
-from kaclab.errors import AccuracyError, ConfigurationError
+from kaclab.errors import AccuracyError
 import kaclab.limit_eq as limit_eq
 from kaclab.limit_eq import (LimitSolver, _operator_geometry,
                              _production_geometry, cercignani_ratio,
@@ -74,8 +74,8 @@ def reference_production(f_vals, v, gamma, angle_nodes):
 def test_operator_matches_unfolded_reference(gamma, delta):
     v = np.linspace(0.0, 8.0, 33)
     f_vals = mixture(delta)(v)
-    ref = reference_operator(f_vals, v, gamma, 16)
-    q = collision_operator(f_vals, v, gamma, angle_nodes=16)
+    ref = reference_operator(f_vals, v, gamma, 256)
+    q = collision_operator(f_vals, v, gamma)
     assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -84,29 +84,19 @@ def test_operator_matches_unfolded_reference(gamma, delta):
 def test_production_matches_unfolded_reference(gamma, delta):
     v = np.linspace(0.0, 8.0, 33)
     f_vals = mixture(delta)(v)
-    ref = reference_production(f_vals, v, gamma, 16)
-    d = limit_production(f_vals, v, gamma, angle_nodes=16)
+    ref = reference_production(f_vals, v, gamma, 256)
+    d = limit_production(f_vals, v, gamma)
     assert d == pytest.approx(ref, rel=1e-12)
-
-
-def test_angle_nodes_must_be_a_multiple_of_four():
-    v = np.linspace(0.0, 8.0, 33)
-    f_vals = mixture(0.25)(v)
-    with pytest.raises(ConfigurationError):
-        LimitSolver(mixture(0.25), 0.0, nodes=33, angle_nodes=30)
-    with pytest.raises(ConfigurationError):
-        limit_production(f_vals, v, 0.0, angle_nodes=30)
-    with pytest.raises(ConfigurationError):
-        collision_operator(f_vals, v, 0.0, angle_nodes=30)
 
 
 def test_geometry_cache_keys():
     v = np.linspace(0.0, 8.0, 33)
-    geo = _operator_geometry(v, 0.5, 16)
-    assert _operator_geometry(v.copy(), 0.5, 16) is geo
-    assert _operator_geometry(v, 0.0, 16) is not geo
-    assert _operator_geometry(v, 0.5, 32) is not geo
-    assert _production_geometry(v.copy(), 16) is _production_geometry(v, 16)
+    geo = _operator_geometry(v, 0.5)
+    assert _operator_geometry(v.copy(), 0.5) is geo
+    assert _operator_geometry(v, 0.0) is not geo
+    assert _operator_geometry(2.0 * v, 0.5) is not geo
+    assert _production_geometry(v.copy()) is _production_geometry(v)
+    assert _production_geometry(2.0 * v) is not _production_geometry(v)
     assert not geo.rate_weights.flags.writeable
     assert gauss_legendre(160) is gauss_legendre(160)
     assert not gauss_legendre(160)[0].flags.writeable
@@ -157,8 +147,7 @@ def test_mass_drift_shows_a_leaking_operator(monkeypatch):
     assert rec.mass_drift[-1] < 1e-7
     eps = 1e-2
     monkeypatch.setattr(limit_eq, "collision_operator",
-                        lambda f, v, gamma, nodes: exact(f, v, gamma, nodes)
-                        - eps * f)
+                        lambda f, v, gamma: exact(f, v, gamma) - eps * f)
     rec = LimitSolver(mixture(0.25), 0.0).evolve(0.1, 0.01, record_every=0)
     assert rec.mass_drift[-1] == pytest.approx(1.0 - np.exp(-eps * 0.1),
                                                rel=1e-3)
@@ -200,8 +189,9 @@ def test_limit_production_grid_refinement():
     f = mixture(0.25)
     v1 = np.linspace(0.0, f.v_max, 257)
     v2 = np.linspace(0.0, f.v_max, 513)
+    # against the unfolded reference on twice the nodes and angles
     a = limit_production(f(v1), v1, 0.5)
-    b = limit_production(f(v2), v2, 0.5, angle_nodes=512)
+    b = reference_production(f(v2), v2, 0.5, 512)
     assert a == pytest.approx(b, rel=1e-3)
 
 

@@ -7,7 +7,7 @@ from scipy.signal import fftconvolve
 from kaclab.densities import gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.normalization import (NormalizationLadder, clt_envelope,
-                                  clt_envelope_ndependent, lambda_profile,
+                                  clt_envelope_ndependent, lambda_sup,
                                   schedule_delta, sigma_squared)
 from kaclab.sphere import log_sphere_area
 
@@ -65,8 +65,9 @@ def test_binary_decomposition_matches_sequential():
 
 
 def test_truncated_grid_rejected():
-    with pytest.raises(ConfigurationError):
-        NormalizationLadder(gaussian(1.0), 32, u_max=10.0)
+    # a hot component of variance 50 leaks past u_max = 2 + 10 sqrt(2 Sigma^2)
+    with pytest.raises(ConfigurationError, match="u_max=124 truncates"):
+        NormalizationLadder(mixture(0.01), 2)
 
 
 def test_out_of_range_query(mix_ladder):
@@ -85,15 +86,14 @@ def test_clt_leading_term_near_center(gauss_ladder):
 
 
 def test_lambda_profile_decays(mix_ladder):
-    sups = [float(np.max(np.abs(lambda_profile(mix_ladder, n)[1])))
-            for n in (16, 32, 64)]
+    sups = [lambda_sup(mix_ladder, n) for n in (16, 32, 64)]
     assert sups[0] > sups[1] > sups[2]
 
 
 def test_clt_envelope_rows(mix_ladder):
-    env = clt_envelope(mix_ladder, [16, 64])
-    rows = env.rows()
+    rows = clt_envelope(mix_ladder, [16, 64])
     assert [r[0] for r in rows] == [16, 64]
+    assert rows[0][1] == mix_ladder.sigma2
     assert rows[0][2] > rows[1][2] > 0
 
 
@@ -109,5 +109,12 @@ def test_ndependent_envelope_validation():
 
 
 def test_ndependent_envelope_shrinks():
-    rows = clt_envelope_ndependent(0.15, [64, 256], 0, n_grid=2**14)
+    rows = clt_envelope_ndependent(0.15, [64, 256], 0)
     assert rows[0][2] > rows[1][2]
+
+
+def test_ndependent_envelope_is_the_schedule_envelope():
+    # both CLT paths give the same row for the schedule's mixture at N
+    beta, n = 0.1, 64
+    ladder = NormalizationLadder(mixture(schedule_delta(beta, n)), n)
+    assert clt_envelope(ladder, [n]) == clt_envelope_ndependent(beta, [n], 0)

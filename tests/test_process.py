@@ -27,7 +27,7 @@ def test_exact_gap_matches_formula():
         assert exact_gap_smalln(n) == pytest.approx(spectral_gap(n), abs=1e-10)
 
 
-def _all_pairs_galerkin(n, degree=4):
+def _all_pairs_galerkin(n):
     """Galerkin (A, G) averaged over every pair, with no caches: reference."""
     def circle(p, q):
         if p % 2 or q % 2:
@@ -70,7 +70,7 @@ def _all_pairs_galerkin(n, degree=4):
                     comb(pi, a) * comb(pj, b) * (-1.0) ** (pj - b) * trig)
         return out
 
-    expanded = [expand(b) for b in _monomials(n, degree)]
+    expanded = [expand(b) for b in _monomials(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(expanded)
     amat, gram = np.zeros((m, m)), np.zeros((m, m))
@@ -127,8 +127,6 @@ def test_simulate_config_validation():
         SimulationConfig(n=5, t_final=-1.0)
     with pytest.raises(ConfigurationError):
         SimulationConfig(n=5, gamma=2.0)
-    with pytest.raises(ConfigurationError):
-        SimulationConfig(n=5, renormalize_every=0)
 
 
 def test_ensemble_shapes_and_energy():
