@@ -195,6 +195,8 @@ def cmd_villani(cfg: dict, art: Artifacts, rng) -> int:
 
 def cmd_cercignani(cfg: dict, art: Artifacts, rng) -> int:
     deltas = _get(cfg, "deltas", [0.1, 0.03, 0.01, 0.003])
+    if not all(type(d) in (int, float) for d in deltas):
+        raise ConfigurationError(f"deltas must be numbers, got {deltas!r}")
     rows = []
     for d in deltas:
         f = mixture(d)

@@ -1,12 +1,12 @@
-"""The Kac jump process and its exact small-N spectral analysis.
+"""The Kac jump process and its exact spectral gap.
 
 The master equation evolves a symmetric density on the energy sphere by
 random pair rotations at rate N (1 + v_i^2 + v_j^2)^gamma per clock tick,
 averaged over pairs.  Here we run the process by thinning against the
 dominating rate N (1 + N)^gamma, estimate spectral-gap quotients with a
-Rayleigh/Dirichlet Monte Carlo, and assemble the generator exactly on a
-polynomial Galerkin basis for small N where the gap is known in closed
-form: Delta_N = (N + 2) / (2 (N - 1)).
+Rayleigh/Dirichlet Monte Carlo, and write the generator exactly on the
+power sums p_4 and p_6 at any N, where its lowest eigenvalue is the gap
+known in closed form: Delta_N = (N + 2) / (2 (N - 1)).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -26,8 +25,9 @@ from .sphere import rotate_pair, uniform_sphere_batch
 _BLOCK = 2**16
 # accepted events between energy renormalisations of a trajectory
 _RENORMALIZE_EVERY = 1024
-# largest total degree of the Galerkin basis polynomials
-_DEGREE = 4
+# largest degree of the power sums p_4, ..., p_DEGREE in the generator basis;
+# at degree 8 the product p_4 p_4 appears and single power sums no longer close
+_DEGREE = 6
 
 
 def spectral_gap(n: int) -> float:
@@ -185,36 +185,19 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
     return float(dirichlet / np.var(base))
 
 
-# -- exact generator on a polynomial basis ------------------------------
+# -- exact generator on power sums --------------------------------------
 
 
 def _half_integer_moment(p: int, q: int) -> float:
-    """(1/2pi) integral of cos^p sin^q over the circle (0 unless p, q even)."""
+    """(1/2pi) integral of cos^p sin^q over the circle (0 unless p, q even).
+
+    For even p, q it is (p - 1)!! (q - 1)!! / (p + q)!!, a ratio of
+    integers, so the result is correctly rounded.
+    """
     if p % 2 or q % 2:
         return 0.0
-    return math.exp(math.lgamma((p + 1) / 2.0) + math.lgamma((q + 1) / 2.0)
-                    - math.lgamma((p + q + 2) / 2.0)) / math.pi
-
-
-@functools.cache
-def _sphere_even_moment(n: int, powers: tuple) -> float:
-    """E[prod v_i^{2 a_i}] on the sphere of radius sqrt(N).
-
-    Closed form from the Dirichlet distribution of v_i^2 / N.  ``powers``
-    is the sorted tuple of the nonzero a_i: the moment depends only on
-    that multiset.
-    """
-    total = sum(powers)
-    log_val = (math.lgamma(n / 2.0) - math.lgamma(n / 2.0 + total)
-               + sum(math.lgamma(a + 0.5) - math.lgamma(0.5) for a in powers))
-    return n**total * math.exp(log_val)
-
-
-def _sphere_moment(n: int, p) -> float:
-    """E[prod v_i^{p_i}] on the sphere of radius sqrt(N)."""
-    if any(x % 2 for x in p):
-        return 0.0
-    return _sphere_even_moment(n, tuple(sorted(x // 2 for x in p if x)))
+    return (math.prod(range(p - 1, 0, -2)) * math.prod(range(q - 1, 0, -2))
+            / math.prod(range(p + q, 0, -2)))
 
 
 @functools.cache
@@ -239,94 +222,52 @@ def _rotation_average(pi: int, pj: int) -> tuple:
     return tuple(out.items())
 
 
-def _monomials(n: int):
-    """Multi-indices of symmetric even monomials up to degree _DEGREE.
+def _power_sum(k: int, n: int) -> np.ndarray:
+    """p_k = sum_i v_i^k (k even) in the basis (1, p_4, ..., p_DEGREE).
 
-    Basis functions are symmetrized products prod_i v_{c_i}^{2 e_i} over
-    distinct coordinates; odd monomials decouple at gamma = 0 and carry
-    no lower spectrum, so the even sector suffices for the gap.
+    On the sphere of radius sqrt(N), p_0 = p_2 = N are constants.
     """
-    basis = [()]
-    for k in range(1, _DEGREE // 2 + 1):
-        for combo in combinations_with_replacement(range(1, _DEGREE // 2 + 1), k):
-            if sum(combo) * 2 <= _DEGREE and k <= n:
-                basis.append(tuple(sorted(combo, reverse=True)))
-    return basis
+    out = np.zeros(_DEGREE // 2)
+    if k <= 2:
+        out[0] = n
+    else:
+        out[k // 2 - 1] = 1.0
+    return out
 
 
-def _expand_monomial(exps: tuple, n: int) -> list[tuple[tuple, float]]:
-    """Distinct-coordinate assignments realizing a symmetric monomial.
+def generator_matrix_smalln(n: int) -> np.ndarray:
+    """Matrix of -L at gamma = 0 on the power sums (1, p_4, ..., p_DEGREE).
 
-    Returns (power-vector, multiplicity-weight) pairs; point evaluation of
-    the symmetrized basis function averages these assignments.
-    """
-    table: dict[tuple, float] = {}
-    for coords in permutations(range(n), len(exps)):
-        p = [0] * n
-        for c, e in zip(coords, exps):
-            p[c] += 2 * e
-        key = tuple(p)
-        table[key] = table.get(key, 0.0) + 1.0
-    total = sum(table.values())
-    return [(key, w / total) for key, w in table.items()]
+    Row r is -L of the r-th basis function, written in the basis.  The
+    circle average of the pair rotation of v_i^k + v_j^k is a sum of terms
+    coef v_i^e v_j^f + coef v_j^e v_i^f with e + f = k
+    (``_rotation_average(k, 0)``), and over ordered pairs
+    sum_{i != j} v_i^e v_j^f = p_e p_f - p_k, so
 
+        -L p_k = 2 p_k - (2 / (N - 1)) sum coef (p_e p_f - p_k).
 
-def generator_matrix_smalln(n: int):
-    """Exact Galerkin matrices (A, G) of -L at gamma = 0, even polynomials.
-
-    A_{ab} = <p_a, -L p_b> and G_{ab} = <p_a, p_b> under the uniform
-    sphere measure; pair-rotation averages of monomials are evaluated with
-    circle moments, sphere moments with Dirichlet closed forms.  The basis
-    functions are symmetric and the sphere measure is
-    permutation-invariant, so <p_a, Q_ij p_b> is the same for every pair
-    (i, j) and the pair average is its value on the pair (0, 1).  Only
+    Up to degree 6 one of e, f is at most 2, so p_e p_f is N times one
+    power sum: the basis is closed and the matrix lower triangular.  Only
     gamma = 0 keeps the polynomial sector invariant.
     """
-    if n < 3 or n > 8:
-        raise ConfigurationError("small-N analysis supports 3 <= N <= 8")
-    expanded = [_expand_monomial(b, n) for b in _monomials(n)]
-    m = len(expanded)
-    gram = np.zeros((m, m))
-    amat = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            g = 0.0
-            q = 0.0
-            for pa, wa in expanded[a]:
-                for pb, wb in expanded[b]:
-                    w = wa * wb
-                    p_sum = tuple(x + y for x, y in zip(pa, pb))
-                    mom = _sphere_moment(n, p_sum)
-                    g += w * mom
-                    # <p_a, Q_01 p_b>: rotate p_b on (0, 1), multiply by p_a;
-                    # a p_b free of the pair is left exactly as it is
-                    if pb[0] == 0 and pb[1] == 0:
-                        q += w * mom
-                        continue
-                    rest = p_sum[2:]
-                    for (e0, e1), coef in _rotation_average(pb[0], pb[1]):
-                        q += w * coef * _sphere_moment(
-                            n, (pa[0] + e0, pa[1] + e1) + rest)
-            gram[a, b] = g
-            amat[a, b] = n * (g - q)
-    return amat, gram
+    if n < 3:
+        raise ConfigurationError("the exact gap needs N >= 3")
+    mat = np.zeros((_DEGREE // 2, _DEGREE // 2))
+    for row in range(1, _DEGREE // 2):
+        k = 2 * row + 2
+        p_k = _power_sum(k, n)
+        pairs = sum(coef * (n * _power_sum(max(e, f), n) - p_k)
+                    for (e, f), coef in _rotation_average(k, 0))
+        mat[row] = 2.0 * p_k - 2.0 * pairs / (n - 1.0)
+    return mat
 
 
 def exact_gap_smalln(n: int) -> float:
-    """Smallest nonzero eigenvalue of -L restricted to even polynomials.
+    """Smallest nonzero eigenvalue of -L on the power sums: the gap Delta_N.
 
-    Solves the generalized problem A x = mu G x after projecting out the
-    Gram null space (redundant symmetrized monomials) and the constant.
+    The matrix is triangular, so its eigenvalues are its diagonal; the
+    constant row holds the zero.  The smallest is p_4's, which is Delta_N
+    (Carlen, Carvalho and Loss 2003); p_6's, 3 (N + 4) / (4 (N - 1)), lies
+    above it at every N.
     """
-    amat, gram = generator_matrix_smalln(n)
-    amat = 0.5 * (amat + amat.T)
-    gram = 0.5 * (gram + gram.T)
-    evals, evecs = np.linalg.eigh(gram)
-    keep = evals > 1e-9 * evals.max()
-    basis = evecs[:, keep] / np.sqrt(evals[keep])
-    small = basis.T @ amat @ basis
-    mu = np.linalg.eigvalsh(0.5 * (small + small.T))
-    nonzero = mu[mu > 1e-8]
-    if nonzero.size == 0:
-        raise DegenerateTestFunctionError("no nonzero spectrum in the basis")
-    return float(np.min(nonzero))
+    return float(np.min(np.diag(generator_matrix_smalln(n))[1:]))

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kaclab"
 CONSUMERS = ([ROOT / "tests" / "test_acceptance.py"]
              + sorted((ROOT / "bench").rglob("*.py")))
-# ROADMAP item 3: the paper's limit-level inequality is to be wired into
+# ROADMAP item 5: the paper's limit-level inequality is to be wired into
 # the CLI and the acceptance gate, not deleted
 ALLOWED = {"boltzmann_inequality_check"}
 

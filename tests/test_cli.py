@@ -24,6 +24,17 @@ def test_gap_emits_exact_value(tmp_path):
     assert "1.25" in body
 
 
+def test_gap_beyond_small_n(tmp_path):
+    # few Rayleigh samples: they hold samples x N doubles several times over
+    out = tmp_path / "gap"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_list": [16, 256], "rayleigh_samples": 2000}))
+    assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "gap.csv", delimiter=",", skiprows=2)
+    assert list(rows[:, 0]) == [16, 256]
+    np.testing.assert_allclose(rows[:, 1], rows[:, 2], rtol=1e-12, atol=0)
+
+
 def test_gap_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["gap", "--out", str(a), "--seed", "7"])
@@ -94,6 +105,8 @@ INVALID_CONFIGS = [
     ("villani", '{"gamma": true, "n_list": [16]}'),
     ("entropy-scan",
      '{"generator": {"kind": "mixture", "delta": "0.25"}, "n_list": [16]}'),
+    ("cercignani", '{"deltas": ["0.1"]}'),
+    ("gap", '{"n_list": [2]}'),
 ]
 
 

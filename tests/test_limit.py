@@ -131,13 +131,19 @@ def test_fourth_moment_law_at_gamma_zero():
     # m4(t) = 3 + (m4(0) - 3) exp(-t/2) for the Kac limit at gamma = 0
     solver = LimitSolver(mixture(0.25), 0.0, v_max=8.0, nodes=257)
 
-    def m4():
+    def moment(k):
         g = solver.density()
-        return float(np.sum(g.nodes**4 * g.values * g.quadrature_weights))
+        return float(np.sum(g.nodes**k * g.values * g.quadrature_weights))
 
-    m4_0 = m4()
+    m4_0, m6_0 = moment(4), moment(6)
     solver.evolve(1.0, 0.01, record_every=0)
-    assert m4() == pytest.approx(3.0 + (m4_0 - 3.0) * np.exp(-0.5), abs=1e-4)
+    assert moment(4) == pytest.approx(3.0 + (m4_0 - 3.0) * np.exp(-0.5),
+                                      abs=1e-4)
+    # m6' = -(3/4) m6 + (15/4) m4, the N -> infinity limit of the p6 law
+    a = m4_0 - 3.0
+    m6_law = (15.0 + 15.0 * a * np.exp(-0.5)
+              + (m6_0 - 15.0 - 15.0 * a) * np.exp(-0.75))
+    assert moment(6) == pytest.approx(m6_law, rel=1e-4)
 
 
 def test_mass_drift_shows_a_leaking_operator(monkeypatch):

@@ -1,15 +1,17 @@
-"""Jump-process simulation and exact small-N spectral analysis."""
+"""Jump-process simulation and the exact spectral gap on power sums."""
 
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import gammaln
 
 from kaclab.errors import ConfigurationError, DegenerateTestFunctionError
-from kaclab.process import (SimulationConfig, _monomials, dirichlet_rayleigh,
+from kaclab.process import (SimulationConfig, dirichlet_rayleigh,
                             exact_gap_smalln, generator_matrix_smalln,
                             simulate, simulate_ensemble, spectral_gap)
+from kaclab.sphere import uniform_sphere_batch
 
 
 def test_spectral_gap_closed_form():
@@ -23,8 +25,36 @@ def test_spectral_gap_closed_form():
 
 
 def test_exact_gap_matches_formula():
-    for n in range(3, 9):
-        assert exact_gap_smalln(n) == pytest.approx(spectral_gap(n), abs=1e-10)
+    for n in range(3, 1025):
+        assert exact_gap_smalln(n) == pytest.approx(spectral_gap(n), rel=1e-12)
+
+
+def _pair_sum_generator(v, k):
+    """(-L p_k)(v) summed over the pairs i < j, 16 midpoint angles: reference.
+
+    -L = (2 / (N - 1)) sum_{i<j} (I - Q_ij) at gamma = 0, and the midpoint
+    rule is exact for the degree-k trig polynomials of the rotated pair.
+    """
+    n = v.size
+    i, j = np.triu_indices(n, 1)
+    theta = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    vi, vj = v[i], v[j]
+    rotated = np.mean((vi * c + vj * s) ** k + (-vi * s + vj * c) ** k, axis=0)
+    return 2.0 / (n - 1) * np.sum(vi**k + vj**k - rotated)
+
+
+@pytest.mark.parametrize("n", [3, 16, 512])
+def test_generator_matrix_matches_pointwise_pair_sum(n):
+    mat = generator_matrix_smalln(n)
+    for v in uniform_sphere_batch(n, 3, np.random.default_rng(n)):
+        basis = np.array([1.0, np.sum(v**4), np.sum(v**6)])
+        for row, k in ((1, 4), (2, 6)):
+            # relative to the size of the row's terms: -L p_k is near 0
+            # at typical sphere points
+            scale = np.abs(mat[row]) @ basis
+            assert abs(mat[row] @ basis - _pair_sum_generator(v, k)) <= (
+                1e-12 * scale)
 
 
 def _all_pairs_galerkin(n):
@@ -70,7 +100,8 @@ def _all_pairs_galerkin(n):
                     comb(pi, a) * comb(pj, b) * (-1.0) ** (pj - b) * trig)
         return out
 
-    expanded = [expand(b) for b in _monomials(n)]
+    # symmetrised 1, v_1^2, v_1^4 and v_1^2 v_2^2: the even basis of degree 4
+    expanded = [expand(b) for b in [(), (1,), (2,), (1, 1)]]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(expanded)
     amat, gram = np.zeros((m, m)), np.zeros((m, m))
@@ -93,10 +124,16 @@ def _all_pairs_galerkin(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_galerkin_matches_all_pairs_reference(n):
-    amat, gram = generator_matrix_smalln(n)
-    ref_a, ref_g = _all_pairs_galerkin(n)
-    assert np.max(np.abs(amat - ref_a)) <= 1e-12 * np.max(np.abs(ref_a))
-    assert np.max(np.abs(gram - ref_g)) <= 1e-12 * np.max(np.abs(ref_g))
+    amat, gram = _all_pairs_galerkin(n)
+    # project out the Gram null space (redundant symmetrised monomials),
+    # then solve A x = mu G x on what is left
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    keep = evals > 1e-9 * evals.max()
+    basis = evecs[:, keep] / np.sqrt(evals[keep])
+    small = basis.T @ (0.5 * (amat + amat.T)) @ basis
+    mu = np.linalg.eigvalsh(0.5 * (small + small.T))
+    assert exact_gap_smalln(n) == pytest.approx(np.min(mu[mu > 1e-8]),
+                                                rel=1e-12)
 
 
 def test_simulate_conserves_energy():
@@ -148,6 +185,16 @@ def test_fourth_moment_law_at_gamma_zero():
     s4 = np.sum(states**4, axis=1) / n
     se = np.std(s4, ddof=1) / np.sqrt(replicas)
     assert abs(np.mean(s4) - law) < 5.0 * se
+    # d/dt E[(1, p4, p6)] = B E[(1, p4, p6)] with L p4 = -Delta_N p4 +
+    # 3N^2/(2(N-1)) and L p6 = -(3(N+4)/(4(N-1))) p6 + (15N/(4(N-1))) p4
+    law_b = np.array([[0.0, 0.0, 0.0],
+                      [3.0 * n * n, -(n + 2.0), 0.0],
+                      [0.0, 7.5 * n, -1.5 * (n + 4.0)]]) / (2.0 * (n - 1))
+    x0 = np.array([1.0, np.sum(v0**4), np.sum(v0**6)])
+    p6_law = (expm(t * law_b) @ x0)[2]
+    p6 = np.sum(states**6, axis=1)
+    se6 = np.std(p6, ddof=1) / np.sqrt(replicas)
+    assert abs(np.mean(p6) - p6_law) < 5.0 * se6
 
 
 def test_rayleigh_quotient_above_gap():
