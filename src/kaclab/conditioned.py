@@ -23,6 +23,8 @@ from .quadrature import (ANGLES, TWO_PI, angle_midpoints, energy_shells, fold,
 
 # Monte Carlo states per batch
 _MC_BATCH = 50_000
+# rejection rounds of a split draw before it counts as stalled
+_SPLIT_ROUNDS = 1000
 
 
 class ConditionedFamily:
@@ -156,71 +158,43 @@ class ConditionedFamily:
     # -- sampling -------------------------------------------------------
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Exact draws from F_N, shape (size, N); energies sum to N.
+        """Draws from F_N, shape (size, N); energies sum to N.
 
-        Sequential conditionals: given the residual energy E, the next
-        coordinate has density proportional to f(v) h^{*(m-1)}(E - v^2)
-        where m coordinates remain, inverted per sample on a 256-node
-        velocity grid spanning |v| <= sqrt(E).  The final pair is drawn
-        on its energy circle.
+        Every generator is even, so the squared velocities s_i = v_i^2 are
+        i.i.d. from h conditioned on sum s_i = N and the signs are fair
+        coins.  The energies are drawn as ladder cells, exactly for the
+        ladder's discretised measure: starting from the cell
+        e_0 = round(N / du) of the total, each node n = a + b of the tree
+        that ``NormalizationLadder.level`` builds (``halves``: n/2 + n/2
+        for even n, (n - 1) + 1 for odd n) splits its residual cell e into
+        j and e - j with probability proportional to m_a[j] m_b[e - j],
+        m_k the level-k cell masses (see :class:`_Split`).  Only the
+        levels that Z_N itself needs are used.  Within its cell each
+        |v_i| is uniform between the square roots of the cell's edges;
+        the velocities are then rescaled so the energies sum to N exactly.
         """
-        n = self.n
-        out = np.empty((size, n))
-        energy = np.full(size, float(n))
-        t = np.linspace(-1.0, 1.0, 256)
-        for pos in range(n - 2):
-            m = n - pos  # coordinates still unset
-            vmax = np.sqrt(energy) * (1.0 - 1e-12)
-            v = vmax[:, None] * t[None, :]
-            res = energy[:, None] - v * v
-            logd = self.ladder.log_density(m - 1, np.maximum(res, 0.0))
-            with np.errstate(divide="ignore"):
-                logf = np.log(np.maximum(self.f(v), 1e-300))
-            logd = logd + logf
-            logd -= logd.max(axis=1, keepdims=True)
-            dens = np.exp(logd)
-            cum = np.cumsum(0.5 * (dens[:, 1:] + dens[:, :-1]), axis=1)
-            tot = cum[:, -1]
-            if np.any(tot <= 0):
-                raise SamplingError("degenerate conditional in coordinate draw")
-            u = rng.random(size) * tot
-            idx = np.sum(cum < u[:, None], axis=1)
-            idx = np.clip(idx, 0, len(t) - 2)
-            lo = np.where(idx > 0, cum[np.arange(size), idx - 1], 0.0)
-            frac = (u - lo) / np.maximum(cum[np.arange(size), idx] - lo, 1e-300)
-            draw = v[np.arange(size), idx] + frac * (
-                v[np.arange(size), idx + 1] - v[np.arange(size), idx])
-            out[:, pos] = draw
-            energy = np.maximum(energy - draw * draw, 0.0)
-        out[:, n - 2:] = self._sample_pair(energy, rng)
-        return out
-
-    def _sample_pair(self, energy: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-        """Last two coordinates on the circle of radius sqrt(energy), by
-        rejection under 1.05 times the maximum on 512 angles."""
-        size = energy.shape[0]
-        rho = np.sqrt(energy)
-        phi_grid = TWO_PI * np.arange(512) / 512
-        pgrid = np.maximum(self.f(np.outer(rho, np.cos(phi_grid)))
-                           * self.f(np.outer(rho, np.sin(phi_grid))), 0.0)
-        pmax = pgrid.max(axis=1) * 1.05
-        if np.any(pmax <= 0):
-            raise SamplingError("degenerate circle density in pair draw")
-        phi = np.empty(size)
-        todo = np.arange(size)
-        for _ in range(10_000):
-            cand = rng.random(todo.size) * TWO_PI
-            val = (self.f(rho[todo] * np.cos(cand))
-                   * self.f(rho[todo] * np.sin(cand)))
-            keep = rng.random(todo.size) * pmax[todo] < val
-            phi[todo[keep]] = cand[keep]
-            todo = todo[~keep]
-            if todo.size == 0:
-                break
-        else:
-            raise SamplingError("rejection sampler for the last pair stalled")
-        return np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=1)
+        n, ladder = self.n, self.ladder
+        top = int(round(n / ladder.du))
+        cells = np.full((size, 1), top)
+        leaves = []
+        m = n
+        while m > 1:
+            a, b = ladder.halves(m)
+            # no residual cell lies above the top one
+            split = _Split(ladder.level(a)[:top + 1], ladder.level(b)[:top + 1])
+            low = split.draw(cells.ravel(), rng).reshape(cells.shape)
+            if a == b:
+                cells = np.concatenate([low, cells - low], axis=1)
+            else:
+                leaves.append(cells - low)
+                cells = low
+            m = a
+        cells = np.concatenate(leaves + [cells], axis=1)
+        r_lo = np.sqrt(np.maximum(cells - 0.5, 0.0) * ladder.du)
+        r_hi = np.sqrt((cells + 0.5) * ladder.du)
+        r = r_lo + rng.random(cells.shape) * (r_hi - r_lo)
+        r *= np.sqrt(n / np.sum(r * r, axis=1, keepdims=True))
+        return np.where(rng.random(cells.shape) < 0.5, -r, r)
 
     # -- Monte Carlo cross-checks ---------------------------------------
 
@@ -266,3 +240,66 @@ class ConditionedFamily:
             s = v1 * v1 + v2 * v2
             total += float(np.sum((1.0 + s) ** gamma * inner))
         return self.n / (4.0 * np.pi) * total / samples
+
+
+class _Split:
+    """The split law P(j | e) proportional to m_a[j] m_b[e - j], j = 0..e.
+
+    Drawn by rejection under the envelope that bounds the factor not
+    proposed by its suffix maximum, an exact array maximum: with
+    h = e // 2,
+
+        g(j) = m_a[j] max_{k >= e - h} m_b[k]      for j <= h,
+        g(j) = max_{k > h} m_a[k] m_b[e - j]       for j > h.
+
+    Each piece is drawn in O(log n) by inverting a cumulative sum, and a
+    draw from g is accepted with probability m_a[j] m_b[e - j] / g(j).
+    """
+
+    def __init__(self, m_a: np.ndarray, m_b: np.ndarray):
+        self.m_a, self.m_b = m_a, m_b
+        self.cum_a, self.cum_b = np.cumsum(m_a), np.cumsum(m_b)
+        self.sup_a = np.maximum.accumulate(m_a[::-1])[::-1]
+        self.sup_b = np.maximum.accumulate(m_b[::-1])[::-1]
+
+    def caps(self, e: np.ndarray):
+        """h = e // 2, the largest e - j over j > h (0 when there is none)
+        and the envelope's mass on j <= h and on j > h."""
+        h = e // 2
+        top = np.maximum(e - h - 1, 0)
+        low = self.cum_a[h] * self.sup_b[e - h]
+        high = np.where(e > 0, self.cum_b[top] * self.sup_a[h + 1], 0.0)
+        return h, top, low, high
+
+    def envelope(self, e: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """g(j) for residual cells e."""
+        h = e // 2
+        return np.where(j <= h, self.m_a[j] * self.sup_b[e - h],
+                        self.sup_a[h + 1] * self.m_b[e - j])
+
+    def draw(self, e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One split j for each residual cell in e."""
+        h, top, low, high = self.caps(e)
+        if np.any(low + high <= 0):
+            raise SamplingError("a residual energy cell has no split mass")
+        out = np.empty_like(e)
+        todo = np.arange(e.size)
+        for _ in range(_SPLIT_ROUNDS):
+            if todo.size == 0:
+                return out
+            res = e[todo]
+            below = rng.random(todo.size) * (low[todo] + high[todo]) < low[todo]
+            u = rng.random(todo.size)
+            j = res.copy()
+            j[below] = _invert(self.cum_a, u[below], h[todo[below]])
+            j[~below] -= _invert(self.cum_b, u[~below], top[todo[~below]])
+            keep = (rng.random(todo.size) * self.envelope(res, j)
+                    < self.m_a[j] * self.m_b[res - j])
+            out[todo[keep]] = j[keep]
+            todo = todo[~keep]
+        raise SamplingError(f"split draw stalled with {todo.size} left")
+
+
+def _invert(cum: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Index k <= last with P(k) = mass[k] / cum[last], for uniforms u."""
+    return np.minimum(np.searchsorted(cum, u * cum[last], side="right"), last)

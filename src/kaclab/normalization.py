@@ -69,6 +69,12 @@ class NormalizationLadder:
     def _convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.maximum(fftconvolve(a, b)[: self.n_grid], 0.0)
 
+    @staticmethod
+    def halves(n: int) -> tuple[int, int]:
+        """The two levels whose convolution builds level n: n/2 and n/2
+        for even n, n - 1 and 1 for odd n."""
+        return (n // 2, n // 2) if n % 2 == 0 else (n - 1, 1)
+
     def level(self, n: int) -> np.ndarray:
         """Cell-mass array of h^{(*n)}; built by binary decomposition."""
         if n < 1:
@@ -76,11 +82,8 @@ class NormalizationLadder:
         cached = self._masses.get(n)
         if cached is not None:
             return cached
-        if n % 2 == 0:
-            half = self.level(n // 2)
-            out = self._convolve(half, half)
-        else:
-            out = self._convolve(self.level(n - 1), self._masses[1])
+        a, b = self.halves(n)
+        out = self._convolve(self.level(a), self.level(b))
         self._masses[n] = out
         return out
 

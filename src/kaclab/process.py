@@ -163,7 +163,9 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
     above the true gap for any phi.
     """
     v = uniform_sphere_batch(n, samples, rng)
-    base = phi(v)
+    # the pair's columns of v are rotated in place below, so base is a
+    # copy (phi may return a view of v); vi and vj are copies too
+    base = np.array(phi(v))
     if np.std(base) < 1e-12:
         raise DegenerateTestFunctionError(
             "test function is constant on the sphere")
@@ -176,11 +178,8 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
     acc = np.zeros(samples)
     s = vi * vi + vj * vj
     for th in theta:
-        w = v.copy()
-        wi, wj = rotate_pair(vi, vj, th)
-        w[rows, idx] = wi
-        w[rows, jdx] = wj
-        acc += (phi(w) - base) ** 2
+        v[rows, idx], v[rows, jdx] = rotate_pair(vi, vj, th)
+        acc += (phi(v) - base) ** 2
     dirichlet = 0.5 * n * np.mean((1.0 + s) ** gamma * acc / theta.size)
     return float(dirichlet / np.var(base))
 
@@ -201,25 +200,18 @@ def _half_integer_moment(p: int, q: int) -> float:
 
 
 @functools.cache
-def _rotation_average(pi: int, pj: int) -> tuple:
-    """Circle average of v_i^{pi} v_j^{pj} after rotating the pair (i, j).
+def _rotation_average(k: int) -> tuple:
+    """Circle average of v_i^k after rotating the pair (i, j).
 
-    Expands (vi c + vj s)^{pi} (-vi s + vj c)^{pj} binomially and averages
-    the trig coefficients, yielding ((power of vi, power of vj), coef)
-    terms.
+    Expands (vi c + vj s)^k binomially and averages the trig coefficients,
+    yielding ((power of vi, power of vj), coef) terms.
     """
-    out: dict[tuple, float] = {}
-    for a in range(pi + 1):
-        for b in range(pj + 1):
-            # cos exponent a + b, sin exponent (pi - a) + (pj - b)
-            trig = _half_integer_moment(a + b, pi - a + pj - b)
-            if trig == 0.0:
-                continue
-            coef = (math.comb(pi, a) * math.comb(pj, b) * (-1.0) ** (pj - b)
-                    * trig)
-            key = (a + pj - b, pi - a + b)
-            out[key] = out.get(key, 0.0) + coef
-    return tuple(out.items())
+    out = []
+    for a in range(k + 1):
+        trig = _half_integer_moment(a, k - a)
+        if trig != 0.0:
+            out.append(((a, k - a), math.comb(k, a) * trig))
+    return tuple(out)
 
 
 def _power_sum(k: int, n: int) -> np.ndarray:
@@ -241,7 +233,7 @@ def generator_matrix_smalln(n: int) -> np.ndarray:
     Row r is -L of the r-th basis function, written in the basis.  The
     circle average of the pair rotation of v_i^k + v_j^k is a sum of terms
     coef v_i^e v_j^f + coef v_j^e v_i^f with e + f = k
-    (``_rotation_average(k, 0)``), and over ordered pairs
+    (``_rotation_average(k)``), and over ordered pairs
     sum_{i != j} v_i^e v_j^f = p_e p_f - p_k, so
 
         -L p_k = 2 p_k - (2 / (N - 1)) sum coef (p_e p_f - p_k).
@@ -257,7 +249,7 @@ def generator_matrix_smalln(n: int) -> np.ndarray:
         k = 2 * row + 2
         p_k = _power_sum(k, n)
         pairs = sum(coef * (n * _power_sum(max(e, f), n) - p_k)
-                    for (e, f), coef in _rotation_average(k, 0))
+                    for (e, f), coef in _rotation_average(k))
         mat[row] = 2.0 * p_k - 2.0 * pairs / (n - 1.0)
     return mat
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.stats import chisquare
 
-from kaclab.conditioned import ConditionedFamily
+from kaclab.conditioned import ConditionedFamily, _Split
 from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
 from kaclab.errors import ConfigurationError
+from kaclab.normalization import NormalizationLadder
 from kaclab.quadrature import ANGLES, angle_midpoints
 
 N_GAUSS = 16
@@ -133,10 +135,73 @@ def test_sampler_coordinates_exchangeable(mix_family):
     assert abs(m[0] - m[31]) < 0.08
 
 
+# a coarse ladder keeps the exhaustive split checks small: e_0 = 154 cells
+@pytest.fixture(scope="module")
+def coarse_ladder():
+    return NormalizationLadder(mixture(0.3), 8, n_grid=2**10)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (2, 2), (4, 4)])
+def test_split_envelope_dominates_target(coarse_ladder, a, b):
+    m_a, m_b = coarse_ladder.level(a), coarse_ladder.level(b)
+    split = _Split(m_a, m_b)
+    e0 = int(round(8 / coarse_ladder.du))
+    for e in range(e0 + 1):
+        j = np.arange(e + 1)
+        res = np.full_like(j, e)
+        env = split.envelope(res, j)
+        assert np.all(m_a[j] * m_b[e - j] <= env)
+        # the proposal is the normalised envelope: its two pieces' masses
+        *_, low, high = split.caps(np.array([e]))
+        assert np.sum(env) == pytest.approx(float(low[0] + high[0]),
+                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (4, 4)])
+def test_split_draws_follow_the_exact_law(coarse_ladder, a, b):
+    m_a, m_b = coarse_ladder.level(a), coarse_ladder.level(b)
+    split = _Split(m_a, m_b)
+    rng = np.random.default_rng(10 * a + b)
+    e0 = int(round(8 / coarse_ladder.du))
+    for e in (e0, e0 // 4):
+        draws = split.draw(np.full(40_000, e), rng)
+        law = m_a[:e + 1] * m_b[e::-1]
+        expected = 40_000 * law / law.sum()
+        observed = np.bincount(draws, minlength=e + 1)
+        # pool the cells expected to hold fewer than 5 draws
+        big = expected >= 5
+        obs, exp = observed[big], expected[big]
+        if not np.all(big):
+            obs = np.append(obs, observed[~big].sum())
+            exp = np.append(exp, expected[~big].sum())
+        assert chisquare(obs, exp).pvalue > 1e-3
+
+
+def test_sampler_builds_no_levels_beyond_the_normalisation():
+    f = mixture(0.25)
+    fam = ConditionedFamily(f, 512)
+    fam.sample(4, np.random.default_rng(11))
+    alone = NormalizationLadder(f, 512)
+    alone.level(512)
+    assert len(fam.ladder._masses) == len(alone._masses) == 10
+
+
+def test_sampler_marginal_matches_quadrature_large_n():
+    fam = ConditionedFamily(mixture(0.25), 512)
+    s = fam.sample(2000, np.random.default_rng(12))
+    assert np.allclose(np.sum(s * s, axis=1), 512.0, atol=1e-9)
+    # the coordinates are exchangeable, so all of them enter the histogram
+    hist, edges = np.histogram(s, bins=40, range=(-6, 6), density=True)
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    assert np.max(np.abs(hist - fam.marginal1(centers))) < 0.01
+
+
 def test_monte_carlo_agrees_small_sample():
     fam = ConditionedFamily(mixture(0.3), 8)
     rng = np.random.default_rng(8)
-    h_mc = fam.entropy_monte_carlo(40_000, rng)
+    # 10^6 draws: the per-draw sd of log f is 0.13, so the 5% bound
+    # (4e-4) is 3 standard errors wide
+    h_mc = fam.entropy_monte_carlo(1_000_000, rng)
     assert h_mc == pytest.approx(fam.entropy(), rel=0.05)
 
 
