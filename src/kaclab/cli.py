@@ -222,8 +222,8 @@ def cmd_inequality(cfg: dict, art: Artifacts, rng) -> int:
                               epsilon=_get(cfg, "epsilon", 0.5))
     n_list = _n_list(cfg, [32, 64, 128, 256])
     env = logpower_envelope(f, witness, n_list)
-    reports = rescaled_inequality_check(f, _get(cfg, "gamma", 0.5), witness,
-                                        n_list, c1=_get(cfg, "c1", 2.0))
+    reports = rescaled_inequality_check(_get(cfg, "gamma", 0.5), witness, env,
+                                        c1=_get(cfg, "c1", 2.0))
     art.csv("logpower.csv",
             ["n", "measured", "bound", "lambda_sup_n", "holds"],
             [(r.n, r.measured, r.bound if r.bound is not None else "",

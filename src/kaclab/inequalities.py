@@ -171,6 +171,7 @@ class EnvelopeRow:
     measured: float
     bound: float | None          # C_beta^{1+beta}; None when undefined
     lambda_sup_n: float
+    family: ConditionedFamily    # the state measured, for the next layer
 
     @property
     def applicable(self) -> bool:
@@ -206,7 +207,7 @@ def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness,
             ratio = (1.0 + np.sqrt(TWO_PI) * sup_nm1) / denom
             bound = float(2.0 ** (1.0 + 2.0 * beta) * np.sqrt(3.0)
                           * ratio * m_total)
-        rows.append(EnvelopeRow(n, measured, bound, sup_n))
+        rows.append(EnvelopeRow(n, measured, bound, sup_n, fam))
     return rows
 
 
@@ -218,18 +219,7 @@ class RescaledReport:
     """Both layers of the rescaled inequality for one N."""
 
     n: int
-    gamma: float
-    beta: float
-    k: float
-    c1: float
-    entropy: float
-    production_gamma: float
-    production_one: float
-    c_beta: float
-    m_2k: float
     lambda_grid_ok: bool
-    lambda_optimal: float
-    lambda_argmin: float
     final_lhs: float
     final_rhs: float
     constant: float
@@ -267,52 +257,40 @@ def optimized_constant(gamma: float, beta: float, k: float,
     return front * middle * tail, q
 
 
-def rescaled_inequality_check(f: GridDensity1D, gamma: float,
-                              witness: LogPowerWitness, n_list,
+def rescaled_inequality_check(gamma: float, witness: LogPowerWitness,
+                              envelope: list[EnvelopeRow],
                               c1: float = 2.0) -> list[RescaledReport]:
     """Verify the lambda-split inequality and its optimized consequence.
 
-    Uses sweep-suprema of the measured log-power integral and of the
-    2k-th marginal moment as stand-ins for the (unreachable) true
-    suprema over all N, and C_1 as the configured gamma = 1 entropic-gap
-    constant.
+    Reads the states and the measured log-power integrals of ``envelope``
+    (the rows of :func:`logpower_envelope` for the same witness).  Uses
+    sweep-suprema of the measured log-power integral and of the 2k-th
+    marginal moment as stand-ins for the (unreachable) true suprema over
+    all N, and C_1 as the configured gamma = 1 entropic-gap constant.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError("gamma must lie in [0, 1)")
     beta, k = witness.beta, witness.k
-    kwargs = dict(n_s=160, check=False)
-    ladder = NormalizationLadder(f, max(n_list))
-    families = {n: ConditionedFamily(f, n, ladder=ladder) for n in n_list}
     # sweep-sup estimates of C_beta^{1+beta} and M_{2k}
-    c_beta = max(families[n].log_power_integral(beta, **kwargs)
-                 for n in n_list) ** (1.0 / (1.0 + beta))
+    c_beta = max(r.measured for r in envelope) ** (1.0 / (1.0 + beta))
     m_2k = 0.0
-    for n in n_list:
-        v, w, dens = families[n]._marginal_quadrature()
+    for r in envelope:
+        v, w, dens = r.family._marginal_quadrature()
         m_2k = max(m_2k, float(np.sum(np.abs(v) ** (2.0 * k) * dens * w)))
-    reports = []
     exponent = rescaled_exponent(gamma, beta, k)
-    for n in n_list:
-        fam = families[n]
+    big_k, q = optimized_constant(gamma, beta, k, c_beta, m_2k)
+    constant = (c1 / big_k) ** (1.0 / q)
+    grid = np.logspace(-3, 3, 100)
+    reports = []
+    for r in envelope:
+        fam, n = r.family, r.n
         h = fam.entropy()
-        d_g = fam.production(gamma, **kwargs)
-        d_1 = fam.production(1.0, **kwargs)
-        grid = np.logspace(-3, 3, 100)
+        d_g = fam.production(gamma, n_s=160, check=False)
+        d_1 = fam.production(1.0, n_s=160, check=False)
         rhs = _intermediate_rhs(grid, gamma, beta, k, d_g / n, c_beta, m_2k)
-        grid_ok = bool(np.all(d_1 / n <= rhs * (1.0 + 1e-12)))
-        # analytic minimizer of the right-hand side
-        m = k * beta / (1.0 + beta)
-        b = _split_weight(beta, k, c_beta, m_2k)
-        lam_star = (b * (m - 1.0) / ((1.0 - gamma) * d_g / n)) ** (1.0 / (m - gamma))
-        lam_argmin = float(grid[np.argmin(rhs)])
-        big_k, q = optimized_constant(gamma, beta, k, c_beta, m_2k)
-        constant = (c1 / big_k) ** (1.0 / q)
         reports.append(RescaledReport(
-            n=n, gamma=gamma, beta=beta, k=k, c1=c1, entropy=h,
-            production_gamma=d_g, production_one=d_1, c_beta=c_beta,
-            m_2k=m_2k, lambda_grid_ok=grid_ok, lambda_optimal=float(lam_star),
-            lambda_argmin=lam_argmin, final_lhs=d_g / n,
-            final_rhs=constant * (h / n) ** exponent,
+            n=n, lambda_grid_ok=bool(np.all(d_1 / n <= rhs * (1.0 + 1e-12))),
+            final_lhs=d_g / n, final_rhs=constant * (h / n) ** exponent,
             constant=constant, exponent=exponent))
     return reports
 

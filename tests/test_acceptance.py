@@ -120,8 +120,13 @@ def witness():
                            phi=mixture_exponent_bound(MixtureSpec(DELTA)))
 
 
-def test_07_rescaled_inequality(mix, witness):
-    reports = rescaled_inequality_check(mix, 0.5, witness, N_SWEEP)
+@pytest.fixture(scope="module")
+def envelope(mix, witness):
+    return logpower_envelope(mix, witness, N_SWEEP)
+
+
+def test_07_rescaled_inequality(witness, envelope):
+    reports = rescaled_inequality_check(0.5, witness, envelope)
     grid_ok = all(r.lambda_grid_ok for r in reports)
     final_ok = all(r.final_holds for r in reports)
     worst = min(r.final_lhs / r.final_rhs for r in reports)
@@ -129,13 +134,12 @@ def test_07_rescaled_inequality(mix, witness):
            grid_ok and final_ok, f"min lhs/rhs {worst:.1f}")
 
 
-def test_08_logpower_envelope(mix, witness):
-    rows = logpower_envelope(mix, witness, N_SWEEP)
-    applicable = [r for r in rows if r.applicable]
+def test_08_logpower_envelope(envelope):
+    applicable = [r for r in envelope if r.applicable]
     ok = len(applicable) > 0 and all(r.holds for r in applicable)
     report("08 log-power envelope (beta=1)", ok,
-           f"{len(applicable)}/{len(rows)} applicable, "
-           f"max measured {max(r.measured for r in rows):.4f}")
+           f"{len(applicable)}/{len(envelope)} applicable, "
+           f"max measured {max(r.measured for r in envelope):.4f}")
 
 
 def test_09_h_theorem():

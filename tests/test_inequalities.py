@@ -149,28 +149,34 @@ def test_moment_envelope_rejects_uneven_generator(witness):
         moment_envelope(shifted, witness)
 
 
-def test_logpower_envelope_holds(mix, witness):
-    rows = logpower_envelope(mix, witness, N_LIST)
-    for r in rows:
+@pytest.fixture(scope="module")
+def envelope(mix, witness):
+    return logpower_envelope(mix, witness, N_LIST)
+
+
+def test_logpower_envelope_holds(envelope):
+    for r in envelope:
         assert r.measured > 0
         if r.applicable:
             assert r.holds
 
 
-def test_optimized_constant_against_grid_minimum(mix, witness):
-    reports = rescaled_inequality_check(mix, 0.5, witness, N_LIST)
+def test_optimized_constant_against_grid_minimum(witness, envelope):
+    reports = rescaled_inequality_check(0.5, witness, envelope)
+    assert [r.n for r in reports] == N_LIST
     for r in reports:
         assert r.lambda_grid_ok
         assert r.final_holds
-        # analytic minimizer sits inside the grid-minimum bracket
-        step = 10 ** (6.0 / 99.0)
-        assert r.lambda_argmin / step <= r.lambda_optimal <= r.lambda_argmin * step
 
 
-def test_rescaled_constant_records_inputs(mix, witness):
-    reports = rescaled_inequality_check(mix, 0.5, witness, [16], c1=1.5)
-    assert reports[0].c1 == 1.5
-    assert reports[0].exponent == pytest.approx(2.0)
+def test_rescaled_constant_records_inputs(witness, envelope):
+    # constant = (c1 / K)^{1/q}; q depends on gamma, beta and k only
+    _, q = optimized_constant(0.5, 1.0, 3.0, 1.0, 1.0)
+    base = rescaled_inequality_check(0.5, witness, envelope[:1], c1=1.5)[0]
+    twice = rescaled_inequality_check(0.5, witness, envelope[:1], c1=3.0)[0]
+    assert twice.constant / base.constant == pytest.approx(2.0 ** (1.0 / q),
+                                                           rel=1e-12)
+    assert base.exponent == pytest.approx(2.0)
 
 
 def test_optimized_constant_formula_consistent():
