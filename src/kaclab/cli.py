@@ -164,7 +164,7 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
     for n in n_list:
         fam = ConditionedFamily(gen, n)
         rows.append((n, fam.entropy() / n,
-                     fam.production(gamma, n_s=160, check=False) / n))
+                     fam.production(gamma, check=False) / n))
     art.csv("entropy_scan.csv", ["n", "entropy_per_n", "production_per_n"],
             rows)
     svg.line_chart(art.svg_path("entropy_scan.svg"),

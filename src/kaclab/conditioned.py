@@ -17,9 +17,10 @@ import numpy as np
 from .densities import GridDensity1D
 from .errors import AccuracyError, SamplingError
 from .normalization import NormalizationLadder
-from .quadrature import (ANGLES, TWO_PI, angle_midpoints, energy_shells, fold,
-                         log_power_kernel, pair_kernel, quadrant_angles,
-                         require_even, shell_sum, trapezoid_weights)
+from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
+                         energy_shells, fold, log_power_kernel, pair_kernel,
+                         quadrant_angles, require_even, shell_sum,
+                         trapezoid_weights)
 
 # Monte Carlo states per batch
 _MC_BATCH = 50_000
@@ -110,20 +111,19 @@ class ConditionedFamily:
                 fold(np.maximum(e, 0.0)))
 
     @staticmethod
-    def _refined(what: str, value, n_s: int, check: bool) -> float:
-        """value(n_s, ANGLES); with check, the value on twice the shells
+    def _refined(what: str, value, check: bool) -> float:
+        """value(SHELLS, ANGLES); with check, the value on twice the shells
         and angles, which must agree with it to 1e-3."""
-        val = value(n_s, ANGLES)
+        val = value(SHELLS, ANGLES)
         if check:
-            ref = value(2 * n_s, 2 * ANGLES)
+            ref = value(2 * SHELLS, 2 * ANGLES)
             if abs(val - ref) > 1e-3 * max(abs(ref), 1e-12):
                 raise AccuracyError(
                     f"{what} quadrature not converged: {val} vs {ref}")
             val = ref
         return val
 
-    def production(self, gamma: float, n_s: int = 192,
-                   check: bool = True) -> float:
+    def production(self, gamma: float, check: bool = True) -> float:
         """Entropy production D_{N,gamma}(F_N) with rate (1 + v_i^2 + v_j^2)^gamma.
 
         In polar coordinates on each energy shell the rotation is an angle
@@ -138,10 +138,9 @@ class ConditionedFamily:
             return self.n / (4.0 * np.pi) * 0.5 * shell_sum(
                 ws, rate, pair_kernel(p, angle_nodes), angle_nodes)
 
-        return self._refined("production", production_value, n_s, check)
+        return self._refined("production", production_value, check)
 
-    def log_power_integral(self, beta: float, n_s: int = 192,
-                           check: bool = True) -> float:
+    def log_power_integral(self, beta: float, check: bool = True) -> float:
         """The |log|^{1+beta}-weighted collision integral of F_N.
 
         Same reduction as :meth:`production` with the kernel
@@ -153,7 +152,7 @@ class ConditionedFamily:
             # prefactor 1 / 2 pi and the polar jacobian 1/2; no N scaling
             return shell_sum(ws, weight, pair, angle_nodes) / TWO_PI * 0.5
 
-        return self._refined("log-power", log_power_value, n_s, check)
+        return self._refined("log-power", log_power_value, check)
 
     # -- sampling -------------------------------------------------------
 

@@ -68,7 +68,7 @@ def gamma_ratio_sweep(generators, gamma: float, n_list) -> list[GapRatioRow]:
         if h / n < 1e-5:
             raise DegenerateTestFunctionError(
                 f"entropy {h:.2e} at N={n}: generator too close to Maxwellian")
-        d = fam.production(gamma, n_s=160, check=False)
+        d = fam.production(gamma, check=False)
         if gamma == 0.0 and d / h < villani_floor(n):
             raise AccuracyError(
                 f"Villani bound violated at N={n}: D/H = {d / h:.6f} < "
@@ -197,7 +197,7 @@ def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness,
     rows = []
     for n in n_list:
         fam = ConditionedFamily(f, n, ladder=ladder)
-        measured = fam.log_power_integral(beta, n_s=160, check=False)
+        measured = fam.log_power_integral(beta, check=False)
         sup_n = lambda_sup(ladder, n)
         sup_nm1 = lambda_sup(ladder, n - 1)
         denom = 1.0 - np.sqrt(TWO_PI) * sup_n
@@ -230,17 +230,14 @@ class RescaledReport:
         return self.final_lhs >= self.final_rhs
 
 
-def _split_weight(beta, k, c_beta, m_2k):
-    """The weight b of the lambda^{1 - k beta/(1+beta)} term of the split."""
-    return (2.0 ** (beta / (1.0 + beta)) * 3.0 ** (k * beta / (1.0 + beta))
-            * c_beta / 2.0) * (1.0 + 2.0 * m_2k) ** (beta / (1.0 + beta))
-
-
 def _intermediate_rhs(lam, gamma, beta, k, d_gamma_per_n, c_beta, m_2k):
-    b = _split_weight(beta, k, c_beta, m_2k)
-    lam = np.asarray(lam, dtype=float)
+    """The lambda-split bound on D_{N,1}/N:
+    lam^{1-gamma} D_{N,gamma}/N + b lam^{1 - k beta/(1+beta)}."""
+    ob = 1.0 + beta
+    b = (2.0 ** (beta / ob) * 3.0 ** (k * beta / ob) * c_beta / 2.0
+         * (1.0 + 2.0 * m_2k) ** (beta / ob))
     return (lam ** (1.0 - gamma) * d_gamma_per_n
-            + b * lam ** (1.0 - k * beta / (1.0 + beta)))
+            + b * lam ** (1.0 - k * beta / ob))
 
 
 def optimized_constant(gamma: float, beta: float, k: float,
@@ -285,8 +282,8 @@ def rescaled_inequality_check(gamma: float, witness: LogPowerWitness,
     for r in envelope:
         fam, n = r.family, r.n
         h = fam.entropy()
-        d_g = fam.production(gamma, n_s=160, check=False)
-        d_1 = fam.production(1.0, n_s=160, check=False)
+        d_g = fam.production(gamma, check=False)
+        d_1 = fam.production(1.0, check=False)
         rhs = _intermediate_rhs(grid, gamma, beta, k, d_g / n, c_beta, m_2k)
         reports.append(RescaledReport(
             n=n, lambda_grid_ok=bool(np.all(d_1 / n <= rhs * (1.0 + 1e-12))),

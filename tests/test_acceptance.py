@@ -73,7 +73,7 @@ def test_03_entropic_chaoticity(mix, families):
     for n in N_SWEEP:
         fam = families[n]
         h_gaps.append(abs(fam.entropy() / n - h_lim) / h_lim)
-        d = fam.production(0.0, n_s=192, check=False)
+        d = fam.production(0.0, check=False)
         d_gaps.append(abs(2.0 * d / (n * d_lim) - 1.0))
     ok = (h_gaps[-1] < 0.05 and d_gaps[-1] < 0.10
           and bool(np.all(np.diff(h_gaps) < 0))

@@ -9,7 +9,7 @@ from kaclab.conditioned import ConditionedFamily, _Split
 from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
 from kaclab.errors import ConfigurationError
 from kaclab.normalization import NormalizationLadder
-from kaclab.quadrature import ANGLES, angle_midpoints
+from kaclab.quadrature import ANGLES, SHELLS, angle_midpoints
 
 N_GAUSS = 16
 
@@ -87,13 +87,13 @@ def test_production_positive_and_monotone_in_gamma(mix_family):
 
 def test_production_quadrature_self_check(mix_family):
     # the doubling check agrees with the base resolution
-    base = mix_family.production(0.5, n_s=96, check=False)
-    checked = mix_family.production(0.5, n_s=96, check=True)
+    base = mix_family.production(0.5, check=False)
+    checked = mix_family.production(0.5, check=True)
     assert checked == pytest.approx(base, rel=1e-3)
 
 
 def test_log_power_integral_positive(mix_family):
-    val = mix_family.log_power_integral(1.0, n_s=96, check=False)
+    val = mix_family.log_power_integral(1.0, check=False)
     assert val > 0
 
 
@@ -258,19 +258,19 @@ def reference_log_power(fam, beta, n_s, angle_nodes):
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 def test_production_matches_unfolded_reference(mix_family, gamma):
-    got = mix_family.production(gamma, n_s=64, check=False)
-    ref = reference_production(mix_family, gamma, 64, ANGLES)
+    got = mix_family.production(gamma, check=False)
+    ref = reference_production(mix_family, gamma, SHELLS, ANGLES)
     assert got == pytest.approx(ref, rel=1e-12)
     # check=True returns the value on twice the shells and angles
-    got = mix_family.production(gamma, n_s=32, check=True)
-    ref = reference_production(mix_family, gamma, 64, 2 * ANGLES)
+    got = mix_family.production(gamma, check=True)
+    ref = reference_production(mix_family, gamma, 2 * SHELLS, 2 * ANGLES)
     assert got == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0])
 def test_log_power_matches_unfolded_reference(mix_family, beta):
-    got = mix_family.log_power_integral(beta, n_s=24, check=False)
-    ref = reference_log_power(mix_family, beta, 24, ANGLES)
+    got = mix_family.log_power_integral(beta, check=False)
+    ref = reference_log_power(mix_family, beta, SHELLS, ANGLES)
     assert got == pytest.approx(ref, rel=1e-12)
 
 
