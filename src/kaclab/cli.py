@@ -18,7 +18,8 @@ import numpy as np
 
 from . import svg
 from .densities import GridDensity1D, MixtureSpec, gaussian, mixture
-from .errors import AccuracyError, ConfigurationError
+from .errors import (AccuracyError, ConfigurationError,
+                     DegenerateTestFunctionError, SamplingError)
 from .conditioned import ConditionedFamily
 from .inequalities import (LogPowerWitness, fit_loglog_slope,
                            gamma_ratio_sweep, logpower_envelope,
@@ -163,6 +164,8 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
     rows = []
     for n in n_list:
         fam = ConditionedFamily(gen, n)
+        # unchecked: at a Gaussian generator D is ~1e-15, below the
+        # relative check's reach
         rows.append((n, fam.entropy() / n,
                      fam.production(gamma, check=False) / n))
     art.csv("entropy_scan.csv", ["n", "entropy_per_n", "production_per_n"],
@@ -320,11 +323,12 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         return _COMMANDS[args.command](cfg, art, rng)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError,
+            DegenerateTestFunctionError) as exc:
         # ValueError is the library's bad-argument type (see errors.py)
         json.dump({"error": str(exc), "kind": "validation"}, sys.stderr)
         return EXIT_CONFIG
-    except AccuracyError as exc:
+    except (AccuracyError, SamplingError) as exc:
         json.dump({"error": str(exc), "kind": "tolerance"}, sys.stderr)
         return EXIT_TOLERANCE
 

@@ -229,6 +229,9 @@ class LimitSolver:
 
     def evolve(self, t_final: float, dt: float,
                record_every: int = 1) -> EvolutionRecord:
+        if not (t_final > 0 and dt > 0):
+            raise ConfigurationError(
+                f"need t_final > 0 and dt > 0, got {t_final} and {dt}")
         steps = int(np.ceil(t_final / dt))
         dt = t_final / steps
         for k in range(steps):

@@ -162,6 +162,8 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
     upper-bounds nothing and lower-bounds nothing per se, but concentrates
     above the true gap for any phi.
     """
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     v = uniform_sphere_batch(n, samples, rng)
     # the pair's columns of v are rotated in place below, so base is a
     # copy (phi may return a view of v); vi and vj are copies too

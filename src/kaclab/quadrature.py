@@ -38,6 +38,8 @@ def freeze(*arrays) -> None:
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     """Trapezoid-rule weights on a grid of increasing nodes."""
+    if len(nodes) < 2:
+        raise ValueError(f"trapezoid rule needs 2 nodes, got {len(nodes)}")
     w = np.empty_like(nodes)
     d = np.diff(nodes)
     w[0] = d[0] / 2.0

@@ -1,5 +1,5 @@
 """Every public module-level function and class of kaclab has a consumer,
-and every option of kaclab is set by one.
+every option of kaclab is set by one and every dataclass field is read.
 
 A name is used when it is referenced outside its own definition in
 ``src/kaclab``, in the acceptance gate ``tests/test_acceptance.py`` or in
@@ -19,6 +19,7 @@ CONSUMERS = ([ROOT / "tests" / "test_acceptance.py"]
 # ROADMAP item 5: the paper's limit-level inequality is to be wired into
 # the CLI and the acceptance gate, not deleted
 ALLOWED = {"boltzmann_inequality_check"}
+UNREAD_ALLOWED = {"BoltzmannReport"}
 
 
 def _references(node, skip=None) -> set:
@@ -63,6 +64,28 @@ def test_every_public_name_has_a_consumer():
                     and node.name not in _references(tree, skip=node)):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public names without a consumer: {unused}"
+
+
+def test_every_field_is_read():
+    """Each dataclass field in src/kaclab is read as an attribute, by
+    name, in src/, the acceptance gate or bench/; otherwise nothing
+    consumes it."""
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + CONSUMERS:
+        read |= {node.attr for node in ast.walk(_parse(path))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    and node.name not in UNREAD_ALLOWED):
+                unread += [f"{path.stem}.{node.name}.{s.target.id}"
+                           for s in node.body
+                           if isinstance(s, ast.AnnAssign)
+                           and isinstance(s.target, ast.Name)
+                           and s.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 

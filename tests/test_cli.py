@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from kaclab.cli import main
+from kaclab.conditioned import ConditionedFamily
+from kaclab.errors import SamplingError
 
 
 def read_csv_numbers(path):
@@ -107,6 +109,13 @@ INVALID_CONFIGS = [
      '{"generator": {"kind": "mixture", "delta": "0.25"}, "n_list": [16]}'),
     ("cercignani", '{"deltas": ["0.1"]}'),
     ("gap", '{"n_list": [2]}'),
+    ("villani", '{"generator": {"kind": "gaussian"}, "n_list": [16]}'),
+    ("pde", '{"dt": 0.0}'),
+    ("pde", '{"t_final": 0.0}'),
+    ("pde", '{"dt": -0.01}'),
+    ("chaos", '{"t_final": 0.0}'),
+    ("cercignani", '{"nodes": 1}'),
+    ("gap", '{"rayleigh_samples": 0}'),
 ]
 
 
@@ -118,6 +127,18 @@ def test_invalid_config_exit_code(tmp_path, capsys):
                      str(tmp_path / "o")])
         assert code == 2, (command, text)
         assert "error" in json.loads(capsys.readouterr().err), (command, text)
+
+
+def test_stalled_sampler_exit_code(tmp_path, monkeypatch, capsys):
+    def stalled(self, size, rng):
+        raise SamplingError("split draw stalled")
+
+    monkeypatch.setattr(ConditionedFamily, "sample", stalled)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_final": 0.01, "n_list": [8]}))
+    assert main(["chaos", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 3
+    assert "stalled" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_unknown_generator_exit_code(tmp_path):

@@ -199,6 +199,19 @@ def test_boltzmann_report(mix):
     assert rep.ratio > 0 and np.isfinite(rep.ratio)
 
 
+def test_boltzmann_moment_hypothesis_reads_the_tail():
+    v = np.linspace(0.0, 12.0, 481)
+    m = np.exp(-0.5 * v * v) / np.sqrt(2 * np.pi)
+    assert boltzmann_inequality_check(m, v, 0.5, 1.0, 3.0).hypotheses_ok
+    # zero at the last node, a small bump just inside the last quarter
+    f = m + 1e-6 * np.exp(-((v - 10.5) / 0.2) ** 2)
+    f[-1] = 0.0
+    rep = boltzmann_inequality_check(f, v, 0.5, 1.0, 3.0)
+    assert not rep.hypotheses_ok
+    assert any(n.startswith("moment hypothesis failed")
+               for n in rep.hypothesis_notes)
+
+
 def test_boltzmann_report_equilibrium_trivial():
     v = np.linspace(0.0, 8.0, 257)
     m = np.exp(-0.5 * v * v) / np.sqrt(2 * np.pi)
