@@ -164,10 +164,7 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
     rows = []
     for n in n_list:
         fam = ConditionedFamily(gen, n)
-        # unchecked: at a Gaussian generator D is ~1e-15, below the
-        # relative check's reach
-        rows.append((n, fam.entropy() / n,
-                     fam.production(gamma, check=False) / n))
+        rows.append((n, fam.entropy() / n, fam.production(gamma) / n))
     art.csv("entropy_scan.csv", ["n", "entropy_per_n", "production_per_n"],
             rows)
     svg.line_chart(art.svg_path("entropy_scan.svg"),

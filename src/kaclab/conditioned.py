@@ -110,14 +110,18 @@ class ConditionedFamily:
         return (s, ws, np.exp(self.log_marginal_weight(2, s)),
                 fold(np.maximum(e, 0.0)))
 
-    @staticmethod
-    def _refined(what: str, value, check: bool) -> float:
+    def _refined(self, what: str, value, check: bool) -> float:
         """value(SHELLS, ANGLES); with check, the value on twice the shells
-        and angles, which must agree with it to 1e-3."""
+        and angles, which must agree with it to 1e-3 relative or to 1e-12 N.
+
+        The absolute floor sits far above the rounding noise of the shell
+        sums, which grows with N: at a Maxwellian generator, where the
+        production is zero, both rules give values of about 1e-15 N.
+        """
         val = value(SHELLS, ANGLES)
         if check:
             ref = value(2 * SHELLS, 2 * ANGLES)
-            if abs(val - ref) > 1e-3 * max(abs(ref), 1e-12):
+            if abs(val - ref) > max(1e-3 * abs(ref), 1e-12 * self.n):
                 raise AccuracyError(
                     f"{what} quadrature not converged: {val} vs {ref}")
             val = ref

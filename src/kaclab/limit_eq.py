@@ -20,6 +20,17 @@ and gamma: each point's spline interval and local offset,
 and the trapezoid weights times the rate (1 + v^2 + w^2)^gamma, are
 built once per key and held in a small cache.  A right-hand side call
 then fits two cubic splines and does gathers and sums only.
+
+Work arrays.  The geometry also holds the call's large temporaries (the
+spline values, the gathered n x n gain and the loss), and every gather
+writes into them through out=.  Freeing and reallocating them on each call
+let the C allocator hand pages back to the system and fault them in again,
+which cost as much as the arithmetic.  np.take runs with mode="clip": the
+stencil indices are always in range, and the default mode="raise" copies
+through a hidden buffer when out= is given.  Only the returned right-hand
+side is a fresh array, since the integrator keeps all four RK4 stages.
+The shared work arrays make the operator unsafe to call from two threads
+at once.
 """
 
 from __future__ import annotations
@@ -56,12 +67,14 @@ def _stencil(knots: np.ndarray, x: np.ndarray):
     return idx, x - knots[idx]
 
 
-def _spline_at(c: np.ndarray, idx: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """A cubic spline with coefficients c (CubicSpline.c) at stencil points."""
-    out = np.take(c[0], idx)
+def _spline_at(c: np.ndarray, idx: np.ndarray, s: np.ndarray,
+               out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """A cubic spline with coefficients c (CubicSpline.c) at stencil points,
+    written into out; work is a scratch array of the same size."""
+    np.take(c[0], idx, out=out, mode="clip")
     for row in c[1:]:
         out *= s
-        out += np.take(row, idx)
+        out += np.take(row, idx, out=work, mode="clip")
     return out
 
 
@@ -84,12 +97,17 @@ class _QuadrantFold:
         self.idx[beyond] = len(v) - 1
         self.offset[beyond] = 0.0
         freeze(self.idx, self.offset)
+        self._values = np.empty(self.shape)
+        self._work = np.empty(self.shape)
 
     def products(self, f_vals: np.ndarray) -> np.ndarray:
+        """The folded products; the next call overwrites the result."""
         c = np.zeros((4, len(self.v)))
         c[:, :-1] = CubicSpline(self.v, np.maximum(f_vals, 0.0)).c
-        e = np.maximum(_spline_at(c, self.idx, self.offset), 0.0)
-        return fold(e.reshape(self.shape))
+        e = _spline_at(c, self.idx, self.offset, self._values.ravel(),
+                       self._work.ravel())
+        np.maximum(e, 0.0, out=e)
+        return fold(self._values, out=self._work)
 
 
 @dataclass(frozen=True)
@@ -102,6 +120,11 @@ class _OperatorGeometry:
     gain_offset: np.ndarray    # i <= j
     gain_pairs: np.ndarray     # (v, w) grid cell -> its i <= j stencil point
     rate_weights: np.ndarray   # (1 + v^2 + w^2)^gamma * weight of w
+    # work arrays, overwritten by every call
+    gain_values: np.ndarray    # A at the i <= j stencil points
+    gain_work: np.ndarray
+    gain: np.ndarray           # n x n gain, then gain minus loss
+    loss: np.ndarray           # n x n f(v) f(w)
 
 
 def _grid_cache(build):
@@ -132,8 +155,10 @@ def _operator_geometry(v: np.ndarray, gamma: float) -> _OperatorGeometry:
     rate_weights = ((1.0 + sq[:, None] + sq[None, :]) ** gamma
                     * half_grid_weights(v))
     freeze(r_grid, gain_idx, gain_offset, gain_pairs, rate_weights)
+    gain_values, gain_work = np.empty((2, len(gain_idx)))
+    gain, loss = np.empty((2, n, n))
     return _OperatorGeometry(fold, r_grid, gain_idx, gain_offset, gain_pairs,
-                             rate_weights)
+                             rate_weights, gain_values, gain_work, gain, loss)
 
 
 def collision_operator(f_vals: np.ndarray, v: np.ndarray,
@@ -145,11 +170,13 @@ def collision_operator(f_vals: np.ndarray, v: np.ndarray,
     geo = _operator_geometry(v, gamma)
     a_of_r = geo.fold.products(f_vals).mean(axis=1)
     c = CubicSpline(geo.r_grid, a_of_r).c
-    gain = np.maximum(_spline_at(c, geo.gain_idx, geo.gain_offset), 0.0)
-    gain = np.take(gain, geo.gain_pairs)
+    values = _spline_at(c, geo.gain_idx, geo.gain_offset, geo.gain_values,
+                        geo.gain_work)
+    np.maximum(values, 0.0, out=values)
+    gain = np.take(values, geo.gain_pairs, out=geo.gain, mode="clip")
     # loss subtracted cell by cell: 2 (sum R gain - f (R f)) would cancel
     # two O(1) sums and lose about 1e-14 of the result
-    gain -= np.multiply.outer(f_vals, f_vals)
+    gain -= np.multiply.outer(f_vals, f_vals, out=geo.loss)
     return 2.0 * np.einsum("ij,ij->i", geo.rate_weights, gain)
 
 

@@ -7,15 +7,19 @@ Z_n through
 
 so the ladder stores discrete cell masses of h on a uniform u-grid and
 builds higher levels by FFT convolution (exact for the discretized
-measure).  Everything Z-shaped is exposed in the log domain; the huge
-power/area prefactors are combined with log-gamma arithmetic and cancel
-analytically inside ratio queries.
+measure).  Each level takes two real FFTs: a forward transform of its
+new factor, squared for an even level or multiplied by the cached level-1
+spectrum for an odd one, and the inverse.  Everything Z-shaped is exposed
+in the log domain; the huge power/area prefactors are combined with
+log-gamma arithmetic and cancel analytically inside ratio queries.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .densities import GridDensity1D, mixture, moment
 from .errors import ConfigurationError
@@ -46,6 +50,8 @@ class NormalizationLadder:
         self.n_grid = int(n_grid)
         self.du = self.u_max / self.n_grid
         self.grid = self.du * np.arange(self.n_grid)
+        # FFT length of a linear convolution of two grid arrays
+        self._fft_len = next_fast_len(2 * self.n_grid - 1, real=True)
         self._masses: dict[int, np.ndarray] = {1: self._base_masses()}
         self._log_density: dict[int, np.ndarray] = {}
         # leakage of the single-particle energy density past the grid
@@ -66,8 +72,10 @@ class NormalizationLadder:
         w = np.diff(cum)
         return np.maximum(w, 0.0)
 
-    def _convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.maximum(fftconvolve(a, b)[: self.n_grid], 0.0)
+    @functools.cached_property
+    def _base_spectrum(self) -> np.ndarray:
+        """rfft of level 1, the second factor of every odd level."""
+        return rfft(self._masses[1], self._fft_len)
 
     @staticmethod
     def halves(n: int) -> tuple[int, int]:
@@ -83,7 +91,9 @@ class NormalizationLadder:
         if cached is not None:
             return cached
         a, b = self.halves(n)
-        out = self._convolve(self.level(a), self.level(b))
+        spectrum = rfft(self.level(a), self._fft_len)
+        spectrum *= spectrum if a == b else self._base_spectrum
+        out = np.maximum(irfft(spectrum, self._fft_len)[: self.n_grid], 0.0)
         self._masses[n] = out
         return out
 

@@ -17,12 +17,23 @@ def rotate_pair(vi, vj, theta):
     return vi * c + vj * s, -vi * s + vj * c
 
 
+# entries per block of rows whose squares are summed at once
+_BLOCK = 2**18
+
+
 def uniform_sphere_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, n) array of independent uniform points on S^{n-1}(sqrt(n))."""
+    """(size, n) array of independent uniform points on S^{n-1}(sqrt(n)).
+
+    The squares for the row norms are taken a block of rows at a time, so
+    the only array of the batch's size is the result.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     g = rng.standard_normal((size, n))
-    g *= np.sqrt(n / np.sum(g * g, axis=1))[:, None]
+    rows = max(1, _BLOCK // n)
+    for start in range(0, size, rows):
+        block = g[start:start + rows]
+        block *= np.sqrt(n / np.sum(block * block, axis=1))[:, None]
     return g
 
 

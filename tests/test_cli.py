@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kaclab
 from kaclab.cli import main
 from kaclab.conditioned import ConditionedFamily
 from kaclab.errors import SamplingError
@@ -42,6 +45,17 @@ def test_gap_deterministic(tmp_path):
     main(["gap", "--out", str(a), "--seed", "7"])
     main(["gap", "--out", str(b), "--seed", "7"])
     assert read_csv_numbers(a / "gap.csv") == read_csv_numbers(b / "gap.csv")
+
+
+def test_cli_import_loads_no_scipy_signal():
+    # scipy.signal adds about half a second and 24 MB to every start-up;
+    # nothing in kaclab needs it
+    src = os.path.dirname(os.path.dirname(kaclab.__file__))
+    code = "import sys, kaclab.cli; print('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "False"
 
 
 def test_entropy_scan_gaussian_is_flat(tmp_path):

@@ -7,7 +7,7 @@ from scipy.stats import chisquare
 
 from kaclab.conditioned import ConditionedFamily, _Split
 from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
-from kaclab.errors import ConfigurationError
+from kaclab.errors import AccuracyError, ConfigurationError
 from kaclab.normalization import NormalizationLadder
 from kaclab.quadrature import ANGLES, SHELLS, angle_midpoints
 
@@ -63,6 +63,25 @@ def test_gaussian_entropy_vanishes(gauss_family):
 def test_gaussian_production_vanishes(gauss_family):
     assert gauss_family.production(0.5, check=False) == pytest.approx(
         0.0, abs=1e-10)
+
+
+def test_checked_production_at_a_maxwellian(gauss_family):
+    # D is rounding noise here (~1e-15 on both rules): the check's floor of
+    # 1e-12 N lets it pass instead of comparing noise relatively
+    for gamma in (0.0, 0.5):
+        d = gauss_family.production(gamma)
+        assert abs(d) < 1e-12 * N_GAUSS
+
+
+def test_refinement_check_raises_when_not_converged(gauss_family):
+    def value(shells, angles):
+        return 1.0 if shells == SHELLS else 1.01
+
+    with pytest.raises(AccuracyError, match="production"):
+        gauss_family._refined("production", value, True)
+    # differences below the floor of 1e-12 N count as rounding
+    assert gauss_family._refined(
+        "production", lambda s, a: 1e-12 * (s == SHELLS), True) == 0.0
 
 
 def test_marginal_mass(mix_family):

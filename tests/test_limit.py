@@ -102,6 +102,18 @@ def test_geometry_cache_keys():
     assert not gauss_legendre(160)[0].flags.writeable
 
 
+def test_operator_result_does_not_alias_its_work_arrays():
+    v = np.linspace(0.0, 8.0, 257)
+    f, g = mixture(0.25)(v), maxwellian(v)
+    first = collision_operator(f, v, 0.5)
+    kept = first.copy()
+    collision_operator(g, v, 0.5)
+    third = collision_operator(f, v, 0.5)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(third, first)
+    assert third is not first
+
+
 def test_operator_vanishes_at_equilibrium():
     v = np.linspace(0.0, 8.0, 257)
     q = collision_operator(maxwellian(v), v, 0.5)

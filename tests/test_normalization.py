@@ -64,6 +64,24 @@ def test_binary_decomposition_matches_sequential():
     assert np.allclose(la, seq, rtol=1e-9, atol=1e-12 * la.max())
 
 
+@pytest.mark.parametrize("top", [12, 513, 1024])
+def test_levels_are_the_convolutions_of_their_halves(top):
+    # every level on the tree of level(N), level(N - 1) and level(N - 2),
+    # both the even (n/2 + n/2) and the odd ((n - 1) + 1) rule, equals the
+    # direct FFT convolution of its halves bit for bit
+    ladder = NormalizationLadder(mixture(0.3), top)
+    for n in (top, top - 1, top - 2):
+        ladder.level(n)
+    assert {n % 2 for n in ladder._masses if n > 1} == {0, 1}
+    for n, got in ladder._masses.items():
+        if n == 1:
+            continue
+        a, b = ladder.halves(n)
+        want = np.maximum(
+            fftconvolve(ladder.level(a), ladder.level(b))[:ladder.n_grid], 0.0)
+        assert np.array_equal(got, want), n
+
+
 def test_truncated_grid_rejected():
     # a hot component of variance 50 leaks past u_max = 2 + 10 sqrt(2 Sigma^2)
     with pytest.raises(ConfigurationError, match="u_max=124 truncates"):

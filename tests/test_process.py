@@ -185,16 +185,36 @@ def test_fourth_moment_law_at_gamma_zero():
     s4 = np.sum(states**4, axis=1) / n
     se = np.std(s4, ddof=1) / np.sqrt(replicas)
     assert abs(np.mean(s4) - law) < 5.0 * se
-    # d/dt E[(1, p4, p6)] = B E[(1, p4, p6)] with L p4 = -Delta_N p4 +
-    # 3N^2/(2(N-1)) and L p6 = -(3(N+4)/(4(N-1))) p6 + (15N/(4(N-1))) p4
+    p6 = np.sum(states**6, axis=1)
+    se6 = np.std(p6, ddof=1) / np.sqrt(replicas)
+    assert abs(np.mean(p6) - p6_law(n, v0, t)) < 5.0 * se6
+
+
+def p6_law(n, v0, t):
+    """E[p6(t) | v0] at gamma = 0.
+
+    d/dt E[(1, p4, p6)] = B E[(1, p4, p6)] with L p4 = -Delta_N p4 +
+    3N^2/(2(N-1)) and L p6 = -(3(N+4)/(4(N-1))) p6 + (15N/(4(N-1))) p4.
+    """
     law_b = np.array([[0.0, 0.0, 0.0],
                       [3.0 * n * n, -(n + 2.0), 0.0],
                       [0.0, 7.5 * n, -1.5 * (n + 4.0)]]) / (2.0 * (n - 1))
     x0 = np.array([1.0, np.sum(v0**4), np.sum(v0**6)])
-    p6_law = (expm(t * law_b) @ x0)[2]
-    p6 = np.sum(states**6, axis=1)
-    se6 = np.std(p6, ddof=1) / np.sqrt(replicas)
-    assert abs(np.mean(p6) - p6_law) < 5.0 * se6
+    return (expm(t * law_b) @ x0)[2]
+
+
+def test_sixth_moment_law_at_large_n():
+    n, t, replicas = 512, 1.0, 2000
+    v0 = np.ones(n)
+    v0[:8] = np.sqrt(8.0)
+    v0 *= np.sqrt(n / np.sum(v0**2))
+    cfg = SimulationConfig(n=n, gamma=0.0, t_final=t, seed=22)
+    p6 = np.sum(simulate_ensemble(cfg, replicas, initial=v0)**6, axis=1)
+    se = np.std(p6, ddof=1) / np.sqrt(replicas)
+    law = p6_law(n, v0, t)
+    assert abs(np.mean(p6) - law) < 5.0 * se
+    # the law has moved far from p6(v0), so the check can fail
+    assert abs(law - np.sum(v0**6)) > 20.0 * se
 
 
 def test_rayleigh_quotient_above_gap():

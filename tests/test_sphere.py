@@ -1,5 +1,7 @@
 """Geometry of the energy sphere and pair rotations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +59,22 @@ def test_uniform_sphere_batch_statistics():
     m4 = np.mean(batch[:, 0] ** 4)
     exact = 3.0 * n / (n + 2.0)
     assert m4 == pytest.approx(exact, rel=0.05)
+
+
+def test_uniform_sphere_batch_is_the_one_shot_formula():
+    # the row norms are summed a block of rows at a time: same bits as
+    # normalising the whole batch at once, without a second batch-sized array
+    n, size = 64, 20_000
+    g = np.random.default_rng(5).standard_normal((size, n))
+    want = g * np.sqrt(n / np.sum(g * g, axis=1))[:, None]
+    tracemalloc.start()
+    try:
+        got = uniform_sphere_batch(n, size, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 1.3 * got.nbytes
 
 
 def test_log_sphere_area_matches_gamma_formula():
