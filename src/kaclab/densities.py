@@ -11,14 +11,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr, xlogy
+from scipy.special import ndtr
 
-from .errors import AccuracyError
-from .quadrature import trapezoid_weights
+from .errors import AccuracyError, ConfigurationError
+from .quadrature import gaussian_relative_entropy, trapezoid_weights
 
 DEFAULT_V_MAX = 16.0
 DEFAULT_NODES = 4096
-LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,8 @@ class GridDensity1D:
     """A nonnegative density tabulated on a uniform grid, unit mass.
 
     ``pdf``/``cdf`` are optional closed-form evaluators attached by the
-    analytic constructors; table-only densities interpolate instead.
+    analytic constructors; without ``pdf`` the density interpolates its
+    table, and without ``cdf`` it has no cumulative distribution.
     """
 
     v_max: float
@@ -37,9 +37,6 @@ class GridDensity1D:
     cdf: Optional[Callable] = None
     tag: str = ""
 
-    def mass(self) -> float:
-        return float(np.sum(self.values * self.quadrature_weights))
-
     def __call__(self, v):
         """Evaluate the density (closed form if available, else interp)."""
         if self.pdf is not None:
@@ -47,14 +44,10 @@ class GridDensity1D:
         return np.interp(v, self.nodes, self.values, left=0.0, right=0.0)
 
     def cumulative(self, v):
-        if self.cdf is not None:
-            return self.cdf(v)
-        c = np.concatenate(
-            [[0.0], np.cumsum((self.values[1:] + self.values[:-1]) / 2.0)
-             * np.diff(self.nodes)]
-        )
-        c /= c[-1]
-        return np.interp(v, self.nodes, c, left=0.0, right=1.0)
+        if self.cdf is None:
+            raise ConfigurationError(
+                f"density {self.tag or 'f'} has no closed-form cdf")
+        return self.cdf(v)
 
     def sup_norm(self) -> float:
         return float(np.max(self.values))
@@ -139,9 +132,8 @@ def moment(f: GridDensity1D, p: int) -> float:
 
 
 def relative_entropy(f: GridDensity1D) -> float:
-    """H(f|M) = int f log f + 1/2 + log(2 pi)/2; needs unit second moment."""
+    """H(f|M), M the unit Gaussian; needs unit second moment."""
     m2 = moment(f, 2)
     if abs(m2 - 1.0) > 1e-6:
-        raise ValueError(f"second moment {m2} != 1; relative entropy identity needs it")
-    flogf = float(np.sum(xlogy(f.values, f.values) * f.quadrature_weights))
-    return flogf + 0.5 + 0.5 * LOG_2PI
+        raise ValueError(f"second moment {m2} != 1; H(f|M) needs unit energy")
+    return gaussian_relative_entropy(f.values, f.nodes, f.quadrature_weights)

@@ -18,12 +18,12 @@ from .conditioned import ConditionedFamily
 from .densities import GridDensity1D, MixtureSpec
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
-from .limit_eq import half_grid_entropy, limit_production
+from .limit_eq import limit_production
 from .normalization import NormalizationLadder, lambda_sup
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
-                         energy_shells, fold, half_grid_weights,
-                         quadrant_angles, require_even, shell_sum,
-                         trapezoid_weights)
+                         energy_shells, fold, gaussian_relative_entropy,
+                         half_grid_weights, quadrant_angles, require_even,
+                         shell_sum, trapezoid_weights)
 
 
 def villani_floor(n: int) -> float:
@@ -342,13 +342,13 @@ def boltzmann_inequality_check(f_vals: np.ndarray, v: np.ndarray,
             notes.append(f"gaussian lower bound constant {c_low:.3e}")
     p_need = max(2.0 * k, k * (1.0 + beta), 4.0)
     far = v > 0.75 * v[-1]
-    tail = float(np.sum((half_grid_weights(v) * np.abs(v) ** p_need
-                         * f_vals)[far]))
+    weights = half_grid_weights(v)
+    tail = float(np.sum((weights * np.abs(v) ** p_need * f_vals)[far]))
     if tail > 1e-8:
         ok = False
         notes.append(f"moment hypothesis failed: int_(v > 3/4 v_max) "
                      f"|v|^{p_need:g} f = {tail:.2e} > 1e-8")
-    h = half_grid_entropy(f_vals, v)
+    h = gaussian_relative_entropy(f_vals, v, weights)
     d = limit_production(f_vals, v, gamma)
     if h < 1e-12:
         ratio = 0.0 if d < 1e-10 else np.inf

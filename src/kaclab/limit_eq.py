@@ -44,16 +44,9 @@ from scipy.interpolate import CubicSpline
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
 from .quadrature import (ANGLES, SHELLS, TWO_PI, energy_shells, fold, freeze,
-                         half_grid_weights, pair_kernel, quadrant_angles,
-                         shell_sum, trapezoid_weights)
-
-
-def half_grid_entropy(f_vals: np.ndarray, v: np.ndarray) -> float:
-    """H(f | M) of an even profile on the half grid, M the unit Gaussian."""
-    live = f_vals > 0
-    log_m = -0.5 * v[live] ** 2 - 0.5 * np.log(TWO_PI)
-    return float(np.sum(f_vals[live] * (np.log(f_vals[live]) - log_m)
-                        * half_grid_weights(v)[live]))
+                         gaussian_relative_entropy, half_grid_weights,
+                         pair_kernel, quadrant_angles, shell_sum,
+                         trapezoid_weights)
 
 
 def _stencil(knots: np.ndarray, x: np.ndarray):
@@ -221,7 +214,7 @@ class LimitSolver:
 
     def entropy(self) -> float:
         """H(f | M) with M the unit-energy Gaussian."""
-        return half_grid_entropy(self.vals, self.v)
+        return gaussian_relative_entropy(self.vals, self.v, self._weights)
 
     def production(self) -> float:
         """The limit production D_gamma(f) of the current profile."""
@@ -307,7 +300,7 @@ def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float) -> float:
 def cercignani_ratio(f_vals: np.ndarray, v: np.ndarray,
                      gamma: float = 0.0) -> float:
     """D_gamma(f) / (2 H(f | M)), the limiting entropic-gap value."""
-    h = half_grid_entropy(f_vals, v)
+    h = gaussian_relative_entropy(f_vals, v, half_grid_weights(v))
     if h <= 1e-9:
         raise AccuracyError("entropy numerically zero; ratio undefined")
     return limit_production(f_vals, v, gamma) / (2.0 * h)

@@ -99,13 +99,6 @@ class NormalizationLadder:
 
     # -- queries --------------------------------------------------------
 
-    def mass(self, n: int) -> float:
-        return float(np.sum(self.level(n)))
-
-    def mean(self, n: int) -> float:
-        w = self.level(n)
-        return float(np.sum(self.grid * w) / np.sum(w))
-
     def log_density_table(self, n: int) -> np.ndarray:
         """log h^{(*n)} at the grid nodes (clipped at the density floor)."""
         tab = self._log_density.get(n)

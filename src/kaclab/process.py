@@ -23,8 +23,6 @@ from .sphere import rotate_pair, uniform_sphere_batch
 
 # candidate events drawn per block; bounds memory on long runs
 _BLOCK = 2**16
-# accepted events between energy renormalisations of a trajectory
-_RENORMALIZE_EVERY = 1024
 # largest degree of the power sums p_4, ..., p_DEGREE in the generator basis;
 # at degree 8 the product p_4 p_4 appears and single power sums no longer close
 _DEGREE = 6
@@ -62,15 +60,9 @@ class SimulationConfig:
 class TrajectoryStats:
     """Outcome of a run: final state plus acceptance bookkeeping."""
 
-    config: SimulationConfig
     velocities: np.ndarray
-    time: float
     proposed: int
     accepted: int
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / max(self.proposed, 1)
 
 
 def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
@@ -95,7 +87,6 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
     lam = n * (1.0 + n) ** gamma
     vel = v.tolist()
     t, proposed, accepted = 0.0, 0, 0
-    countdown = _RENORMALIZE_EVERY
     while True:
         # enough candidates to reach t_final with high probability
         expect = lam * (t_final - t)
@@ -122,17 +113,14 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
             vel[i] = vi * c + vj * s
             vel[j] = vj * c - vi * s
             accepted += 1
-            countdown -= 1
-            if not countdown:
-                scale = math.sqrt(n / math.fsum(x * x for x in vel))
-                vel = [x * scale for x in vel]
-                countdown = _RENORMALIZE_EVERY
         if stop < size:
             break
         t = float(times[-1])
+    # each rotation conserves v_i^2 + v_j^2, so the rescale only removes
+    # rounding drift
     v = np.array(vel)
     v *= np.sqrt(n / np.sum(v * v))
-    return TrajectoryStats(config, v, t_final, proposed, accepted)
+    return TrajectoryStats(v, proposed, accepted)
 
 
 def simulate_ensemble(config: SimulationConfig, replicas: int,

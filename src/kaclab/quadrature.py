@@ -53,6 +53,16 @@ def half_grid_weights(v: np.ndarray) -> np.ndarray:
     return 2.0 * trapezoid_weights(v)
 
 
+def gaussian_relative_entropy(vals: np.ndarray, v: np.ndarray,
+                              weights: np.ndarray) -> float:
+    """H(f | M) = int f (log f - log M), M the unit Gaussian, from the
+    values of f at the nodes v and the nodes' quadrature weights."""
+    live = vals > 0
+    log_m = -0.5 * v[live] ** 2 - 0.5 * np.log(TWO_PI)
+    return float(np.sum(vals[live] * (np.log(vals[live]) - log_m)
+                        * weights[live]))
+
+
 @functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1], built once per n."""

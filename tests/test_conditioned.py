@@ -135,23 +135,39 @@ def test_sampler_energy_constraint(mix_family):
     assert np.allclose(np.sum(s * s, axis=1), 32.0, atol=1e-9)
 
 
-def test_sampler_marginal_matches_quadrature(mix_family):
+# one column from each group the sampler emits.  N = 32 splits in halves
+# only; N = 100 peels leaves at 25 = 24 + 1 (columns 0-3) and at
+# 3 = 2 + 1 (columns 4-35), then halves down to the rest (36-99)
+SAMPLER_COLUMNS = {32: (0, 15, 31), 100: (0, 4, 99)}
+
+
+@pytest.fixture(scope="module", params=sorted(SAMPLER_COLUMNS))
+def sampler_family(request, mix_family):
+    if request.param == mix_family.n:
+        return mix_family
+    return ConditionedFamily(mixture(0.25), request.param)
+
+
+def test_sampler_marginal_matches_quadrature(sampler_family):
     rng = np.random.default_rng(6)
-    s = mix_family.sample(15_000, rng)
-    # compare coordinate histogram to the computed first marginal
-    hist, edges = np.histogram(s[:, 0], bins=40, range=(-6, 6), density=True)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    dens = mix_family.marginal1(centers)
-    assert np.max(np.abs(hist - dens)) < 0.03
+    s = sampler_family.sample(15_000, rng)
+    # compare coordinate histograms to the computed first marginal
+    for col in SAMPLER_COLUMNS[sampler_family.n]:
+        hist, edges = np.histogram(s[:, col], bins=40, range=(-6, 6),
+                                   density=True)
+        centers = 0.5 * (edges[1:] + edges[:-1])
+        dens = sampler_family.marginal1(centers)
+        assert np.max(np.abs(hist - dens)) < 0.03
 
 
-def test_sampler_coordinates_exchangeable(mix_family):
+def test_sampler_coordinates_exchangeable(sampler_family):
     rng = np.random.default_rng(7)
-    s = mix_family.sample(15_000, rng)
-    # second moments agree across positions (first, middle, last)
+    s = sampler_family.sample(15_000, rng)
+    # second moments agree across the sampler's column groups
     m = np.mean(s * s, axis=0)
-    assert abs(m[0] - m[15]) < 0.08
-    assert abs(m[0] - m[31]) < 0.08
+    first, *rest = SAMPLER_COLUMNS[sampler_family.n]
+    for col in rest:
+        assert abs(m[first] - m[col]) < 0.08
 
 
 # a coarse ladder keeps the exhaustive split checks small: e_0 = 154 cells

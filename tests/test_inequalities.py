@@ -161,6 +161,16 @@ def test_logpower_envelope_holds(envelope):
             assert r.holds
 
 
+def test_logpower_envelope_undefined_at_small_n(mix, witness):
+    # sqrt(2 pi) sup|lambda_N| is 1.33 at N = 3 and 0.99 at N = 4
+    small, next_up = logpower_envelope(mix, witness, [3, 4])
+    assert np.sqrt(2.0 * np.pi) * small.lambda_sup_n >= 1.0
+    assert small.bound is None
+    assert not small.applicable and not small.holds
+    assert np.isfinite(next_up.bound)
+    assert next_up.applicable and next_up.holds
+
+
 def test_optimized_constant_against_grid_minimum(witness, envelope):
     reports = rescaled_inequality_check(0.5, witness, envelope)
     assert [r.n for r in reports] == N_LIST

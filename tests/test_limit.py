@@ -237,5 +237,8 @@ def test_unstable_step_raises():
 def test_density_export_round_trip():
     solver = LimitSolver(mixture(0.25), 0.0, v_max=8.0, nodes=257)
     g = solver.density()
-    assert g.mass() == pytest.approx(1.0, abs=1e-8)
-    assert np.allclose(g(np.array([0.3])), solver.vals[np.newaxis, 0], atol=1.0)
+    assert np.sum(g.values * g.quadrature_weights) == pytest.approx(1.0,
+                                                                    abs=1e-8)
+    # the export is the solver's profile at +-v, node for node
+    assert np.array_equal(g(solver.v), solver.vals)
+    assert np.array_equal(g(-solver.v), solver.vals)

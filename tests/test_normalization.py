@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from kaclab.densities import gaussian, mixture
+from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.normalization import (NormalizationLadder, clt_envelope,
                                   clt_envelope_ndependent, lambda_sup,
@@ -49,8 +49,17 @@ def test_level_density_is_chi_square(gauss_ladder):
 
 def test_levels_conserve_mass_and_mean(mix_ladder):
     for n in (1, 2, 16, 64):
-        assert mix_ladder.mass(n) == pytest.approx(1.0, abs=1e-6)
-        assert mix_ladder.mean(n) == pytest.approx(float(n), rel=1e-4)
+        w = mix_ladder.level(n)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-6)
+        assert np.sum(mix_ladder.grid * w) / np.sum(w) == pytest.approx(
+            float(n), rel=1e-4)
+
+
+def test_ladder_needs_a_closed_form_cdf():
+    table = from_callable(lambda v: np.exp(-0.5 * v * v), 12.0,
+                          tag="table-gauss")
+    with pytest.raises(ConfigurationError, match="table-gauss"):
+        NormalizationLadder(table, 8)
 
 
 def test_binary_decomposition_matches_sequential():

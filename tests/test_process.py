@@ -147,7 +147,21 @@ def test_simulate_thinning_accepts_partially():
     cfg = SimulationConfig(n=20, gamma=1.0, t_final=2.0, seed=2)
     stats = simulate(cfg)
     assert 0 < stats.accepted < stats.proposed
-    assert 0.05 < stats.acceptance_rate < 0.9
+    assert 0.05 < stats.accepted / stats.proposed < 0.9
+
+
+@pytest.mark.parametrize("gamma, t_final", [(0.0, 1100.0), (0.5, 140.0)])
+def test_simulate_across_candidate_blocks(gamma, t_final):
+    # about 70 000 expected candidates: the run continues past one block
+    n = 64
+    stats = simulate(SimulationConfig(n=n, gamma=gamma, t_final=t_final,
+                                      seed=4))
+    assert stats.proposed > 2**16
+    assert np.sum(stats.velocities**2) == pytest.approx(n, abs=1e-9)
+    expect = n * (1.0 + n) ** gamma * t_final
+    assert abs(stats.proposed - expect) < 5.0 * np.sqrt(expect)
+    if gamma == 0.0:
+        assert stats.accepted == stats.proposed
 
 
 def test_simulate_deterministic():
