@@ -15,22 +15,16 @@ quarter of the angles and with a single spline evaluation per point.
 The gain is even in w and symmetric in (v, w), so it is evaluated at the
 half-grid pairs v_i <= v_j only.
 
-Cached geometry.  The evaluation points never change for a given grid
-and gamma: each point's spline interval and local offset,
-and the trapezoid weights times the rate (1 + v^2 + w^2)^gamma, are
-built once per key and held in a small cache.  A right-hand side call
-then fits two cubic splines and does gathers and sums only.
-
-Work arrays.  The geometry also holds the call's large temporaries (the
-spline values, the gathered n x n gain and the loss), and every gather
-writes into them through out=.  Freeing and reallocating them on each call
-let the C allocator hand pages back to the system and fault them in again,
-which cost as much as the arithmetic.  np.take runs with mode="clip": the
-stencil indices are always in range, and the default mode="raise" copies
-through a hidden buffer when out= is given.  Only the returned right-hand
-side is a fresh array, since the integrator keeps all four RK4 stages.
-The shared work arrays make the operator unsafe to call from two threads
-at once.
+Cached geometry.  A not-a-knot cubic spline is linear in its knot
+values twice over: make_interp_spline gives its B-spline coefficients,
+and the spline at fixed points is a sparse design matrix (four entries a
+row) times those coefficients.  The evaluation points never change for a
+given grid, so each design matrix is built once per grid and held in a
+small cache, with the trapezoid weights times the rate
+(1 + v^2 + w^2)^gamma of each (grid, gamma).  A right-hand side call then
+fits the two coefficient vectors and does two sparse products, a gather
+and sums.  The radial fold depends on the grid alone and serves every
+gamma.
 """
 
 from __future__ import annotations
@@ -39,7 +33,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline, make_interp_spline
+from scipy.sparse import csr_array, diags_array
 
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
@@ -49,26 +44,14 @@ from .quadrature import (ANGLES, SHELLS, TWO_PI, energy_shells, fold, freeze,
                          trapezoid_weights)
 
 
-def _stencil(knots: np.ndarray, x: np.ndarray):
-    """Spline interval index and local offset of each point x.
+def _design(knots: np.ndarray, points: np.ndarray) -> csr_array:
+    """Sparse map from the coefficients make_interp_spline(knots, vals,
+    k=3).c to that spline's values at points.
 
-    Points beyond the knots use the nearest end interval, as CubicSpline
-    extrapolates.
+    Points beyond the knots extrapolate the end pieces.
     """
-    idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0,
-                  len(knots) - 2)
-    return idx, x - knots[idx]
-
-
-def _spline_at(c: np.ndarray, idx: np.ndarray, s: np.ndarray,
-               out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """A cubic spline with coefficients c (CubicSpline.c) at stencil points,
-    written into out; work is a scratch array of the same size."""
-    np.take(c[0], idx, out=out, mode="clip")
-    for row in c[1:]:
-        out *= s
-        out += np.take(row, idx, out=work, mode="clip")
-    return out
+    t = make_interp_spline(knots, knots, k=3).t
+    return BSpline.design_matrix(points, t, 3, extrapolate=True)
 
 
 class _QuadrantFold:
@@ -83,41 +66,27 @@ class _QuadrantFold:
         th = quadrant_angles(ANGLES)
         x = np.outer(radii, np.cos(th)).ravel()
         self.v = v
+        self.radii = radii
+        freeze(radii)
         self.shape = (len(radii), len(th))
-        self.idx, self.offset = _stencil(v, x)
-        # points beyond v_max read the zero column appended in products()
-        beyond = x > v[-1]
-        self.idx[beyond] = len(v) - 1
-        self.offset[beyond] = 0.0
-        freeze(self.idx, self.offset)
-        self._values = np.empty(self.shape)
-        self._work = np.empty(self.shape)
+        # points beyond v_max get zero rows
+        self.design = diags_array((x <= v[-1]) * 1.0) @ _design(v, x)
+        freeze(self.design.data, self.design.indices, self.design.indptr)
 
     def products(self, f_vals: np.ndarray) -> np.ndarray:
-        """The folded products; the next call overwrites the result."""
-        c = np.zeros((4, len(self.v)))
-        c[:, :-1] = CubicSpline(self.v, np.maximum(f_vals, 0.0)).c
-        e = _spline_at(c, self.idx, self.offset, self._values.ravel(),
-                       self._work.ravel())
-        np.maximum(e, 0.0, out=e)
-        return fold(self._values, out=self._work)
+        c = make_interp_spline(self.v, np.maximum(f_vals, 0.0), k=3).c
+        e = np.maximum(self.design @ c, 0.0)
+        return fold(e.reshape(self.shape))
 
 
 @dataclass(frozen=True)
 class _OperatorGeometry:
     """Everything in collision_operator that depends only on its key."""
 
-    fold: _QuadrantFold        # angle table on the radial grid
-    r_grid: np.ndarray         # knots of the radial table A(r)
-    gain_idx: np.ndarray       # A-spline stencil at sqrt(v_i^2 + v_j^2),
-    gain_offset: np.ndarray    # i <= j
-    gain_pairs: np.ndarray     # (v, w) grid cell -> its i <= j stencil point
+    fold: _QuadrantFold        # angle table on the knots of A(r)
+    gain: csr_array            # A-spline design at sqrt(v_i^2 + v_j^2), i <= j
+    gain_pairs: np.ndarray     # (v, w) grid cell -> its i <= j point
     rate_weights: np.ndarray   # (1 + v^2 + w^2)^gamma * weight of w
-    # work arrays, overwritten by every call
-    gain_values: np.ndarray    # A at the i <= j stencil points
-    gain_work: np.ndarray
-    gain: np.ndarray           # n x n gain, then gain minus loss
-    loss: np.ndarray           # n x n f(v) f(w)
 
 
 def _grid_cache(build):
@@ -133,25 +102,25 @@ def _grid_cache(build):
 
 
 @_grid_cache
+def _radial_fold(v: np.ndarray) -> _QuadrantFold:
+    return _QuadrantFold(v, np.linspace(0.0, np.sqrt(2.0) * v[-1], 4 * len(v)))
+
+
+@_grid_cache
 def _operator_geometry(v: np.ndarray, gamma: float) -> _OperatorGeometry:
     n = len(v)
-    r_grid = np.linspace(0.0, np.sqrt(2.0) * v[-1], 4 * n)
-    fold = _QuadrantFold(v, r_grid)
+    fold = _radial_fold(v)
     sq = v * v
     # r(v, w) = r(w, v) exactly, so the gain is evaluated on i <= j only
     upper_i, upper_j = np.triu_indices(n)
-    gain_idx, gain_offset = _stencil(
-        r_grid, np.sqrt(sq[upper_i] + sq[upper_j]))
+    gain = _design(fold.radii, np.sqrt(sq[upper_i] + sq[upper_j]))
     gain_pairs = np.empty((n, n), dtype=np.intp)
     gain_pairs[upper_i, upper_j] = np.arange(len(upper_i))
     gain_pairs[upper_j, upper_i] = np.arange(len(upper_i))
     rate_weights = ((1.0 + sq[:, None] + sq[None, :]) ** gamma
                     * half_grid_weights(v))
-    freeze(r_grid, gain_idx, gain_offset, gain_pairs, rate_weights)
-    gain_values, gain_work = np.empty((2, len(gain_idx)))
-    gain, loss = np.empty((2, n, n))
-    return _OperatorGeometry(fold, r_grid, gain_idx, gain_offset, gain_pairs,
-                             rate_weights, gain_values, gain_work, gain, loss)
+    freeze(gain.data, gain.indices, gain.indptr, gain_pairs, rate_weights)
+    return _OperatorGeometry(fold, gain, gain_pairs, rate_weights)
 
 
 def collision_operator(f_vals: np.ndarray, v: np.ndarray,
@@ -162,14 +131,11 @@ def collision_operator(f_vals: np.ndarray, v: np.ndarray,
     """
     geo = _operator_geometry(v, gamma)
     a_of_r = geo.fold.products(f_vals).mean(axis=1)
-    c = CubicSpline(geo.r_grid, a_of_r).c
-    values = _spline_at(c, geo.gain_idx, geo.gain_offset, geo.gain_values,
-                        geo.gain_work)
-    np.maximum(values, 0.0, out=values)
-    gain = np.take(values, geo.gain_pairs, out=geo.gain, mode="clip")
+    c = make_interp_spline(geo.fold.radii, a_of_r, k=3).c
+    gain = np.maximum(geo.gain @ c, 0.0)[geo.gain_pairs]
     # loss subtracted cell by cell: 2 (sum R gain - f (R f)) would cancel
     # two O(1) sums and lose about 1e-14 of the result
-    gain -= np.multiply.outer(f_vals, f_vals, out=geo.loss)
+    gain -= np.multiply.outer(f_vals, f_vals)
     return 2.0 * np.einsum("ij,ij->i", geo.rate_weights, gain)
 
 

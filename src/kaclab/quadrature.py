@@ -88,9 +88,9 @@ def quadrant_angles(angle_nodes: int) -> np.ndarray:
     return angle_midpoints(angle_nodes)[:angle_nodes // 4]
 
 
-def fold(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fold(e: np.ndarray) -> np.ndarray:
     """f(r cos th) f(r sin th) on quadrant angles from E = f(r cos th)."""
-    return np.multiply(e, e[:, ::-1], out=out)
+    return e * e[:, ::-1]
 
 
 def require_even(f) -> None:

@@ -66,27 +66,62 @@ def test_every_public_name_has_a_consumer():
     assert not unused, f"public names without a consumer: {unused}"
 
 
-def test_every_field_is_read():
-    """Each dataclass field in src/kaclab is read as an attribute, by
-    name, in src/, the acceptance gate or bench/; otherwise nothing
-    consumes it."""
-    read = set()
-    for path in sorted(SRC.glob("*.py")) + CONSUMERS:
-        read |= {node.attr for node in ast.walk(_parse(path))
-                 if isinstance(node, ast.Attribute)
-                 and isinstance(node.ctx, ast.Load)}
+def _unread_fields(modules: dict, consumers: list) -> list:
+    """Dataclass fields of modules (stem -> tree) that no tree reads.
+
+    A read x.field counts for dataclass C only in a file that names C or
+    a function annotated to return C, so a field whose name another
+    object also carries (args.config) does not pass unread.
+    """
+    trees = list(modules.values()) + consumers
+    returning = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                for name in _references(node.returns):
+                    returning.setdefault(name, set()).add(node.name)
+    files = [(_references(tree), {node.attr for node in ast.walk(tree)
+                                  if isinstance(node, ast.Attribute)
+                                  and isinstance(node.ctx, ast.Load)})
+             for tree in trees]
     unread = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(_parse(path)):
-            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
-                    and node.name not in UNREAD_ALLOWED):
-                unread += [f"{path.stem}.{node.name}.{s.target.id}"
-                           for s in node.body
-                           if isinstance(s, ast.AnnAssign)
-                           and isinstance(s.target, ast.Name)
-                           and s.target.id not in read]
+    for stem, tree in modules.items():
+        for node in ast.walk(tree):
+            if (not isinstance(node, ast.ClassDef) or not _is_dataclass(node)
+                    or node.name in UNREAD_ALLOWED):
+                continue
+            owners = {node.name} | returning.get(node.name, set())
+            read = set().union(*(attrs for names, attrs in files
+                                 if names & owners))
+            unread += [f"{stem}.{node.name}.{s.target.id}" for s in node.body
+                       if isinstance(s, ast.AnnAssign)
+                       and isinstance(s.target, ast.Name)
+                       and s.target.id not in read]
+    return unread
+
+
+def test_every_field_is_read():
+    """Each dataclass field in src/kaclab is read as an attribute in src/,
+    the acceptance gate or bench/; otherwise nothing consumes it."""
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    unread = _unread_fields(modules, [_parse(path) for path in CONSUMERS])
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
+
+def test_field_reads_count_only_where_their_owner_is_named():
+    process = ast.parse(
+        "@dataclass\n"
+        "class TrajectoryStats:\n"
+        "    velocities: np.ndarray\n"
+        "    config: SimulationConfig\n"
+        "def simulate(config) -> TrajectoryStats:\n"
+        "    return TrajectoryStats(config.v0, config)\n")
+    cli = ast.parse("cfg = load(args.config)\nsimulate_ensemble(cfg)\n")
+    worker = ast.parse("stats = simulate(cfg)\nprint(stats.velocities)\n")
+    assert _unread_fields({"process": process}, [cli, worker]) == [
+        "process.TrajectoryStats.config"]
+    reader = ast.parse("def last(s: TrajectoryStats):\n    return s.config\n")
+    assert _unread_fields({"process": process}, [cli, worker, reader]) == []
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -1,5 +1,7 @@
 """Limit-equation solver: collision operator, H-theorem, Cercignani ratio."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -95,23 +97,36 @@ def test_geometry_cache_keys():
     assert _operator_geometry(v.copy(), 0.5) is geo
     assert _operator_geometry(v, 0.0) is not geo
     assert _operator_geometry(2.0 * v, 0.5) is not geo
+    # the radial fold depends on the grid alone
+    assert _operator_geometry(v, 0.0).fold is geo.fold
     assert _production_geometry(v.copy()) is _production_geometry(v)
     assert _production_geometry(2.0 * v) is not _production_geometry(v)
     assert not geo.rate_weights.flags.writeable
+    production_fold = _production_geometry(v)[0]
+    for design in (geo.gain, geo.fold.design, production_fold.design):
+        for part in (design.data, design.indices, design.indptr):
+            assert not part.flags.writeable
     assert gauss_legendre(160) is gauss_legendre(160)
     assert not gauss_legendre(160)[0].flags.writeable
 
 
-def test_operator_result_does_not_alias_its_work_arrays():
+def test_operator_is_a_pure_function_of_its_input():
     v = np.linspace(0.0, 8.0, 257)
     f, g = mixture(0.25)(v), maxwellian(v)
     first = collision_operator(f, v, 0.5)
     kept = first.copy()
-    collision_operator(g, v, 0.5)
+    serial_g = collision_operator(g, v, 0.5)
     third = collision_operator(f, v, 0.5)
     assert np.array_equal(first, kept)
     assert np.array_equal(third, first)
     assert third is not first
+    # two threads on one cached geometry
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(lambda x=x: [collision_operator(x, v, 0.5)
+                                          for _ in range(20)])
+                for x in (f, g)]
+        for serial, run in zip((first, serial_g), runs):
+            assert all(np.array_equal(q, serial) for q in run.result())
 
 
 def test_operator_vanishes_at_equilibrium():
