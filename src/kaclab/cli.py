@@ -78,9 +78,8 @@ def _generator(cfg: dict):
 
 
 def _n_list(cfg: dict, default: list) -> list:
-    n_list = cfg.get("n_list", default)
-    if not (isinstance(n_list, list) and n_list
-            and all(isinstance(n, int) for n in n_list)):
+    n_list = _get(cfg, "n_list", default)
+    if not (n_list and all(type(n) is int for n in n_list)):
         raise ConfigurationError("n_list must be a nonempty list of integers")
     return n_list
 
@@ -195,8 +194,8 @@ def cmd_villani(cfg: dict, art: Artifacts, rng) -> int:
 
 def cmd_cercignani(cfg: dict, art: Artifacts, rng) -> int:
     deltas = _get(cfg, "deltas", [0.1, 0.03, 0.01, 0.003])
-    if not all(type(d) in (int, float) for d in deltas):
-        raise ConfigurationError(f"deltas must be numbers, got {deltas!r}")
+    if not (deltas and all(type(d) in (int, float) for d in deltas)):
+        raise ConfigurationError(f"deltas must be a nonempty number list: {deltas!r}")
     rows = []
     for d in deltas:
         f = mixture(d)

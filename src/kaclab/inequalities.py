@@ -1,4 +1,4 @@
-"""Entropy-production inequalities for conditioned states and their limit.
+"""Entropy-production inequalities for conditioned states.
 
 Everything here instantiates one of three layers: the entropic-gap ratios
 Gamma_N = D_{N,gamma} / H_N with Villani's lower bound as a hard floor,
@@ -18,11 +18,9 @@ from .conditioned import ConditionedFamily
 from .densities import GridDensity1D, MixtureSpec
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
-from .limit_eq import limit_production
 from .normalization import NormalizationLadder, lambda_sup
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
-                         energy_shells, fold, gaussian_relative_entropy,
-                         half_grid_weights, quadrant_angles, require_even,
+                         energy_shells, fold, quadrant_angles, require_even,
                          shell_sum, trapezoid_weights)
 
 
@@ -293,66 +291,3 @@ def rescaled_inequality_check(gamma: float, witness: LogPowerWitness,
             constant=constant, exponent=exponent))
     return reports
 
-
-# -- the transferred limit inequality ----------------------------------
-
-
-@dataclass
-class BoltzmannReport:
-    gamma: float
-    beta: float
-    k: float
-    exponent: float
-    hypotheses_ok: bool
-    hypothesis_notes: list
-    entropy: float
-    production: float
-    ratio: float  # D_gamma / H^{exponent}; inf when H = 0 and D > 0
-
-    @property
-    def trivially_satisfied(self) -> bool:
-        return self.entropy < 1e-12 and self.production < 1e-10
-
-
-def boltzmann_inequality_check(f_vals: np.ndarray, v: np.ndarray,
-                               gamma: float, beta: float,
-                               k: float) -> BoltzmannReport:
-    """Instantiate the limit inequality D_gamma >= C H^{1+eta} on a profile.
-
-    Hypothesis failures (missing Gaussian lower bound, infinite moments)
-    are reported, not raised: the theorem simply does not apply there.
-    The moment of order p counts as resolved when its tail mass
-    int_{v > 3/4 v_max} |v|^p f (half-grid weights) is below 1e-8.
-    """
-    exponent = rescaled_exponent(gamma, beta, k)
-    notes = []
-    ok = True
-    live = f_vals > 0
-    if np.any(~live[np.abs(v) < 0.9 * v[-1]]):
-        ok = False
-        notes.append("Gaussian lower bound failed: density vanishes inside "
-                     "the core grid")
-    else:
-        # largest C with f >= C exp(-v^2) over the grid support
-        c_low = float(np.min(f_vals[live] / np.exp(-v[live] ** 2)))
-        if c_low <= 0:
-            ok = False
-            notes.append("Gaussian lower bound failed: none on the grid")
-        else:
-            notes.append(f"gaussian lower bound constant {c_low:.3e}")
-    p_need = max(2.0 * k, k * (1.0 + beta), 4.0)
-    far = v > 0.75 * v[-1]
-    weights = half_grid_weights(v)
-    tail = float(np.sum((weights * np.abs(v) ** p_need * f_vals)[far]))
-    if tail > 1e-8:
-        ok = False
-        notes.append(f"moment hypothesis failed: int_(v > 3/4 v_max) "
-                     f"|v|^{p_need:g} f = {tail:.2e} > 1e-8")
-    h = gaussian_relative_entropy(f_vals, v, weights)
-    d = limit_production(f_vals, v, gamma)
-    if h < 1e-12:
-        ratio = 0.0 if d < 1e-10 else np.inf
-    else:
-        ratio = d / h ** exponent
-    return BoltzmannReport(gamma, beta, k, exponent, ok, notes,
-                           max(h, 0.0), max(d, 0.0), ratio)

@@ -160,6 +160,10 @@ class LimitSolver:
                  nodes: int = 257):
         if not 0.0 <= gamma <= 1.0:
             raise ConfigurationError("gamma must lie in [0, 1]")
+        # four knots are the fewest a not-a-knot cubic spline takes
+        if not (v_max > 0 and nodes >= 4):
+            raise ConfigurationError(f"need v_max > 0 and nodes >= 4, got "
+                                     f"{v_max!r} and {nodes!r}")
         self.gamma = gamma
         self.v = np.linspace(0.0, v_max, nodes)
         self._weights = half_grid_weights(self.v)

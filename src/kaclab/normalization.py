@@ -32,7 +32,7 @@ def sigma_squared(f: GridDensity1D) -> float:
 
 
 class NormalizationLadder:
-    """Log-domain tables of h^{(*n)} for a single generator density.
+    """Log-domain tables of h^{(*n)} for a single unit-energy generator.
 
     The u-grid has n_grid cells up to
     u_max = n_max + 10 sqrt(max(n_max Sigma^2, 1)), ten standard deviations
@@ -42,6 +42,11 @@ class NormalizationLadder:
     def __init__(self, f: GridDensity1D, n_max: int, n_grid: int = 2**15):
         if n_max < 2:
             raise ValueError("n_max must be >= 2")
+        # sigma_squared and u_max both read Sigma^2 = int v^4 f - 1
+        energy = moment(f, 2)
+        if abs(energy - 1.0) > 1e-6:
+            raise ConfigurationError(f"generator {f.tag!r} has int v^2 f = "
+                                     f"{energy:.6g}, not unit energy")
         self.generator = f
         self.sigma2 = sigma_squared(f)
         self.n_max = n_max

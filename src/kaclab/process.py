@@ -23,6 +23,9 @@ from .sphere import rotate_pair, uniform_sphere_batch
 
 # candidate events drawn per block; bounds memory on long runs
 _BLOCK = 2**16
+# sphere entries per block of Rayleigh samples; one block draws the same
+# random stream as an unbatched estimate
+_RAYLEIGH_BLOCK = 2**20
 # largest degree of the power sums p_4, ..., p_DEGREE in the generator basis;
 # at degree 8 the product p_4 p_4 appears and single power sums no longer close
 _DEGREE = 6
@@ -148,30 +151,42 @@ def dirichlet_rayleigh(phi, n: int, gamma: float, samples: int,
     expectation over a uniform sphere point, a uniform pair and a uniform
     rotation angle (a midpoint rule on 32 angles).  The quotient
     upper-bounds nothing and lower-bounds nothing per se, but concentrates
-    above the true gap for any phi.
+    above the true gap for any phi.  The samples are drawn and rotated a
+    block of rows at a time, so memory stays bounded in samples * N.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    v = uniform_sphere_batch(n, samples, rng)
-    # the pair's columns of v are rotated in place below, so base is a
-    # copy (phi may return a view of v); vi and vj are copies too
-    base = np.array(phi(v))
+    rows = max(1, _RAYLEIGH_BLOCK // n)
+    blocks = [_rayleigh_block(phi, n, gamma, min(rows, samples - start), rng)
+              for start in range(0, samples, rows)]
+    base = np.concatenate([b for b, _ in blocks])
     if np.std(base) < 1e-12:
         raise DegenerateTestFunctionError(
             "test function is constant on the sphere")
-    idx = rng.integers(n, size=samples)
-    jdx = rng.integers(n - 1, size=samples)
+    dirichlet = 0.5 * n * (sum(d for _, d in blocks) / samples)
+    return float(dirichlet / np.var(base))
+
+
+def _rayleigh_block(phi, n: int, gamma: float, size: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """phi at size uniform sphere points, and the sum over them of
+    (1 + v_i^2 + v_j^2)^gamma times the angle mean of (phi(V) - phi(RV))^2."""
+    v = uniform_sphere_batch(n, size, rng)
+    # the pair's columns of v are rotated in place below, so base is a
+    # copy (phi may return a view of v); vi and vj are copies too
+    base = np.array(phi(v))
+    idx = rng.integers(n, size=size)
+    jdx = rng.integers(n - 1, size=size)
     jdx = np.where(jdx >= idx, jdx + 1, jdx)
-    rows = np.arange(samples)
+    rows = np.arange(size)
     vi, vj = v[rows, idx], v[rows, jdx]
     theta = angle_midpoints(32)
-    acc = np.zeros(samples)
+    acc = np.zeros(size)
     s = vi * vi + vj * vj
     for th in theta:
         v[rows, idx], v[rows, jdx] = rotate_pair(vi, vj, th)
         acc += (phi(v) - base) ** 2
-    dirichlet = 0.5 * n * np.mean((1.0 + s) ** gamma * acc / theta.size)
-    return float(dirichlet / np.var(base))
+    return base, np.sum((1.0 + s) ** gamma * acc / theta.size)
 
 
 # -- exact generator on power sums --------------------------------------

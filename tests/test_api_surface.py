@@ -16,10 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kaclab"
 CONSUMERS = ([ROOT / "tests" / "test_acceptance.py"]
              + sorted((ROOT / "bench").rglob("*.py")))
-# ROADMAP item 5: the paper's limit-level inequality is to be wired into
-# the CLI and the acceptance gate, not deleted
-ALLOWED = {"boltzmann_inequality_check"}
-UNREAD_ALLOWED = {"BoltzmannReport"}
 
 
 def _references(node, skip=None) -> set:
@@ -58,7 +54,7 @@ def test_every_public_name_has_a_consumer():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or node.name in ALLOWED:
+            if node.name.startswith("_"):
                 continue
             if (node.name not in elsewhere
                     and node.name not in _references(tree, skip=node)):
@@ -87,8 +83,7 @@ def _unread_fields(modules: dict, consumers: list) -> list:
     unread = []
     for stem, tree in modules.items():
         for node in ast.walk(tree):
-            if (not isinstance(node, ast.ClassDef) or not _is_dataclass(node)
-                    or node.name in UNREAD_ALLOWED):
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
                 continue
             owners = {node.name} | returning.get(node.name, set())
             read = set().union(*(attrs for names, attrs in files

@@ -47,15 +47,28 @@ def test_gap_deterministic(tmp_path):
     assert read_csv_numbers(a / "gap.csv") == read_csv_numbers(b / "gap.csv")
 
 
-def test_cli_import_loads_no_scipy_signal():
-    # scipy.signal adds about half a second and 24 MB to every start-up;
-    # nothing in kaclab needs it
+def _loaded_by(module: str, names: list) -> list:
+    """Those of names that a fresh interpreter has loaded after importing
+    module."""
     src = os.path.dirname(os.path.dirname(kaclab.__file__))
-    code = "import sys, kaclab.cli; print('scipy.signal' in sys.modules)"
+    code = (f"import sys, {module}; "
+            f"print(' '.join(m for m in {names!r} if m in sys.modules))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert run.stdout.strip() == "False"
+    return run.stdout.split()
+
+
+def test_cli_import_loads_no_scipy_signal():
+    # scipy.signal adds about half a second and 24 MB to every start-up;
+    # nothing in kaclab needs it
+    assert _loaded_by("kaclab.cli", ["scipy.signal"]) == []
+
+
+def test_inequalities_import_loads_no_limit_equation():
+    # the N-particle inequality layer does not depend on the limit PDE
+    assert _loaded_by("kaclab.inequalities",
+                      ["kaclab.limit_eq", "scipy.interpolate"]) == []
 
 
 def test_entropy_scan_gaussian_is_flat(tmp_path):
@@ -130,17 +143,27 @@ INVALID_CONFIGS = [
     ("chaos", '{"t_final": 0.0}'),
     ("cercignani", '{"nodes": 1}'),
     ("gap", '{"rayleigh_samples": 0}'),
+    ("pde", '{"v_max": 0.0}'),
+    ("chaos", '{"v_max": -8.0}'),
+    ("pde", '{"nodes": 3}'),
+    ("clt", '{"n_list": [true, 2]}'),
+    ("cercignani", '{"deltas": []}'),
+    ("clt", '{"generator": {"kind": "gaussian", "variance": 2.0}}'),
+    ("villani",
+     '{"generator": {"kind": "gaussian", "variance": 2.0}, "n_list": [16]}'),
 ]
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
+    # a rejected config exits 2 with a JSON error and writes no table
     for k, (command, text) in enumerate(INVALID_CONFIGS):
         bad = tmp_path / f"bad{k}.json"
         bad.write_text(text)
-        code = main([command, "--config", str(bad), "--out",
-                     str(tmp_path / "o")])
+        out = tmp_path / f"o{k}"
+        code = main([command, "--config", str(bad), "--out", str(out)])
         assert code == 2, (command, text)
         assert "error" in json.loads(capsys.readouterr().err), (command, text)
+        assert not list(out.glob("*.csv")), (command, text)
 
 
 def test_stalled_sampler_exit_code(tmp_path, monkeypatch, capsys):

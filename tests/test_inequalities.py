@@ -7,12 +7,12 @@ from kaclab.conditioned import ConditionedFamily
 from kaclab.densities import MixtureSpec, from_callable, gaussian, mixture
 from kaclab.errors import (AccuracyError, ConfigurationError,
                            DegenerateTestFunctionError)
-from kaclab.inequalities import (LogPowerWitness, boltzmann_inequality_check,
-                                 fit_loglog_slope, gamma_ratio_sweep,
-                                 log_over_power_sup, logpower_envelope,
-                                 mixture_exponent_bound, moment_envelope,
-                                 optimized_constant, rescaled_exponent,
-                                 rescaled_inequality_check, villani_floor)
+from kaclab.inequalities import (LogPowerWitness, fit_loglog_slope,
+                                 gamma_ratio_sweep, log_over_power_sup,
+                                 logpower_envelope, mixture_exponent_bound,
+                                 moment_envelope, optimized_constant,
+                                 rescaled_exponent, rescaled_inequality_check,
+                                 villani_floor)
 
 N_LIST = [16, 32, 64]
 
@@ -200,30 +200,3 @@ def test_optimized_constant_formula_consistent():
                                         c_beta, m2k))
     assert big_k * d_per_n**q == pytest.approx(grid_min, rel=1e-4)
 
-
-def test_boltzmann_report(mix):
-    v = np.linspace(0.0, mix.v_max, 513)
-    rep = boltzmann_inequality_check(mix(v), v, 0.5, 1.0, 3.0)
-    assert rep.hypotheses_ok
-    assert rep.exponent == pytest.approx(2.0)
-    assert rep.ratio > 0 and np.isfinite(rep.ratio)
-
-
-def test_boltzmann_moment_hypothesis_reads_the_tail():
-    v = np.linspace(0.0, 12.0, 481)
-    m = np.exp(-0.5 * v * v) / np.sqrt(2 * np.pi)
-    assert boltzmann_inequality_check(m, v, 0.5, 1.0, 3.0).hypotheses_ok
-    # zero at the last node, a small bump just inside the last quarter
-    f = m + 1e-6 * np.exp(-((v - 10.5) / 0.2) ** 2)
-    f[-1] = 0.0
-    rep = boltzmann_inequality_check(f, v, 0.5, 1.0, 3.0)
-    assert not rep.hypotheses_ok
-    assert any(n.startswith("moment hypothesis failed")
-               for n in rep.hypothesis_notes)
-
-
-def test_boltzmann_report_equilibrium_trivial():
-    v = np.linspace(0.0, 8.0, 257)
-    m = np.exp(-0.5 * v * v) / np.sqrt(2 * np.pi)
-    rep = boltzmann_inequality_check(m, v, 0.5, 1.0, 3.0)
-    assert rep.trivially_satisfied

@@ -62,6 +62,13 @@ def test_ladder_needs_a_closed_form_cdf():
         NormalizationLadder(table, 8)
 
 
+def test_ladder_needs_a_unit_energy_generator():
+    # sigma_squared and u_max read int v^4 f - 1, the variance of V^2
+    # only at unit energy
+    with pytest.raises(ConfigurationError, match=r"'gauss\(a=2\)'.* = 2,"):
+        NormalizationLadder(gaussian(2.0), 8)
+
+
 def test_binary_decomposition_matches_sequential():
     f = mixture(0.3)
     ladder = NormalizationLadder(f, 12)

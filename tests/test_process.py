@@ -1,5 +1,6 @@
 """Jump-process simulation and the exact spectral gap on power sums."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,7 +12,8 @@ from kaclab.errors import ConfigurationError, DegenerateTestFunctionError
 from kaclab.process import (SimulationConfig, dirichlet_rayleigh,
                             exact_gap_smalln, generator_matrix_smalln,
                             simulate, simulate_ensemble, spectral_gap)
-from kaclab.sphere import uniform_sphere_batch
+from kaclab.quadrature import angle_midpoints
+from kaclab.sphere import rotate_pair, uniform_sphere_batch
 
 
 def test_spectral_gap_closed_form():
@@ -237,6 +239,52 @@ def test_rayleigh_quotient_above_gap():
     n = 6
     q = dirichlet_rayleigh(lambda v: v[:, 0] ** 2, n, 0.0, 100_000, rng)
     assert q >= spectral_gap(n) * 0.97
+
+
+def _rayleigh_unbatched(phi, n, gamma, samples, rng):
+    """Rayleigh quotient on the whole (samples x N) state at once:
+    reference for the batched estimate."""
+    v = uniform_sphere_batch(n, samples, rng)
+    base = np.array(phi(v))
+    idx = rng.integers(n, size=samples)
+    jdx = rng.integers(n - 1, size=samples)
+    jdx = np.where(jdx >= idx, jdx + 1, jdx)
+    rows = np.arange(samples)
+    vi, vj = v[rows, idx], v[rows, jdx]
+    theta = angle_midpoints(32)
+    acc = np.zeros(samples)
+    s = vi * vi + vj * vj
+    for th in theta:
+        v[rows, idx], v[rows, jdx] = rotate_pair(vi, vj, th)
+        acc += (phi(v) - base) ** 2
+    dirichlet = 0.5 * n * np.mean((1.0 + s) ** gamma * acc / theta.size)
+    return float(dirichlet / np.var(base))
+
+
+@pytest.mark.parametrize("n, gamma, samples", [(5, 0.0, 100_000),
+                                               (64, 0.5, 2000)])
+def test_rayleigh_one_block_matches_unbatched(n, gamma, samples):
+    # samples * N fits one block: the same draws and the same arithmetic
+    def phi(v):
+        return v[:, 0] ** 2 + 0.3 * v[:, 1] ** 4
+
+    got = dirichlet_rayleigh(phi, n, gamma, samples, np.random.default_rng(8))
+    want = _rayleigh_unbatched(phi, n, gamma, samples,
+                               np.random.default_rng(8))
+    assert got == want
+
+
+def test_rayleigh_memory_is_bounded_by_its_block():
+    # the whole (20 000 x 256) state alone is 39 MiB
+    tracemalloc.start()
+    try:
+        q = dirichlet_rayleigh(lambda v: v[:, 0] ** 2, 256, 0.0, 20_000,
+                               np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert q >= spectral_gap(256) * 0.9
 
 
 def test_rayleigh_rejects_constant():
