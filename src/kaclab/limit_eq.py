@@ -12,19 +12,26 @@ A(r) = <f(r cos) f(r sin)>_th serves every grid pair.
 Quadrant fold.  f is even, so the radial table and the polar production
 integral use the first-quadrant fold of :mod:`kaclab.quadrature`, on a
 quarter of the angles and with a single spline evaluation per point.
-The gain is even in w and symmetric in (v, w), so it is evaluated at the
-half-grid pairs v_i <= v_j only.
+The folded products are symmetric in the quadrant, so A(r) sums half of
+them.  The gain is even in w and symmetric in (v, w), so it is evaluated
+at the half-grid pairs v_i <= v_j only.
 
 Cached geometry.  A not-a-knot cubic spline is linear in its knot
-values twice over: make_interp_spline gives its B-spline coefficients,
-and the spline at fixed points is a sparse design matrix (four entries a
-row) times those coefficients.  The evaluation points never change for a
-given grid, so each design matrix is built once per grid and held in a
-small cache, with the trapezoid weights times the rate
-(1 + v^2 + w^2)^gamma of each (grid, gamma).  A right-hand side call then
-fits the two coefficient vectors and does two sparse products, a gather
-and sums.  The radial fold depends on the grid alone and serves every
-gamma.
+values twice over: its B-spline coefficients solve a banded collocation
+system that depends on the knots alone, and the spline at fixed points is
+a sparse design matrix (four entries a row) times those coefficients.
+Each collocation matrix is LU-factored once with LAPACK's dgbtrf, the
+factorization make_interp_spline runs on every call, so a fit is one
+banded solve and gives make_interp_spline's coefficients bit for bit.
+The factorizations, the design matrices and a sparse map from the pairs
+v_i <= v_j to the grid, rates[i, pair(i, j)] = (1 + v_i^2 + v_j^2)^gamma
+times the weight of v_j, are built once per grid (and gamma) and held in
+small caches.  The profile fit serves the radial and the production
+folds; the radial fold and the fit of A(r) serve every gamma.  A
+right-hand side call is then two banded solves, two sparse products, the
+pairwise loss and one sparse row sum.  scipy's spline, sparse and LAPACK
+modules load with the first geometry, not with this module, so runs
+that never reach the limit equation do not pay for them.
 """
 
 from __future__ import annotations
@@ -33,8 +40,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
-from scipy.sparse import csr_array, diags_array
 
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
@@ -44,49 +49,14 @@ from .quadrature import (ANGLES, SHELLS, TWO_PI, energy_shells, fold, freeze,
                          trapezoid_weights)
 
 
-def _design(knots: np.ndarray, points: np.ndarray) -> csr_array:
-    """Sparse map from the coefficients make_interp_spline(knots, vals,
-    k=3).c to that spline's values at points.
-
-    Points beyond the knots extrapolate the end pieces.
-    """
-    t = make_interp_spline(knots, knots, k=3).t
-    return BSpline.design_matrix(points, t, 3, extrapolate=True)
-
-
-class _QuadrantFold:
-    """f(r cos th) f(r sin th) of an even f, folded to the first quadrant.
-
-    f is max(0, S) with S the cubic spline of max(f_vals, 0) on the half
-    grid, and vanishes beyond the last knot.  Rows are radii, columns the
-    q first-quadrant angle midpoints of the ANGLES-point rule.
-    """
-
-    def __init__(self, v: np.ndarray, radii: np.ndarray):
-        th = quadrant_angles(ANGLES)
-        x = np.outer(radii, np.cos(th)).ravel()
-        self.v = v
-        self.radii = radii
-        freeze(radii)
-        self.shape = (len(radii), len(th))
-        # points beyond v_max get zero rows
-        self.design = diags_array((x <= v[-1]) * 1.0) @ _design(v, x)
-        freeze(self.design.data, self.design.indices, self.design.indptr)
-
-    def products(self, f_vals: np.ndarray) -> np.ndarray:
-        c = make_interp_spline(self.v, np.maximum(f_vals, 0.0), k=3).c
-        e = np.maximum(self.design @ c, 0.0)
-        return fold(e.reshape(self.shape))
-
-
-@dataclass(frozen=True)
-class _OperatorGeometry:
-    """Everything in collision_operator that depends only on its key."""
-
-    fold: _QuadrantFold        # angle table on the knots of A(r)
-    gain: csr_array            # A-spline design at sqrt(v_i^2 + v_j^2), i <= j
-    gain_pairs: np.ndarray     # (v, w) grid cell -> its i <= j point
-    rate_weights: np.ndarray   # (1 + v^2 + w^2)^gamma * weight of w
+def _check_limit_inputs(gamma: float, v_max: float, nodes: int) -> None:
+    """Raise unless gamma lies in [0, 1] and the half grid [0, v_max] of
+    nodes points carries a not-a-knot cubic spline (four knots at least)."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma!r}")
+    if not (v_max > 0 and nodes >= 4):
+        raise ConfigurationError(f"need v_max > 0 and nodes >= 4, got "
+                                 f"{v_max!r} and {nodes!r}")
 
 
 def _grid_cache(build):
@@ -101,6 +71,98 @@ def _grid_cache(build):
     return lookup
 
 
+class _CubicFit:
+    """make_interp_spline(knots, vals, k=3).c for fixed knots and any vals.
+
+    make_interp_spline solves its banded collocation system with LAPACK's
+    gbsv, which is gbtrf followed by gbtrs; the factorization is done once
+    here, so a fit is one gbtrs solve with the same arithmetic.
+    """
+
+    def __init__(self, knots: np.ndarray):
+        from scipy.interpolate import BSpline, make_interp_spline
+        from scipy.linalg import lapack
+
+        n = len(knots)
+        if n < 4:
+            raise ConfigurationError(
+                f"a not-a-knot cubic spline needs 4 knots, got {n}")
+        self.t = make_interp_spline(knots, knots, k=3).t
+        colloc = BSpline.design_matrix(knots, self.t, 3).tocoo()
+        # band storage of kl = ku = 3, with kl more rows for the fill-in
+        band = np.zeros((10, n), order="F")
+        band[6 + colloc.row - colloc.col, colloc.col] = colloc.data
+        self.lu, self.pivots, info = lapack.dgbtrf(band, 3, 3)
+        if info != 0:
+            raise AccuracyError(f"collocation matrix on {n} knots is "
+                                f"singular (dgbtrf info {info})")
+        freeze(self.t, self.lu, self.pivots)
+        self._solve = lapack.dgbtrs
+
+    def __call__(self, vals: np.ndarray) -> np.ndarray:
+        return self._solve(self.lu, 3, 3, vals, self.pivots)[0]
+
+    def design(self, points: np.ndarray):
+        """Sparse map from the coefficients to the spline's values at
+        points; beyond the knots the end pieces extend."""
+        from scipy.interpolate import BSpline
+
+        return BSpline.design_matrix(points, self.t, 3, extrapolate=True)
+
+
+_fit = _grid_cache(_CubicFit)
+
+
+class _QuadrantFold:
+    """f(r cos th) f(r sin th) of an even f, folded to the first quadrant.
+
+    f is max(0, S) with S the cubic spline of max(f_vals, 0) on the half
+    grid, and vanishes beyond the last knot.  Rows are radii, columns the
+    q first-quadrant angle midpoints of the ANGLES-point rule.
+    """
+
+    def __init__(self, v: np.ndarray, radii: np.ndarray):
+        from scipy.sparse import diags_array
+
+        th = quadrant_angles(ANGLES)
+        x = np.outer(radii, np.cos(th)).ravel()
+        self.fit = _fit(v)
+        self.radii = radii
+        freeze(radii)
+        self.shape = (len(radii), len(th))
+        # points beyond v_max get zero rows
+        self.design = diags_array((x <= v[-1]) * 1.0) @ self.fit.design(x)
+        freeze(self.design.data, self.design.indices, self.design.indptr)
+
+    def _cosine_values(self, f_vals: np.ndarray) -> np.ndarray:
+        """E[r, k] = f(r cos th_k)."""
+        c = self.fit(np.maximum(f_vals, 0.0))
+        return np.maximum(self.design @ c, 0.0).reshape(self.shape)
+
+    def products(self, f_vals: np.ndarray) -> np.ndarray:
+        return fold(self._cosine_values(f_vals))
+
+    def angle_mean(self, f_vals: np.ndarray) -> np.ndarray:
+        """products(f_vals).mean(axis=1), from the half k < q/2 of each
+        row: E[k] E[q-1-k] takes each value twice."""
+        e = self._cosine_values(f_vals)
+        half = self.shape[1] // 2
+        return (2.0 / self.shape[1]) * np.einsum(
+            "ij,ij->i", e[:, :half], e[:, ::-1][:, :half])
+
+
+@dataclass(frozen=True)
+class _OperatorGeometry:
+    """Everything in collision_operator that depends only on its key."""
+
+    fold: _QuadrantFold        # angle table on the knots of A(r)
+    radial_fit: _CubicFit      # A(r) on those knots -> spline coefficients
+    gain: csr_array            # A-spline design at sqrt(v_i^2 + v_j^2), i <= j
+    pair_i: np.ndarray         # grid indices i <= j of each pair
+    pair_j: np.ndarray
+    rates: csr_array           # [i, pair(i, j)] = (1 + v_i^2 + v_j^2)^gamma w_j
+
+
 @_grid_cache
 def _radial_fold(v: np.ndarray) -> _QuadrantFold:
     return _QuadrantFold(v, np.linspace(0.0, np.sqrt(2.0) * v[-1], 4 * len(v)))
@@ -108,19 +170,26 @@ def _radial_fold(v: np.ndarray) -> _QuadrantFold:
 
 @_grid_cache
 def _operator_geometry(v: np.ndarray, gamma: float) -> _OperatorGeometry:
+    from scipy.sparse import csr_array
+
     n = len(v)
     fold = _radial_fold(v)
+    radial_fit = _fit(fold.radii)
     sq = v * v
     # r(v, w) = r(w, v) exactly, so the gain is evaluated on i <= j only
-    upper_i, upper_j = np.triu_indices(n)
-    gain = _design(fold.radii, np.sqrt(sq[upper_i] + sq[upper_j]))
-    gain_pairs = np.empty((n, n), dtype=np.intp)
-    gain_pairs[upper_i, upper_j] = np.arange(len(upper_i))
-    gain_pairs[upper_j, upper_i] = np.arange(len(upper_i))
+    pair_i, pair_j = np.triu_indices(n)
+    gain = radial_fit.design(np.sqrt(sq[pair_i] + sq[pair_j]))
+    # row i of rates holds the grid cells (i, j), j = 0..n-1, each at the
+    # column of its pair
+    pair_of = np.empty((n, n), dtype=np.intp)
+    pair_of[pair_i, pair_j] = pair_of[pair_j, pair_i] = np.arange(len(pair_i))
     rate_weights = ((1.0 + sq[:, None] + sq[None, :]) ** gamma
                     * half_grid_weights(v))
-    freeze(gain.data, gain.indices, gain.indptr, gain_pairs, rate_weights)
-    return _OperatorGeometry(fold, gain, gain_pairs, rate_weights)
+    rates = csr_array((rate_weights.ravel(), pair_of.ravel(),
+                       np.arange(0, n * n + 1, n)), shape=(n, len(pair_i)))
+    freeze(gain.data, gain.indices, gain.indptr, pair_i, pair_j,
+           rates.data, rates.indices, rates.indptr)
+    return _OperatorGeometry(fold, radial_fit, gain, pair_i, pair_j, rates)
 
 
 def collision_operator(f_vals: np.ndarray, v: np.ndarray,
@@ -130,13 +199,12 @@ def collision_operator(f_vals: np.ndarray, v: np.ndarray,
     Assumes f is even; f_vals are values on the v >= 0 half-grid.
     """
     geo = _operator_geometry(v, gamma)
-    a_of_r = geo.fold.products(f_vals).mean(axis=1)
-    c = make_interp_spline(geo.fold.radii, a_of_r, k=3).c
-    gain = np.maximum(geo.gain @ c, 0.0)[geo.gain_pairs]
-    # loss subtracted cell by cell: 2 (sum R gain - f (R f)) would cancel
+    c = geo.radial_fit(geo.fold.angle_mean(f_vals))
+    gain = np.maximum(geo.gain @ c, 0.0)
+    # loss subtracted pair by pair: 2 (sum R gain - f (R f)) would cancel
     # two O(1) sums and lose about 1e-14 of the result
-    gain -= np.multiply.outer(f_vals, f_vals)
-    return 2.0 * np.einsum("ij,ij->i", geo.rate_weights, gain)
+    gain -= np.take(f_vals, geo.pair_i) * np.take(f_vals, geo.pair_j)
+    return 2.0 * (geo.rates @ gain)
 
 
 @dataclass
@@ -158,12 +226,7 @@ class LimitSolver:
 
     def __init__(self, f0: GridDensity1D, gamma: float, v_max: float = 8.0,
                  nodes: int = 257):
-        if not 0.0 <= gamma <= 1.0:
-            raise ConfigurationError("gamma must lie in [0, 1]")
-        # four knots are the fewest a not-a-knot cubic spline takes
-        if not (v_max > 0 and nodes >= 4):
-            raise ConfigurationError(f"need v_max > 0 and nodes >= 4, got "
-                                     f"{v_max!r} and {nodes!r}")
+        _check_limit_inputs(gamma, v_max, nodes)
         self.gamma = gamma
         self.v = np.linspace(0.0, v_max, nodes)
         self._weights = half_grid_weights(self.v)
@@ -192,8 +255,8 @@ class LimitSolver:
 
     def _normalize(self) -> float:
         m = self.mass()
-        if m <= 0:
-            raise AccuracyError("profile lost all its mass")
+        if not 0 < m < np.inf:
+            raise AccuracyError(f"profile mass {m} is not positive and finite")
         self.vals /= m
         return m
 
@@ -208,7 +271,8 @@ class LimitSolver:
         k4 = self._rhs(np.maximum(y + dt * k3, 0.0))
         new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         clipped = float(np.sum(np.minimum(new, 0.0) * self._weights))
-        if abs(clipped) > self.clip_tolerance:
+        # a NaN from an overflowing step fails this test too
+        if not abs(clipped) <= self.clip_tolerance:
             raise AccuracyError(
                 f"negative mass {clipped:.2e} exceeds the stability budget; "
                 "reduce dt")
@@ -222,6 +286,10 @@ class LimitSolver:
         if not (t_final > 0 and dt > 0):
             raise ConfigurationError(
                 f"need t_final > 0 and dt > 0, got {t_final} and {dt}")
+        # 0 records the end point only
+        if not record_every >= 0:
+            raise ConfigurationError(
+                f"need record_every >= 0, got {record_every!r}")
         steps = int(np.ceil(t_final / dt))
         dt = t_final / steps
         for k in range(steps):
@@ -270,6 +338,7 @@ def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float) -> float:
 def cercignani_ratio(f_vals: np.ndarray, v: np.ndarray,
                      gamma: float = 0.0) -> float:
     """D_gamma(f) / (2 H(f | M)), the limiting entropic-gap value."""
+    _check_limit_inputs(gamma, v[-1] if len(v) else 0.0, len(v))
     h = gaussian_relative_entropy(f_vals, v, half_grid_weights(v))
     if h <= 1e-9:
         raise AccuracyError("entropy numerically zero; ratio undefined")

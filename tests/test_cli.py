@@ -65,6 +65,15 @@ def test_cli_import_loads_no_scipy_signal():
     assert _loaded_by("kaclab.cli", ["scipy.signal"]) == []
 
 
+def test_cli_import_loads_no_spline_stack():
+    # scipy's spline, sparse and LAPACK modules load with the first
+    # limit-equation geometry; a run that never builds one never pays
+    # for them
+    assert _loaded_by("kaclab.cli", ["scipy.interpolate", "scipy.optimize",
+                                     "scipy.spatial", "scipy.sparse",
+                                     "scipy.linalg"]) == []
+
+
 def test_inequalities_import_loads_no_limit_equation():
     # the N-particle inequality layer does not depend on the limit PDE
     assert _loaded_by("kaclab.inequalities",
@@ -151,6 +160,10 @@ INVALID_CONFIGS = [
     ("clt", '{"generator": {"kind": "gaussian", "variance": 2.0}}'),
     ("villani",
      '{"generator": {"kind": "gaussian", "variance": 2.0}, "n_list": [16]}'),
+    ("cercignani", '{"gamma": -3.0}'),
+    ("cercignani", '{"gamma": 2.5}'),
+    ("cercignani", '{"nodes": 3}'),
+    ("pde", '{"record_every": -1}'),
 ]
 
 

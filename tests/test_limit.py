@@ -4,15 +4,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
+from scipy.linalg import lapack
 
 from kaclab.densities import gaussian, mixture
-from kaclab.errors import AccuracyError
+from kaclab.errors import AccuracyError, ConfigurationError
 import kaclab.limit_eq as limit_eq
-from kaclab.limit_eq import (LimitSolver, _operator_geometry,
+from kaclab.limit_eq import (LimitSolver, _CubicFit, _operator_geometry,
                              _production_geometry, cercignani_ratio,
                              collision_operator, limit_production)
-from kaclab.quadrature import gauss_legendre
+from kaclab.quadrature import (ANGLES, fold, gauss_legendre,
+                               half_grid_weights, quadrant_angles)
 
 
 def maxwellian(v):
@@ -91,19 +93,88 @@ def test_production_matches_unfolded_reference(gamma, delta):
     assert d == pytest.approx(ref, rel=1e-12)
 
 
+# -- the operator as computed with per-call spline fits: the full quadrant
+# row mean, the n^2 gather of the pair gains, the outer-product loss and an
+# einsum; the cached maps must reproduce it to rounding --
+
+
+def _spline_at(knots, vals, points):
+    spline = make_interp_spline(knots, vals, k=3)
+    return BSpline.design_matrix(points, spline.t, 3, extrapolate=True) @ spline.c
+
+
+def gather_operator(f_vals, v, gamma):
+    n = len(v)
+    radii = np.linspace(0.0, np.sqrt(2.0) * v[-1], 4 * n)
+    x = np.outer(radii, np.cos(quadrant_angles(ANGLES))).ravel()
+    e = (x <= v[-1]) * _spline_at(v, np.maximum(f_vals, 0.0), x)
+    a_of_r = fold(np.maximum(e, 0.0).reshape(len(radii), -1)).mean(axis=1)
+    sq = v * v
+    upper_i, upper_j = np.triu_indices(n)
+    pair_gain = _spline_at(radii, a_of_r, np.sqrt(sq[upper_i] + sq[upper_j]))
+    gain = np.empty((n, n))
+    gain[upper_i, upper_j] = gain[upper_j, upper_i] = np.maximum(pair_gain, 0.0)
+    gain -= np.multiply.outer(f_vals, f_vals)
+    rate_weights = ((1.0 + sq[:, None] + sq[None, :]) ** gamma
+                    * half_grid_weights(v))
+    return 2.0 * np.einsum("ij,ij->i", rate_weights, gain)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("delta", [0.25, 0.1])
+def test_operator_matches_per_call_fits(gamma, delta):
+    v = np.linspace(0.0, 8.0, 257)
+    f_vals = mixture(delta)(v)
+    q = collision_operator(f_vals, v, gamma)
+    assert np.max(np.abs(q - gather_operator(f_vals, v, gamma))) <= 1e-15
+
+
+def test_cached_fits_are_make_interp_spline_bit_for_bit():
+    solver = LimitSolver(mixture(0.25), 0.5)
+    geo = _operator_geometry(solver.v, 0.5)
+    assert (len(solver.v), len(geo.fold.radii)) == (257, 1028)
+    for steps in (0, 20):
+        for _ in range(steps):
+            solver.step(0.01)
+        vals = np.maximum(solver.vals, 0.0)
+        assert np.array_equal(geo.fold.fit(vals),
+                              make_interp_spline(solver.v, vals, k=3).c)
+        a_of_r = geo.fold.angle_mean(solver.vals)
+        assert np.array_equal(geo.radial_fit(a_of_r),
+                              make_interp_spline(geo.fold.radii, a_of_r,
+                                                 k=3).c)
+
+
+def test_cubic_fit_failures_are_typed(monkeypatch):
+    with pytest.raises(ConfigurationError):
+        _CubicFit(np.linspace(0.0, 1.0, 3))
+    monkeypatch.setattr(lapack, "dgbtrf",
+                        lambda band, kl, ku: (band, np.zeros(9, np.int32), 4))
+    with pytest.raises(AccuracyError, match="singular"):
+        _CubicFit(np.linspace(0.0, 1.0, 9))
+
+
 def test_geometry_cache_keys():
     v = np.linspace(0.0, 8.0, 33)
     geo = _operator_geometry(v, 0.5)
     assert _operator_geometry(v.copy(), 0.5) is geo
     assert _operator_geometry(v, 0.0) is not geo
     assert _operator_geometry(2.0 * v, 0.5) is not geo
-    # the radial fold depends on the grid alone
+    # the radial fold, its fit and A(r)'s fit depend on the grid alone, and
+    # the production fold shares the profile fit
     assert _operator_geometry(v, 0.0).fold is geo.fold
+    assert _operator_geometry(v, 0.0).radial_fit is geo.radial_fit
+    production_fold = _production_geometry(v)[0]
+    assert production_fold.fit is geo.fold.fit
     assert _production_geometry(v.copy()) is _production_geometry(v)
     assert _production_geometry(2.0 * v) is not _production_geometry(v)
-    assert not geo.rate_weights.flags.writeable
-    production_fold = _production_geometry(v)[0]
-    for design in (geo.gain, geo.fold.design, production_fold.design):
+    for fit in (geo.fold.fit, geo.radial_fit):
+        for part in (fit.t, fit.lu, fit.pivots):
+            assert not part.flags.writeable
+    assert not geo.pair_i.flags.writeable
+    assert not geo.pair_j.flags.writeable
+    for design in (geo.gain, geo.rates, geo.fold.design,
+                   production_fold.design):
         for part in (design.data, design.indices, design.indptr):
             assert not part.flags.writeable
     assert gauss_legendre(160) is gauss_legendre(160)
@@ -247,6 +318,10 @@ def test_unstable_step_raises():
     solver = LimitSolver(mixture(0.25), 1.0, v_max=8.0, nodes=257)
     with pytest.raises(AccuracyError):
         solver.evolve(1.0, 0.5, record_every=0)
+    # a step that overflows to NaN is caught by the same budget
+    solver = LimitSolver(mixture(0.25), 1.0, v_max=8.0, nodes=257)
+    with np.errstate(all="ignore"), pytest.raises(AccuracyError):
+        solver.evolve(1e30, 1e30, record_every=0)
 
 
 def test_density_export_round_trip():
