@@ -12,6 +12,8 @@ production and log-power integrals use the polar-shell fold of
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .densities import GridDensity1D
@@ -41,9 +43,21 @@ class ConditionedFamily:
         self.n = n
         self.ladder = (ladder if ladder is not None
                        else NormalizationLadder(f, n))
-        if self.ladder.u_max < n:
-            raise ValueError("ladder grid does not reach the total energy")
-        self._log_zn = float(self.ladder.log_z(n, float(n)))
+        if n > self.ladder.n_max:
+            raise ValueError(f"ladder built for N <= {self.ladder.n_max}, "
+                             f"not N={n}")
+
+    @functools.cached_property
+    def _levels(self) -> NormalizationLadder:
+        """The ladder, on first read made to hold levels N, N - 1 and N - 2,
+        all that Z_N and the marginals read, from one walk."""
+        self.ladder.level(self.n, self.n - 1, self.n - 2)
+        return self.ladder
+
+    @functools.cached_property
+    def _log_zn(self) -> float:
+        """log Z_N(f, sqrt N)."""
+        return float(self._levels.log_z(self.n, float(self.n)))
 
     # -- marginals ------------------------------------------------------
 
@@ -60,8 +74,8 @@ class ConditionedFamily:
         out = np.full(s.shape, -np.inf)
         ok = (s >= 0) & (s < n)
         if np.any(ok):
-            out[ok] = (self.ladder.log_density(n - k, n - s[ok])
-                       - self.ladder.log_density(n, float(n)))
+            out[ok] = (self._levels.log_density(n - k, n - s[ok])
+                       - self._levels.log_density(n, float(n)))
         return out
 
     def marginal1(self, v) -> np.ndarray:
@@ -168,22 +182,25 @@ class ConditionedFamily:
         i.i.d. from h conditioned on sum s_i = N and the signs are fair
         coins.  The energies are drawn as ladder cells, exactly for the
         ladder's discretised measure: starting from the cell
-        e_0 = round(N / du) of the total, each node n = a + b of the tree
-        that ``NormalizationLadder.level`` builds (``halves``: n/2 + n/2
-        for even n, (n - 1) + 1 for odd n) splits its residual cell e into
-        j and e - j with probability proportional to m_a[j] m_b[e - j],
-        m_k the level-k cell masses (see :class:`_Split`).  Only the
-        levels that Z_N itself needs are used.  Within its cell each
-        |v_i| is uniform between the square roots of the cell's edges;
-        the velocities are then rescaled so the energies sum to N exactly.
+        e_0 = round(N / du) of the total, each node n = a + b of the
+        sampler's own tree (``_sampler_halves``: n/2 + n/2 for even n,
+        (n - 1) + 1 for odd n) splits its residual cell e into j and e - j
+        with probability proportional to m_a[j] m_b[e - j], m_k the level-k
+        cell masses (see :class:`_Split`).  The levels of this tree are
+        built in one ladder walk; level N itself is not among them.  Within
+        its cell each |v_i| is uniform between the square roots of the
+        cell's edges; the velocities are then rescaled so the energies sum
+        to N exactly.
         """
         n, ladder = self.n, self.ladder
+        tree = [_sampler_halves(n)]
+        while tree[-1][0] > 1:
+            tree.append(_sampler_halves(tree[-1][0]))
+        ladder.level(*{k for pair in tree for k in pair})
         top = int(round(n / ladder.du))
         cells = np.full((size, 1), top)
         leaves = []
-        m = n
-        while m > 1:
-            a, b = ladder.halves(m)
+        for a, b in tree:
             # no residual cell lies above the top one
             split = _Split(ladder.level(a)[:top + 1], ladder.level(b)[:top + 1])
             low = split.draw(cells.ravel(), rng).reshape(cells.shape)
@@ -192,7 +209,6 @@ class ConditionedFamily:
             else:
                 leaves.append(cells - low)
                 cells = low
-            m = a
         cells = np.concatenate(leaves + [cells], axis=1)
         r_lo = np.sqrt(np.maximum(cells - 0.5, 0.0) * ladder.du)
         r_hi = np.sqrt((cells + 0.5) * ladder.du)
@@ -244,6 +260,12 @@ class ConditionedFamily:
             s = v1 * v1 + v2 * v2
             total += float(np.sum((1.0 + s) ** gamma * inner))
         return self.n / (4.0 * np.pi) * total / samples
+
+
+def _sampler_halves(n: int) -> tuple[int, int]:
+    """The sampler's split of n >= 2 energies: n/2 + n/2 for even n,
+    (n - 1) + 1 for odd n, so that a power of two splits in halves only."""
+    return (n // 2, n // 2) if n % 2 == 0 else (n - 1, 1)
 
 
 class _Split:

@@ -337,9 +337,17 @@ def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float) -> float:
 
 def cercignani_ratio(f_vals: np.ndarray, v: np.ndarray,
                      gamma: float = 0.0) -> float:
-    """D_gamma(f) / (2 H(f | M)), the limiting entropic-gap value."""
+    """D_gamma(f) / (2 H(f | M)), the limiting entropic-gap value.
+
+    D_gamma integrates the nonnegative psi(f f_*, f' f'_*), so a
+    production D <= 0 means the grid does not resolve f.
+    """
     _check_limit_inputs(gamma, v[-1] if len(v) else 0.0, len(v))
     h = gaussian_relative_entropy(f_vals, v, half_grid_weights(v))
     if h <= 1e-9:
         raise AccuracyError("entropy numerically zero; ratio undefined")
-    return limit_production(f_vals, v, gamma) / (2.0 * h)
+    d = limit_production(f_vals, v, gamma)
+    if d <= 0.0:
+        raise AccuracyError(f"production D={d:.4g} <= 0 at H={h:.4g} on "
+                            f"{len(v)} nodes: the grid does not resolve f")
+    return d / (2.0 * h)

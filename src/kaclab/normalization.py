@@ -7,19 +7,20 @@ Z_n through
 
 so the ladder stores discrete cell masses of h on a uniform u-grid and
 builds higher levels by FFT convolution (exact for the discretized
-measure).  Each level takes two real FFTs: a forward transform of its
-new factor, squared for an even level or multiplied by the cached level-1
-spectrum for an odd one, and the inverse.  Everything Z-shaped is exposed
-in the log domain; the huge power/area prefactors are combined with
-log-gamma arithmetic and cancel analytically inside ratio queries.
+measure).  Level n is the convolution of levels ceil(n/2) and floor(n/2),
+so a request for several levels (a conditioned family reads N, N - 1 and
+N - 2) is built in one walk up a shared balanced tree: tier by tier from
+level 1, each factor of a tier is transformed once, and each new level
+costs one spectrum product and one inverse transform.  At a power of two
+N, levels N, N - 1 and N - 2 take 2 log2(N) builds, and level N alone one
+forward and one inverse transform per doubling.  Everything Z-shaped is
+exposed in the log domain; the huge power/area prefactors are combined
+with log-gamma arithmetic and cancel analytically inside ratio queries.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .densities import GridDensity1D, mixture, moment
 from .errors import ConfigurationError
@@ -55,8 +56,6 @@ class NormalizationLadder:
         self.n_grid = int(n_grid)
         self.du = self.u_max / self.n_grid
         self.grid = self.du * np.arange(self.n_grid)
-        # FFT length of a linear convolution of two grid arrays
-        self._fft_len = next_fast_len(2 * self.n_grid - 1, real=True)
         self._masses: dict[int, np.ndarray] = {1: self._base_masses()}
         self._log_density: dict[int, np.ndarray] = {}
         # leakage of the single-particle energy density past the grid
@@ -77,30 +76,58 @@ class NormalizationLadder:
         w = np.diff(cum)
         return np.maximum(w, 0.0)
 
-    @functools.cached_property
-    def _base_spectrum(self) -> np.ndarray:
-        """rfft of level 1, the second factor of every odd level."""
-        return rfft(self._masses[1], self._fft_len)
-
     @staticmethod
     def halves(n: int) -> tuple[int, int]:
-        """The two levels whose convolution builds level n: n/2 and n/2
-        for even n, n - 1 and 1 for odd n."""
-        return (n // 2, n // 2) if n % 2 == 0 else (n - 1, 1)
+        """The two levels whose convolution builds level n >= 2: ceil(n/2)
+        and floor(n/2)."""
+        return (n - n // 2, n // 2)
 
-    def level(self, n: int) -> np.ndarray:
-        """Cell-mass array of h^{(*n)}; built by binary decomposition."""
-        if n < 1:
+    def level(self, n: int, *also: int) -> np.ndarray:
+        """Cell-mass array of h^{(*n)}.  The levels among n and also that
+        are not cached yet are built together in one walk."""
+        wanted = {n, *also}
+        if min(wanted) < 1:
             raise ValueError("level must be >= 1")
-        cached = self._masses.get(n)
-        if cached is not None:
-            return cached
-        a, b = self.halves(n)
-        spectrum = rfft(self.level(a), self._fft_len)
-        spectrum *= spectrum if a == b else self._base_spectrum
-        out = np.maximum(irfft(spectrum, self._fft_len)[: self.n_grid], 0.0)
-        self._masses[n] = out
-        return out
+        if not wanted.issubset(self._masses):
+            self._walk(wanted)
+        return self._masses[n]
+
+    def _walk(self, wanted: set[int]) -> None:
+        """Build the wanted levels and the missing levels of their tree.
+
+        A level n >= 2 sits on tier ceil(log2 n) and its halves on lower
+        tiers, so the tiers are built in ascending order.  Within a tier
+        each factor is transformed once; every new level is the inverse
+        transform of the product of its halves' spectra.  The transforms
+        have length 2 n_grid, which holds the linear convolution of two
+        grid arrays, and write into buffers that live for one walk.
+        """
+        missing: set[int] = set()
+        stack = list(wanted)
+        while stack:
+            n = stack.pop()
+            if n not in self._masses and n not in missing:
+                missing.add(n)
+                stack.extend(self.halves(n))
+        tiers: dict[int, list[int]] = {}
+        for n in sorted(missing):
+            tiers.setdefault((n - 1).bit_length(), []).append(n)
+        length = 2 * self.n_grid
+        spectra: list[np.ndarray] = []
+        product = np.empty(self.n_grid + 1, dtype=complex)
+        signal = np.empty(length)
+        for tier in sorted(tiers):
+            levels = tiers[tier]
+            factors = sorted({h for n in levels for h in self.halves(n)})
+            while len(spectra) < len(factors):
+                spectra.append(np.empty(self.n_grid + 1, dtype=complex))
+            spectrum = {h: np.fft.rfft(self._masses[h], length, out=buf)
+                        for h, buf in zip(factors, spectra)}
+            for n in levels:
+                a, b = self.halves(n)
+                np.multiply(spectrum[a], spectrum[b], out=product)
+                np.fft.irfft(product, length, out=signal)
+                self._masses[n] = np.maximum(signal[: self.n_grid], 0.0)
 
     # -- queries --------------------------------------------------------
 

@@ -59,19 +59,15 @@ def _loaded_by(module: str, names: list) -> list:
     return run.stdout.split()
 
 
-def test_cli_import_loads_no_scipy_signal():
-    # scipy.signal adds about half a second and 24 MB to every start-up;
-    # nothing in kaclab needs it
-    assert _loaded_by("kaclab.cli", ["scipy.signal"]) == []
-
-
 def test_cli_import_loads_no_spline_stack():
     # scipy's spline, sparse and LAPACK modules load with the first
-    # limit-equation geometry; a run that never builds one never pays
-    # for them
+    # limit-equation geometry, so a run that never builds one never pays
+    # for them; scipy.signal (about half a second and 24 MB) and scipy.fft
+    # serve nothing in kaclab, whose ladder transforms are numpy.fft's
     assert _loaded_by("kaclab.cli", ["scipy.interpolate", "scipy.optimize",
                                      "scipy.spatial", "scipy.sparse",
-                                     "scipy.linalg"]) == []
+                                     "scipy.linalg", "scipy.signal",
+                                     "scipy.fft"]) == []
 
 
 def test_inequalities_import_loads_no_limit_equation():
@@ -189,6 +185,25 @@ def test_stalled_sampler_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["chaos", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 3
     assert "stalled" in json.loads(capsys.readouterr().err)["error"]
+
+
+# (subcommand, config text): each must exit 3 with a JSON error
+UNRESOLVED_CONFIGS = [
+    # D_gamma >= 0, but four nodes give D = -5.36 at delta = 0.1
+    ("cercignani", '{"nodes": 4}'),
+]
+
+
+def test_unresolved_config_exit_code(tmp_path, capsys):
+    # a tolerance failure exits 3 with a JSON error and writes no table
+    for k, (command, text) in enumerate(UNRESOLVED_CONFIGS):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(text)
+        out = tmp_path / f"o{k}"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 3, (command, text)
+        assert "error" in json.loads(capsys.readouterr().err), (command, text)
+        assert not list(out.glob("*.csv")), (command, text)
 
 
 def test_unknown_generator_exit_code(tmp_path):

@@ -213,12 +213,26 @@ def test_split_draws_follow_the_exact_law(coarse_ladder, a, b):
 
 
 def test_sampler_builds_no_levels_beyond_the_normalisation():
-    f = mixture(0.25)
-    fam = ConditionedFamily(f, 512)
+    # a sample-only family builds its sampler's tree and not Z_N's top level
+    fam = ConditionedFamily(mixture(0.25), 512)
     fam.sample(4, np.random.default_rng(11))
-    alone = NormalizationLadder(f, 512)
-    alone.level(512)
-    assert len(fam.ladder._masses) == len(alone._masses) == 10
+    assert set(fam.ladder._masses) == {2**j for j in range(9)}
+
+
+def test_family_levels_are_one_balanced_walk():
+    # Z_N and the first two marginals read levels N, N - 1 and N - 2; on
+    # the balanced tree they share every tier below N: 2 log2(N) = 20 builds
+    fam = ConditionedFamily(mixture(0.25), 1024)
+    fam.entropy()
+    fam.production(0.0)
+    tiers = {k for j in range(1, 11) for k in (2**j, 2**j - 1)}
+    assert set(fam.ladder._masses) == tiers | {1022}
+
+
+def test_family_rejects_a_ladder_below_its_n():
+    f = mixture(0.25)
+    with pytest.raises(ValueError, match="N <= 256, not N=300"):
+        ConditionedFamily(f, 300, ladder=NormalizationLadder(f, 256))
 
 
 def test_sampler_marginal_matches_quadrature_large_n():

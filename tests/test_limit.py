@@ -305,6 +305,14 @@ def test_cercignani_ratio_guard_at_equilibrium():
         cercignani_ratio(maxwellian(v), v)
 
 
+def test_cercignani_ratio_rejects_an_unresolved_production():
+    # D_gamma integrates psi >= 0; four nodes give D < 0 for mixture(0.1)
+    f = mixture(0.1)
+    v = np.linspace(0.0, f.v_max, 4)
+    with pytest.raises(AccuracyError, match=r"D=-.* H=.* 4 nodes"):
+        cercignani_ratio(f(v), v)
+
+
 def test_cercignani_ratio_shrinks_with_delta():
     ratios = []
     for d in (0.1, 0.03):

@@ -82,12 +82,11 @@ def test_binary_decomposition_matches_sequential():
 
 @pytest.mark.parametrize("top", [12, 513, 1024])
 def test_levels_are_the_convolutions_of_their_halves(top):
-    # every level on the tree of level(N), level(N - 1) and level(N - 2),
-    # both the even (n/2 + n/2) and the odd ((n - 1) + 1) rule, equals the
-    # direct FFT convolution of its halves bit for bit
+    # every level on the tree of levels N, N - 1 and N - 2, built in one
+    # walk, even and odd, equals the direct FFT convolution of its halves
+    # ceil(n/2) and floor(n/2) bit for bit
     ladder = NormalizationLadder(mixture(0.3), top)
-    for n in (top, top - 1, top - 2):
-        ladder.level(n)
+    ladder.level(top, top - 1, top - 2)
     assert {n % 2 for n in ladder._masses if n > 1} == {0, 1}
     for n, got in ladder._masses.items():
         if n == 1:
