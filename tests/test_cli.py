@@ -59,15 +59,20 @@ def _loaded_by(module: str, names: list) -> list:
     return run.stdout.split()
 
 
+def test_cli_import_loads_no_scipy_signal():
+    # scipy.signal adds about half a second and 24 MB to every start-up,
+    # and scipy.fft serves nothing in kaclab, whose ladder transforms are
+    # numpy.fft's
+    assert _loaded_by("kaclab.cli", ["scipy.signal", "scipy.fft"]) == []
+
+
 def test_cli_import_loads_no_spline_stack():
     # scipy's spline, sparse and LAPACK modules load with the first
-    # limit-equation geometry, so a run that never builds one never pays
-    # for them; scipy.signal (about half a second and 24 MB) and scipy.fft
-    # serve nothing in kaclab, whose ladder transforms are numpy.fft's
+    # limit-equation geometry; a run that never builds one never pays
+    # for them
     assert _loaded_by("kaclab.cli", ["scipy.interpolate", "scipy.optimize",
                                      "scipy.spatial", "scipy.sparse",
-                                     "scipy.linalg", "scipy.signal",
-                                     "scipy.fft"]) == []
+                                     "scipy.linalg"]) == []
 
 
 def test_inequalities_import_loads_no_limit_equation():
