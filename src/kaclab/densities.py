@@ -25,8 +25,9 @@ class GridDensity1D:
     """A nonnegative density tabulated on a uniform grid, unit mass.
 
     ``pdf``/``cdf`` are optional closed-form evaluators attached by the
-    analytic constructors; without ``pdf`` the density interpolates its
-    table, and without ``cdf`` it has no cumulative distribution.
+    analytic constructors; without ``pdf`` the density is a table only and
+    cannot be called, and without ``cdf`` it has no cumulative
+    distribution.
     """
 
     v_max: float
@@ -38,10 +39,11 @@ class GridDensity1D:
     tag: str = ""
 
     def __call__(self, v):
-        """Evaluate the density (closed form if available, else interp)."""
-        if self.pdf is not None:
-            return self.pdf(v)
-        return np.interp(v, self.nodes, self.values, left=0.0, right=0.0)
+        """Evaluate the density's closed form."""
+        if self.pdf is None:
+            raise ConfigurationError(
+                f"density {self.tag or 'f'} is a table only, with no pdf")
+        return self.pdf(v)
 
     def cumulative(self, v):
         if self.cdf is None:

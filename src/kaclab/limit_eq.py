@@ -308,7 +308,9 @@ class LimitSolver:
         rec.clipped_mass.append(self._last_clipped)
 
     def density(self) -> GridDensity1D:
-        """Current profile as a symmetric grid density on [-v_max, v_max]."""
+        """Current profile as a symmetric grid density on [-v_max, v_max]:
+        table only (``nodes``, ``values``, ``quadrature_weights``); it has
+        no pdf and is not callable."""
         v_full = np.concatenate([-self.v[:0:-1], self.v])
         vals = np.concatenate([self.vals[:0:-1], self.vals])
         return GridDensity1D(float(self.v[-1]), v_full, vals,

@@ -13,18 +13,30 @@ N - 2) is built in one walk up a shared balanced tree: tier by tier from
 level 1, each factor of a tier is transformed once, and each new level
 costs one spectrum product and one inverse transform.  At a power of two
 N, levels N, N - 1 and N - 2 take 2 log2(N) builds, and level N alone one
-forward and one inverse transform per doubling.  Everything Z-shaped is
+forward and one inverse transform per doubling.  The sampler of
+:mod:`kaclab.conditioned` descends the same tree.  Everything Z-shaped is
 exposed in the log domain; the huge power/area prefactors are combined
 with log-gamma arithmetic and cancel analytically inside ratio queries.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .densities import GridDensity1D, mixture, moment
 from .errors import ConfigurationError
 from .sphere import log_sphere_area
+
+
+def as_int(value, name: str) -> int:
+    """value as an int: numpy integers pass, a float raises a ValueError
+    that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def sigma_squared(f: GridDensity1D) -> float:
@@ -85,7 +97,7 @@ class NormalizationLadder:
     def level(self, n: int, *also: int) -> np.ndarray:
         """Cell-mass array of h^{(*n)}.  The levels among n and also that
         are not cached yet are built together in one walk."""
-        wanted = {n, *also}
+        wanted = {as_int(k, "level") for k in (n, *also)}
         if min(wanted) < 1:
             raise ValueError("level must be >= 1")
         if not wanted.issubset(self._masses):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
+import kaclab.conditioned as conditioned
 from kaclab.conditioned import ConditionedFamily, _Split
 from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
 from kaclab.errors import AccuracyError, ConfigurationError
@@ -136,9 +137,11 @@ def test_sampler_energy_constraint(mix_family):
 
 
 # one column from each group the sampler emits.  N = 32 splits in halves
-# only; N = 100 peels leaves at 25 = 24 + 1 (columns 0-3) and at
-# 3 = 2 + 1 (columns 4-35), then halves down to the rest (36-99)
-SAMPLER_COLUMNS = {32: (0, 15, 31), 100: (0, 4, 99)}
+# only.  N = 100 descends the balanced tree 100, 50, 25, {13, 12}, {7, 6},
+# {4, 3}, {2, 1}, so its leaves end at two depths: 3 = 2 + 1 peels
+# columns 0-27, then the splits 2 = 1 + 1 give the low (28-63) and high
+# (64-99) leaves of the last depth
+SAMPLER_COLUMNS = {32: (0, 15, 31), 100: (0, 28, 99)}
 
 
 @pytest.fixture(scope="module", params=sorted(SAMPLER_COLUMNS))
@@ -192,8 +195,14 @@ def test_split_envelope_dominates_target(coarse_ladder, a, b):
                                             rel=1e-12)
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (4, 4)])
-def test_split_draws_follow_the_exact_law(coarse_ladder, a, b):
+# with no rejection rounds every cell is drawn by inverting the exact law
+@pytest.mark.parametrize("a, b, rounds", [
+    (1, 1, conditioned._SPLIT_ROUNDS), (2, 1, conditioned._SPLIT_ROUNDS),
+    (4, 4, conditioned._SPLIT_ROUNDS), (2, 1, 0)],
+    ids=["1-1", "2-1", "4-4", "2-1-exact-law"])
+def test_split_draws_follow_the_exact_law(coarse_ladder, monkeypatch,
+                                          a, b, rounds):
+    monkeypatch.setattr(conditioned, "_SPLIT_ROUNDS", rounds)
     m_a, m_b = coarse_ladder.level(a), coarse_ladder.level(b)
     split = _Split(m_a, m_b)
     rng = np.random.default_rng(10 * a + b)
@@ -213,10 +222,21 @@ def test_split_draws_follow_the_exact_law(coarse_ladder, a, b):
 
 
 def test_sampler_builds_no_levels_beyond_the_normalisation():
-    # a sample-only family builds its sampler's tree and not Z_N's top level
+    # a sample-only family builds the tree below N's halves, not level N
     fam = ConditionedFamily(mixture(0.25), 512)
     fam.sample(4, np.random.default_rng(11))
     assert set(fam.ladder._masses) == {2**j for j in range(9)}
+
+
+@pytest.mark.parametrize("n", [300, 1000, 1023])
+def test_sampler_descends_the_entropy_walk(n):
+    # the sampler's tree is the ladder's own: below N it holds the levels
+    # that Z_N and the marginals already built
+    fam = ConditionedFamily(mixture(0.25), n)
+    fam.entropy()
+    built = set(fam.ladder._masses)
+    fam.sample(4, np.random.default_rng(13))
+    assert set(fam.ladder._masses) == built
 
 
 def test_family_levels_are_one_balanced_walk():
@@ -235,14 +255,20 @@ def test_family_rejects_a_ladder_below_its_n():
         ConditionedFamily(f, 300, ladder=NormalizationLadder(f, 256))
 
 
-def test_sampler_marginal_matches_quadrature_large_n():
-    fam = ConditionedFamily(mixture(0.25), 512)
+@pytest.mark.parametrize("n", [512, 1023])
+def test_sampler_marginal_matches_quadrature_large_n(n):
+    fam = ConditionedFamily(mixture(0.25), n)
     s = fam.sample(2000, np.random.default_rng(12))
-    assert np.allclose(np.sum(s * s, axis=1), 512.0, atol=1e-9)
+    assert np.allclose(np.sum(s * s, axis=1), float(n), atol=1e-9)
     # the coordinates are exchangeable, so all of them enter the histogram
     hist, edges = np.histogram(s, bins=40, range=(-6, 6), density=True)
     centers = 0.5 * (edges[1:] + edges[:-1])
     assert np.max(np.abs(hist - fam.marginal1(centers))) < 0.01
+    # the first and last columns come from the first and last leaf groups
+    # (at N = 1023 the first is the one leaf peeled by 3 = 2 + 1); their
+    # mean v^2 agree within 4 standard errors over rows
+    d = s[:, 0] ** 2 - s[:, -1] ** 2
+    assert abs(np.mean(d)) < 4.0 * np.std(d) / np.sqrt(len(d))
 
 
 def test_monte_carlo_agrees_small_sample():

@@ -62,6 +62,14 @@ def test_gamma_ratio_sweep_obeys_villani(mix):
     assert np.all(np.diff(ratios) < 0)
 
 
+def test_gamma_ratio_sweep_takes_numpy_integers(mix):
+    # an array of N reads as the list of the same integers, bit for bit
+    assert (gamma_ratio_sweep(mix, 0.0, np.array([32, 64]))
+            == gamma_ratio_sweep(mix, 0.0, [32, 64]))
+    with pytest.raises(ValueError, match="N must be an integer, not 64.0"):
+        gamma_ratio_sweep(mix, 0.0, [64.0])
+
+
 def test_gamma_ratio_sweep_rejects_maxwellian():
     with pytest.raises(DegenerateTestFunctionError):
         gamma_ratio_sweep(gaussian(1.0), 0.0, [16])

@@ -338,5 +338,11 @@ def test_density_export_round_trip():
     assert np.sum(g.values * g.quadrature_weights) == pytest.approx(1.0,
                                                                     abs=1e-8)
     # the export is the solver's profile at +-v, node for node
-    assert np.array_equal(g(solver.v), solver.vals)
-    assert np.array_equal(g(-solver.v), solver.vals)
+    m = solver.v.size
+    assert np.array_equal(g.nodes[m - 1:], solver.v)
+    assert np.array_equal(g.nodes[:m], -solver.v[::-1])
+    assert np.array_equal(g.values[m - 1:], solver.vals)
+    assert np.array_equal(g.values[:m], solver.vals[::-1])
+    # a table only: it has no pdf to call
+    with pytest.raises(ConfigurationError, match="limit"):
+        g(solver.v)
