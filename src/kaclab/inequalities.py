@@ -72,7 +72,7 @@ def gamma_ratio_sweep(generators, gamma: float, n_list) -> list[GapRatioRow]:
             raise AccuracyError(
                 f"Villani bound violated at N={n}: D/H = {d / h:.6f} < "
                 f"2/(N-1) = {villani_floor(n):.6f}")
-        rows.append(GapRatioRow(n, h, d))
+        rows.append(GapRatioRow(fam.n, h, d))
     return rows
 
 

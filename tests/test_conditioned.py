@@ -221,6 +221,24 @@ def test_split_draws_follow_the_exact_law(coarse_ladder, monkeypatch,
         assert chisquare(obs, exp).pvalue > 1e-3
 
 
+def test_exact_law_fallback_draws_as_one_cell_at_a_time(coarse_ladder,
+                                                       monkeypatch):
+    # the fallback inverts one cumulative law per distinct residual on one
+    # vector of uniforms; it draws what inverting each cell's own law on
+    # one scalar uniform per cell, in cell order, draws, bit for bit
+    monkeypatch.setattr(conditioned, "_SPLIT_ROUNDS", 0)
+    m_a, m_b = coarse_ladder.level(2), coarse_ladder.level(1)
+    e0 = int(round(8 / coarse_ladder.du))
+    e = np.random.default_rng(3).choice([0, 1, e0 // 4, e0, e0 + 7], 5000)
+    got = _Split(m_a, m_b).draw(e, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    want = np.empty_like(e)
+    for k, cell in enumerate(e):
+        law = np.cumsum(m_a[:cell + 1] * m_b[cell::-1])
+        want[k] = conditioned._invert(law, rng.random(), cell)
+    assert np.array_equal(got, want)
+
+
 def test_sampler_builds_no_levels_beyond_the_normalisation():
     # a sample-only family builds the tree below N's halves, not level N
     fam = ConditionedFamily(mixture(0.25), 512)

@@ -1,5 +1,8 @@
 """Inequality machinery: gap sweeps, log-power envelope, rescaled bound."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -63,9 +66,12 @@ def test_gamma_ratio_sweep_obeys_villani(mix):
 
 
 def test_gamma_ratio_sweep_takes_numpy_integers(mix):
-    # an array of N reads as the list of the same integers, bit for bit
-    assert (gamma_ratio_sweep(mix, 0.0, np.array([32, 64]))
-            == gamma_ratio_sweep(mix, 0.0, [32, 64]))
+    # an array of N reads as the list of the same integers, bit for bit,
+    # and its rows hold Python ints that json writes
+    rows = gamma_ratio_sweep(mix, 0.0, np.array([32, 64]))
+    assert rows == gamma_ratio_sweep(mix, 0.0, [32, 64])
+    assert [row["n"] for row in json.loads(json.dumps(
+        [dataclasses.asdict(r) for r in rows]))] == [32, 64]
     with pytest.raises(ValueError, match="N must be an integer, not 64.0"):
         gamma_ratio_sweep(mix, 0.0, [64.0])
 

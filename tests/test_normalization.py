@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
-from kaclab.normalization import (NormalizationLadder, clt_envelope,
+from kaclab.normalization import (_TRIM, NormalizationLadder, _fast_length,
+                                  _window, clt_envelope,
                                   clt_envelope_ndependent, lambda_sup,
                                   schedule_delta, sigma_squared)
 from kaclab.sphere import log_sphere_area
@@ -83,8 +85,9 @@ def test_binary_decomposition_matches_sequential():
 @pytest.mark.parametrize("top", [12, 513, 1024])
 def test_levels_are_the_convolutions_of_their_halves(top):
     # every level on the tree of levels N, N - 1 and N - 2, built in one
-    # walk, even and odd, equals the direct FFT convolution of its halves
-    # ceil(n/2) and floor(n/2) bit for bit
+    # walk, even and odd, is the direct FFT convolution of its halves
+    # ceil(n/2) and floor(n/2) up to the cells each half leaves out of its
+    # window, and exactly zero outside the sum of the windows
     ladder = NormalizationLadder(mixture(0.3), top)
     ladder.level(top, top - 1, top - 2)
     assert {n % 2 for n in ladder._masses if n > 1} == {0, 1}
@@ -92,9 +95,61 @@ def test_levels_are_the_convolutions_of_their_halves(top):
         if n == 1:
             continue
         a, b = ladder.halves(n)
-        want = np.maximum(
-            fftconvolve(ladder.level(a), ladder.level(b))[:ladder.n_grid], 0.0)
-        assert np.array_equal(got, want), n
+        m_a, m_b = ladder.level(a), ladder.level(b)
+        want = np.maximum(fftconvolve(m_a, m_b)[:ladder.n_grid], 0.0)
+        bound = _TRIM * (m_a.max() * m_b.sum() + m_b.max() * m_a.sum())
+        assert np.max(np.abs(got - want)) <= bound, n
+        (lo_a, hi_a), (lo_b, hi_b) = _window(m_a), _window(m_b)
+        outside = np.ones(ladder.n_grid, dtype=bool)
+        outside[lo_a + lo_b:hi_a + hi_b + 1] = False
+        assert not np.any(got[outside]), n
+
+
+@pytest.mark.parametrize("n_grid", [7, 1001])
+def test_walk_on_grids_of_any_size(n_grid):
+    # neither 14 nor 2002 is 5-smooth, so a tier's transform can be longer
+    # than 2 n_grid
+    ladder = NormalizationLadder(mixture(0.25), 16, n_grid=n_grid)
+    m_8 = ladder.level(8)
+    want = np.maximum(fftconvolve(m_8, m_8)[:n_grid], 0.0)
+    assert np.allclose(ladder.level(16), want, rtol=0.0, atol=1e-12)
+
+
+def test_walk_transforms_only_the_windows(monkeypatch):
+    # the points numpy.fft transforms to walk a 2^18-cell Gaussian ladder
+    # to level 1024: 10 tiers of one forward and one inverse transform,
+    # 10.5 million points at the full length 2 n_grid; the windows need
+    # under a fifth of that
+    bound = 2_000_000
+    points = []
+
+    def counted(transform):
+        def call(x, n, *args, **kwargs):
+            points.append(n)
+            return transform(x, n, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    ladder = NormalizationLadder(gaussian(1.0), 1024, n_grid=2**18)
+    ladder.level(1024)
+    assert len(points) == 20
+    assert sum(points) < bound
+    # level 64 (mean 64, standard deviation 11) spans at most a fifth of
+    # the grid (u_max = 1476)
+    cells = np.flatnonzero(ladder.level(64))
+    assert cells[-1] - cells[0] + 1 <= 0.2 * ladder.n_grid
+
+
+def test_fast_length_is_scipys_real_fast_length():
+    # _fast_length is the least of terms nondecreasing in n, so it matches
+    # next_fast_len on every n <= 10^6 once it matches at both ends of
+    # each run of n that next_fast_len maps to one length
+    n = np.arange(1, 10**6 + 1)
+    want = np.array([next_fast_len(int(k), real=True) for k in n])
+    ends = np.flatnonzero(np.diff(want))
+    for k in np.unique(np.concatenate([[0, n.size - 1], ends, ends + 1])):
+        assert _fast_length(int(n[k])) == want[k], n[k]
 
 
 def test_truncated_grid_rejected():
