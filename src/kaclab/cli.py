@@ -95,8 +95,7 @@ class Artifacts:
         self.seed = seed
 
     def csv(self, name: str, columns, rows) -> None:
-        path = os.path.join(self.dir, name)
-        with open(path, "w") as fh:
+        with open(self.path(name), "w") as fh:
             fh.write(self.header)
             fh.write(",".join(columns) + "\n")
             for row in rows:
@@ -105,13 +104,12 @@ class Artifacts:
                     else str(x) for x in row) + "\n")
 
     def json(self, name: str, payload: dict) -> None:
-        path = os.path.join(self.dir, name)
         payload = {"config_hash": self.config_hash, "seed": self.seed,
                    **payload}
-        with open(path, "w") as fh:
+        with open(self.path(name), "w") as fh:
             json.dump(payload, fh, indent=2)
 
-    def svg_path(self, name: str) -> str:
+    def path(self, name: str) -> str:
         return os.path.join(self.dir, name)
 
 
@@ -146,7 +144,7 @@ def cmd_clt(cfg: dict, art: Artifacts, rng) -> int:
             _get(cfg["generator"], "beta", SCHEDULE_BETA), n_list,
             _get(cfg, "j", 0))
     art.csv("clt.csv", ["n", "sigma2", "lambda_sup"], rows)
-    svg.line_chart(art.svg_path("clt.svg"),
+    svg.line_chart(art.path("clt.svg"),
                    [("sup|lambda_N|", [r[0] for r in rows],
                      [r[2] for r in rows])],
                    title="local CLT remainder", x_label="N",
@@ -166,7 +164,7 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
         rows.append((n, fam.entropy() / n, fam.production(gamma) / n))
     art.csv("entropy_scan.csv", ["n", "entropy_per_n", "production_per_n"],
             rows)
-    svg.line_chart(art.svg_path("entropy_scan.svg"),
+    svg.line_chart(art.path("entropy_scan.svg"),
                    [("H_N/N", [r[0] for r in rows], [r[1] for r in rows]),
                     ("D_N/N", [r[0] for r in rows], [r[2] for r in rows])],
                    title="entropy and production per particle", x_label="N",
@@ -183,7 +181,7 @@ def cmd_villani(cfg: dict, art: Artifacts, rng) -> int:
             [(r.n, r.entropy, r.production, r.ratio, villani_floor(r.n))
              for r in rows])
     art.json("villani.json", {"slope": slope})
-    svg.line_chart(art.svg_path("villani.svg"),
+    svg.line_chart(art.path("villani.svg"),
                    [("ratio", [r.n for r in rows], [r.ratio for r in rows]),
                     ("2/(N-1)", [r.n for r in rows],
                      [villani_floor(r.n) for r in rows])],
@@ -203,7 +201,7 @@ def cmd_cercignani(cfg: dict, art: Artifacts, rng) -> int:
         ratio = cercignani_ratio(f(v), v, _get(cfg, "gamma", 0.0))
         rows.append((d, ratio, d * np.log(1.0 / d)))
     art.csv("cercignani.csv", ["delta", "ratio", "delta_log_inv_delta"], rows)
-    svg.line_chart(art.svg_path("cercignani.svg"),
+    svg.line_chart(art.path("cercignani.svg"),
                    [("D/(2H)", [r[0] for r in rows], [r[1] for r in rows]),
                     ("delta log 1/delta", [r[0] for r in rows],
                      [r[2] for r in rows])],
@@ -254,7 +252,7 @@ def cmd_pde(cfg: dict, art: Artifacts, rng) -> int:
                         record_every=_get(cfg, "record_every", 10))
     rows = list(zip(rec.times, rec.entropy, rec.production, rec.mass_drift))
     art.csv("pde.csv", ["t", "entropy", "production", "mass_drift"], rows)
-    svg.line_chart(art.svg_path("pde.svg"),
+    svg.line_chart(art.path("pde.svg"),
                    [("H(f|M)", rec.times, np.maximum(rec.entropy, 1e-16)),
                     ("D_gamma", rec.times, np.maximum(rec.production, 1e-16))],
                    title="H-theorem decay", x_label="t", y_label="value",

@@ -23,6 +23,7 @@ from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
                          energy_shells, fold, log_power_kernel, pair_kernel,
                          quadrant_angles, require_even, shell_sum,
                          trapezoid_weights)
+from .sphere import rotate_pair
 
 # Monte Carlo states per batch
 _MC_BATCH = 50_000
@@ -82,9 +83,8 @@ class ConditionedFamily:
     def marginal1(self, v) -> np.ndarray:
         """First marginal F_{N,1}(v), supported on |v| <= sqrt N."""
         v = np.asarray(v, dtype=float)
-        with np.errstate(divide="ignore"):
-            logf = np.where(self.f(v) > 0, np.log(np.maximum(self.f(v), 1e-300)),
-                            -np.inf)
+        fv = self.f(v)
+        logf = np.where(fv > 0, np.log(np.maximum(fv, 1e-300)), -np.inf)
         return np.exp(logf + self.log_marginal_weight(1, v * v))
 
     def _marginal_quadrature(self):
@@ -126,21 +126,23 @@ class ConditionedFamily:
         return (s, ws, np.exp(self.log_marginal_weight(2, s)),
                 fold(np.maximum(e, 0.0)))
 
-    def _refined(self, what: str, value, check: bool) -> float:
-        """value(SHELLS, ANGLES); with check, the value on twice the shells
-        and angles, which must agree with it to 1e-3 relative or to 1e-12 N.
+    def _checked(self, what: str, value, check: bool) -> float:
+        """value(SHELLS, ANGLES); with check, it must agree with the value
+        on half the shells and angles to 1e-3 relative or to 1e-12 N.
 
-        The absolute floor sits far above the rounding noise of the shell
-        sums, which grows with N: at a Maxwellian generator, where the
-        production is zero, both rules give values of about 1e-15 N.
+        The half rule keeps a multiple of 4 angles, so it folds too; it
+        costs about half the production's value and a sixth of the
+        log-power integral's.  The absolute floor sits far above the
+        rounding noise of the shell sums, which grows with N: at a
+        Maxwellian generator, where the production is zero, both rules
+        give values of about 1e-15 N.
         """
         val = value(SHELLS, ANGLES)
         if check:
-            ref = value(2 * SHELLS, 2 * ANGLES)
-            if abs(val - ref) > max(1e-3 * abs(ref), 1e-12 * self.n):
+            half = value(SHELLS // 2, ANGLES // 2)
+            if abs(val - half) > max(1e-3 * abs(val), 1e-12 * self.n):
                 raise AccuracyError(
-                    f"{what} quadrature not converged: {val} vs {ref}")
-            val = ref
+                    f"{what} quadrature not converged: {val} vs {half}")
         return val
 
     def production(self, gamma: float, check: bool = True) -> float:
@@ -149,7 +151,9 @@ class ConditionedFamily:
         In polar coordinates on each energy shell the rotation is an angle
         shift, and the symmetric kernel (x - y)(log x - log y) summed over
         angle pairs collapses to two inner products, so the cost is linear
-        in the number of angle nodes.
+        in the number of angle nodes.  The value is the same with or
+        without check, which only skips the convergence check (see
+        :meth:`_checked`).
         """
         def production_value(n_s, angle_nodes):
             s, ws, weight, p = self._shells(n_s, angle_nodes)
@@ -158,13 +162,14 @@ class ConditionedFamily:
             return self.n / (4.0 * np.pi) * 0.5 * shell_sum(
                 ws, rate, pair_kernel(p, angle_nodes), angle_nodes)
 
-        return self._refined("production", production_value, check)
+        return self._checked("production", production_value, check)
 
-    def log_power_integral(self, beta: float, check: bool = True) -> float:
+    def log_power_integral(self, beta: float) -> float:
         """The |log|^{1+beta}-weighted collision integral of F_N.
 
-        Same reduction as :meth:`production` with the kernel
-        psi_beta(x, y) = (x - y) |log(x/y)|^{1+beta} and no rate weight.
+        Same reduction and convergence check as :meth:`production` with the
+        kernel psi_beta(x, y) = (x - y) |log(x/y)|^{1+beta} and no rate
+        weight.
         """
         def log_power_value(n_s, angle_nodes):
             s, ws, weight, p = self._shells(n_s, angle_nodes)
@@ -172,7 +177,7 @@ class ConditionedFamily:
             # prefactor 1 / 2 pi and the polar jacobian 1/2; no N scaling
             return shell_sum(ws, weight, pair, angle_nodes) / TWO_PI * 0.5
 
-        return self._refined("log-power", log_power_value, check)
+        return self._checked("log-power", log_power_value, True)
 
     # -- sampling -------------------------------------------------------
 
@@ -224,6 +229,8 @@ class ConditionedFamily:
                  velocities: np.ndarray | None):
         """States in batches of _MC_BATCH: consecutive rows of velocities,
         else draws."""
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         if velocities is not None and len(velocities) < samples:
             raise ValueError(f"velocities has {len(velocities)} rows, fewer "
                              f"than samples={samples}")
@@ -255,8 +262,7 @@ class ConditionedFamily:
         for v in self._batches(samples, rng, velocities):
             v1, v2 = v[:, 0], v[:, 1]
             base = np.maximum(self.f(v1) * self.f(v2), 1e-300)
-            w1 = v1[:, None] * np.cos(theta) + v2[:, None] * np.sin(theta)
-            w2 = -v1[:, None] * np.sin(theta) + v2[:, None] * np.cos(theta)
+            w1, w2 = rotate_pair(v1[:, None], v2[:, None], theta)
             ratio = np.maximum(self.f(w1) * self.f(w2), 1e-300) / base[:, None]
             inner = np.sum((1.0 - ratio) * (-np.log(ratio)), axis=1) * dtheta
             s = v1 * v1 + v2 * v2

@@ -77,7 +77,10 @@ def gamma_ratio_sweep(generators, gamma: float, n_list) -> list[GapRatioRow]:
 
 
 def fit_loglog_slope(n_values, ratios) -> float:
-    """Least-squares slope of log(ratio) against log(N)."""
+    """Least-squares slope of log(ratio) against log(N), from at least two
+    distinct N."""
+    if len(set(n_values)) < 2:
+        raise ValueError(f"a slope needs two distinct N, got {list(n_values)}")
     return float(np.polyfit(np.log(np.asarray(n_values, dtype=float)),
                             np.log(np.asarray(ratios, dtype=float)), 1)[0])
 
@@ -90,13 +93,11 @@ def mixture_exponent_bound(spec: MixtureSpec):
 
     f_delta >= (1-delta) M_{1/(2(1-delta))} gives
     Phi(v) = (1-delta) v^2 - log((1-delta) sqrt((1-delta)/pi)),
-    which is positive since the constant term exceeds 1 for delta <= 1/2.
+    which is positive: the constant term is at least log sqrt(pi) > 0.57
+    for every delta in (0, 1).
     """
     d = spec.delta
     const = -np.log((1.0 - d) * np.sqrt((1.0 - d) / np.pi))
-    if const <= 0:
-        raise ConfigurationError(
-            "exponent bound not positive at this mixture weight")
 
     def phi(v):
         return (1.0 - d) * np.asarray(v, dtype=float) ** 2 + const
@@ -196,8 +197,7 @@ def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness,
     rows = []
     for n in n_list:
         fam = ConditionedFamily(f, n, ladder=ladder)
-        # unchecked: the doubled check costs about six times the value
-        measured = fam.log_power_integral(beta, check=False)
+        measured = fam.log_power_integral(beta)
         sup_n = lambda_sup(ladder, n)
         sup_nm1 = lambda_sup(ladder, n - 1)
         denom = 1.0 - np.sqrt(TWO_PI) * sup_n
@@ -267,6 +267,8 @@ def rescaled_inequality_check(gamma: float, witness: LogPowerWitness,
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError("gamma must lie in [0, 1)")
+    if not 0.0 < c1 < np.inf:
+        raise ConfigurationError(f"c1 must be finite and positive, got {c1}")
     beta, k = witness.beta, witness.k
     # sweep-sup estimates of C_beta^{1+beta} and M_{2k}
     c_beta = max(r.measured for r in envelope) ** (1.0 / (1.0 + beta))

@@ -73,7 +73,7 @@ def test_03_entropic_chaoticity(mix, families):
     for n in N_SWEEP:
         fam = families[n]
         h_gaps.append(abs(fam.entropy() / n - h_lim) / h_lim)
-        d = fam.production(0.0, check=False)
+        d = fam.production(0.0)
         d_gaps.append(abs(2.0 * d / (n * d_lim) - 1.0))
     ok = (h_gaps[-1] < 0.05 and d_gaps[-1] < 0.10
           and bool(np.all(np.diff(h_gaps) < 0))
@@ -193,7 +193,7 @@ def test_11_oracle_equivalence():
         d_b.append(fam.production_monte_carlo(0.5, 100_000, rng,
                                               velocities=draws))
     h_q = fam.entropy()
-    d_q = fam.production(0.5, check=False)
+    d_q = fam.production(0.5)
     h_err = abs(np.mean(h_b) - h_q) / abs(h_q)
     d_err = abs(np.mean(d_b) - d_q) / abs(d_q)
     # z: the error in batch standard errors over the 10 batches

@@ -165,6 +165,10 @@ INVALID_CONFIGS = [
     ("cercignani", '{"gamma": 2.5}'),
     ("cercignani", '{"nodes": 3}'),
     ("pde", '{"record_every": -1}'),
+    ("villani", '{"n_list": [64]}'),
+    ("villani", '{"n_list": [64, 64]}'),
+    ("inequality", '{"c1": 0.0}'),
+    ("inequality", '{"c1": -1.0}'),
 ]
 
 

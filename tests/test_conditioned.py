@@ -62,8 +62,7 @@ def test_gaussian_entropy_vanishes(gauss_family):
 
 
 def test_gaussian_production_vanishes(gauss_family):
-    assert gauss_family.production(0.5, check=False) == pytest.approx(
-        0.0, abs=1e-10)
+    assert gauss_family.production(0.5) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_checked_production_at_a_maxwellian(gauss_family):
@@ -74,15 +73,28 @@ def test_checked_production_at_a_maxwellian(gauss_family):
         assert abs(d) < 1e-12 * N_GAUSS
 
 
-def test_refinement_check_raises_when_not_converged(gauss_family):
-    def value(shells, angles):
-        return 1.0 if shells == SHELLS else 1.01
+@pytest.mark.parametrize("what, evaluate", [
+    ("production", lambda fam: fam.production(0.5)),
+    ("log-power", lambda fam: fam.log_power_integral(1.0)),
+], ids=["production", "log-power"])
+def test_refinement_check_raises_when_not_converged(monkeypatch, mix_family,
+                                                    what, evaluate):
+    shell_sum = conditioned.shell_sum
 
-    with pytest.raises(AccuracyError, match="production"):
-        gauss_family._refined("production", value, True)
-    # differences below the floor of 1e-12 N count as rounding
-    assert gauss_family._refined(
-        "production", lambda s, a: 1e-12 * (s == SHELLS), True) == 0.0
+    def off_at_half_rule(ws, weight, pair, angle_nodes):
+        out = shell_sum(ws, weight, pair, angle_nodes)
+        return 1.01 * out if len(ws) == SHELLS // 2 else out
+
+    monkeypatch.setattr(conditioned, "shell_sum", off_at_half_rule)
+    with pytest.raises(AccuracyError, match=f"{what} quadrature not converged"):
+        evaluate(mix_family)
+
+
+def test_refinement_check_floor(gauss_family):
+    # differences below the floor of 1e-12 N count as rounding; the value
+    # returned is the full rule's
+    assert gauss_family._checked(
+        "production", lambda s, a: 1e-12 * (s == SHELLS), True) == 1e-12
 
 
 def test_marginal_mass(mix_family):
@@ -100,20 +112,20 @@ def test_entropy_positive_and_extensive(mix_family):
 
 
 def test_production_positive_and_monotone_in_gamma(mix_family):
-    d0 = mix_family.production(0.0, check=False)
-    d1 = mix_family.production(1.0, check=False)
+    d0 = mix_family.production(0.0)
+    d1 = mix_family.production(1.0)
     assert 0 < d0 < d1
 
 
 def test_production_quadrature_self_check(mix_family):
-    # the doubling check agrees with the base resolution
-    base = mix_family.production(0.5, check=False)
-    checked = mix_family.production(0.5, check=True)
-    assert checked == pytest.approx(base, rel=1e-3)
+    # the check compares against the half rule; it never changes the value
+    for gamma in (0.0, 0.5, 1.0):
+        assert mix_family.production(gamma) == mix_family.production(
+            gamma, check=False)
 
 
 def test_log_power_integral_positive(mix_family):
-    val = mix_family.log_power_integral(1.0, check=False)
+    val = mix_family.log_power_integral(1.0)
     assert val > 0
 
 
@@ -351,18 +363,14 @@ def reference_log_power(fam, beta, n_s, angle_nodes):
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 def test_production_matches_unfolded_reference(mix_family, gamma):
-    got = mix_family.production(gamma, check=False)
+    got = mix_family.production(gamma)
     ref = reference_production(mix_family, gamma, SHELLS, ANGLES)
-    assert got == pytest.approx(ref, rel=1e-12)
-    # check=True returns the value on twice the shells and angles
-    got = mix_family.production(gamma, check=True)
-    ref = reference_production(mix_family, gamma, 2 * SHELLS, 2 * ANGLES)
     assert got == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0])
 def test_log_power_matches_unfolded_reference(mix_family, beta):
-    got = mix_family.log_power_integral(beta, check=False)
+    got = mix_family.log_power_integral(beta)
     ref = reference_log_power(mix_family, beta, SHELLS, ANGLES)
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -381,6 +389,12 @@ def test_monte_carlo_rejects_short_velocity_arrays():
         fam.entropy_monte_carlo(200, rng, velocities=draws)
     with pytest.raises(ValueError, match="fewer than samples"):
         fam.production_monte_carlo(0.5, 200, rng, velocities=draws)
+    # no samples, or a negative count, is no estimate
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            fam.entropy_monte_carlo(samples, rng)
+        with pytest.raises(ValueError, match="at least 1"):
+            fam.production_monte_carlo(0.5, samples, rng, velocities=draws)
     # exactly enough rows is fine, also over several 50 000-row batches
     full = fam.entropy_monte_carlo(100, rng, velocities=draws)
     tiled = np.tile(draws, (501, 1))

@@ -93,6 +93,12 @@ def test_fit_loglog_slope_exact():
     assert fit_loglog_slope(n, 5.0 * n**-0.7) == pytest.approx(-0.7)
 
 
+@pytest.mark.parametrize("n_values", [[64], [64, 64], np.array([64, 64])])
+def test_fit_loglog_slope_needs_two_distinct_n(n_values):
+    with pytest.raises(ValueError, match="two distinct N"):
+        fit_loglog_slope(n_values, [0.1] * len(n_values))
+
+
 def test_log_over_power_sup():
     eps = 0.5
     x = np.linspace(1.0, 200.0, 100_000)
@@ -201,6 +207,12 @@ def test_rescaled_constant_records_inputs(witness, envelope):
     assert twice.constant / base.constant == pytest.approx(2.0 ** (1.0 / q),
                                                            rel=1e-12)
     assert base.exponent == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("c1", [0.0, -1.0, np.inf, np.nan])
+def test_rescaled_check_rejects_nonpositive_c1(witness, envelope, c1):
+    with pytest.raises(ConfigurationError, match="c1 must be finite"):
+        rescaled_inequality_check(0.5, witness, envelope[:1], c1=c1)
 
 
 def test_optimized_constant_formula_consistent():
