@@ -17,22 +17,29 @@ import sys
 import numpy as np
 
 from . import svg
-from .densities import GridDensity1D, MixtureSpec, gaussian, mixture
+from .densities import GridDensity1D, gaussian, mixture
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError, SamplingError)
 from .conditioned import ConditionedFamily
 from .inequalities import (LogPowerWitness, fit_loglog_slope,
                            gamma_ratio_sweep, logpower_envelope,
-                           mixture_exponent_bound, rescaled_inequality_check,
-                           villani_floor)
+                           rescaled_inequality_check, villani_floor)
 from .limit_eq import LimitSolver, cercignani_ratio
-from .normalization import (NormalizationLadder, clt_envelope,
-                            clt_envelope_ndependent, schedule_delta)
+from .normalization import clt_envelope, schedule_delta
 from .process import (SimulationConfig, dirichlet_rayleigh, exact_gap_smalln,
                       simulate_ensemble, spectral_gap)
 
 EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE = 0, 2, 3
 SCHEDULE_BETA = 0.1  # beta of a schedule generator that states none
+
+
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and -Infinity, and literals
+    such as 1e999 that overflow to them, raise ConfigurationError."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"config holds the non-finite number {text}")
+    return value
 
 
 def _load_config(path: str | None) -> tuple[dict, str]:
@@ -41,7 +48,7 @@ def _load_config(path: str | None) -> tuple[dict, str]:
     with open(path) as fh:
         text = fh.read()
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -73,6 +80,11 @@ def _generator(cfg: dict):
         return mixture(_get(spec, "delta", 0.25))
     if kind == "schedule":
         beta = _get(spec, "beta", SCHEDULE_BETA)
+        # delta_N = N^{2 beta - 1} meets both growth conditions of the
+        # N-dependent concentration theorem for 0 < beta < 1/6
+        if not 0.0 < beta < 1.0 / 6.0:
+            raise ConfigurationError(
+                f"schedule beta must lie in (0, 1/6), got {beta!r}")
         return lambda n: mixture(schedule_delta(beta, n))
     raise ConfigurationError(f"unknown generator kind {kind!r}")
 
@@ -135,14 +147,8 @@ def cmd_gap(cfg: dict, art: Artifacts, rng: np.random.Generator) -> int:
 
 
 def cmd_clt(cfg: dict, art: Artifacts, rng) -> int:
-    gen = _generator(cfg)
-    n_list = _n_list(cfg, [32, 64, 128, 256])
-    if isinstance(gen, GridDensity1D):
-        rows = clt_envelope(NormalizationLadder(gen, max(n_list)), n_list)
-    else:
-        rows = clt_envelope_ndependent(
-            _get(cfg["generator"], "beta", SCHEDULE_BETA), n_list,
-            _get(cfg, "j", 0))
+    rows = clt_envelope(_generator(cfg), _n_list(cfg, [32, 64, 128, 256]),
+                        _get(cfg, "j", 0))
     art.csv("clt.csv", ["n", "sigma2", "lambda_sup"], rows)
     svg.line_chart(art.path("clt.svg"),
                    [("sup|lambda_N|", [r[0] for r in rows],
@@ -211,14 +217,11 @@ def cmd_cercignani(cfg: dict, art: Artifacts, rng) -> int:
 
 
 def cmd_inequality(cfg: dict, art: Artifacts, rng) -> int:
-    delta = _get(cfg, "delta", 0.25)
-    f = mixture(delta)
-    witness = LogPowerWitness(beta=_get(cfg, "beta", 1.0),
+    witness = LogPowerWitness(delta=_get(cfg, "delta", 0.25),
+                              beta=_get(cfg, "beta", 1.0),
                               k=_get(cfg, "k", 3.0),
-                              phi=mixture_exponent_bound(MixtureSpec(delta)),
                               epsilon=_get(cfg, "epsilon", 0.5))
-    n_list = _n_list(cfg, [32, 64, 128, 256])
-    env = logpower_envelope(f, witness, n_list)
+    env = logpower_envelope(witness, _n_list(cfg, [32, 64, 128, 256]))
     reports = rescaled_inequality_check(_get(cfg, "gamma", 0.5), witness, env,
                                         c1=_get(cfg, "c1", 2.0))
     art.csv("logpower.csv",

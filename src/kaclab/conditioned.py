@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from .densities import GridDensity1D
-from .errors import AccuracyError, SamplingError
+from .errors import AccuracyError, ConfigurationError, SamplingError
 from .normalization import NormalizationLadder, as_int
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
                          energy_shells, fold, log_power_kernel, pair_kernel,
@@ -153,8 +153,11 @@ class ConditionedFamily:
         angle pairs collapses to two inner products, so the cost is linear
         in the number of angle nodes.  The value is the same with or
         without check, which only skips the convergence check (see
-        :meth:`_checked`).
+        :meth:`_checked`).  gamma must lie in [0, 1].
         """
+        if not 0.0 <= gamma <= 1.0:
+            raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma!r}")
+
         def production_value(n_s, angle_nodes):
             s, ws, weight, p = self._shells(n_s, angle_nodes)
             rate = weight * (1.0 + s) ** gamma

@@ -82,21 +82,13 @@ def gaussian(a: float) -> GridDensity1D:
                          tag=f"gauss(a={a:g})")
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Weight of the hot Gaussian component; both parts carry unit energy."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-
-
 def mixture(delta) -> GridDensity1D:
-    """delta-weighted hot/cold Gaussian mixture with unit second moment, on
-    |v| <= max(16, 8 standard deviations of its wider component)."""
-    d = MixtureSpec(float(delta)).delta
+    """Hot/cold Gaussian mixture, weight delta in (0, 1) on the hot part,
+    with unit second moment, on |v| <= max(16, 8 standard deviations of
+    its wider component)."""
+    d = float(delta)
+    if not 0.0 < d < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     a_hot = 1.0 / (2.0 * d)
     a_cold = 1.0 / (2.0 * (1.0 - d))
     v_max = max(DEFAULT_V_MAX, 8.0 / np.sqrt(2.0 * min(d, 1.0 - d)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioned import ConditionedFamily
-from .densities import GridDensity1D, MixtureSpec
+from .densities import GridDensity1D, mixture
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
 from .normalization import NormalizationLadder, lambda_sup
@@ -88,45 +88,33 @@ def fit_loglog_slope(n_values, ratios) -> float:
 # -- log-power envelope -------------------------------------------------
 
 
-def mixture_exponent_bound(spec: MixtureSpec):
-    """Pointwise exponent Phi with f_delta >= exp(-Phi), from the cold part.
-
-    f_delta >= (1-delta) M_{1/(2(1-delta))} gives
-    Phi(v) = (1-delta) v^2 - log((1-delta) sqrt((1-delta)/pi)),
-    which is positive: the constant term is at least log sqrt(pi) > 0.57
-    for every delta in (0, 1).
-    """
-    d = spec.delta
-    const = -np.log((1.0 - d) * np.sqrt((1.0 - d) / np.pi))
-
-    def phi(v):
-        return (1.0 - d) * np.asarray(v, dtype=float) ** 2 + const
-
-    return phi
-
-
 @dataclass
 class LogPowerWitness:
-    """Certificate inputs for the log-power envelope of one generator."""
+    """Certificate inputs for the log-power envelope of mixture(delta)."""
 
+    delta: float
     beta: float
     k: float
-    phi: object  # callable v -> exponent with f >= exp(-phi)
     epsilon: float = 0.5
 
     def __post_init__(self):
-        if self.beta <= 0 or self.epsilon <= 0:
-            raise ConfigurationError("beta and epsilon must be positive")
-        if self.k <= 1.0 + 1.0 / self.beta:
+        if not (0 < self.beta < np.inf and 0 < self.epsilon < np.inf):
+            raise ConfigurationError(
+                "beta and epsilon must be finite and positive")
+        if not 1.0 + 1.0 / self.beta < self.k < np.inf:
             raise ConfigurationError("need k > 1 + 1/beta")
 
-    def validate_lower_bound(self, f: GridDensity1D) -> None:
-        v = np.linspace(-f.v_max, f.v_max, 2001)
-        fv = f(v)
-        live = fv > 0
-        if np.any(np.exp(-self.phi(v[live])) > fv[live] * (1.0 + 1e-9)):
-            raise ConfigurationError(
-                "exponent function does not dominate -log f on the grid")
+    def phi(self, v):
+        """Pointwise exponent Phi with f_delta >= exp(-Phi), from the cold part.
+
+        f_delta >= (1-delta) M_{1/(2(1-delta))} gives
+        Phi(v) = (1-delta) v^2 - log((1-delta) sqrt((1-delta)/pi)),
+        with margin delta M_hot.  Phi is positive: the constant term is at
+        least log sqrt(pi) > 0.57 for every delta in (0, 1).
+        """
+        d = self.delta
+        const = -np.log((1.0 - d) * np.sqrt((1.0 - d) / np.pi))
+        return (1.0 - d) * np.asarray(v, dtype=float) ** 2 + const
 
 
 def log_over_power_sup(epsilon: float) -> float:
@@ -135,7 +123,8 @@ def log_over_power_sup(epsilon: float) -> float:
 
 
 def moment_envelope(f: GridDensity1D, witness: LogPowerWitness) -> dict:
-    """The three moment pieces of the envelope and their total.
+    """The three moment pieces of the envelope of f and their total;
+    :func:`logpower_envelope` passes f = mixture(witness.delta).
 
     total = 2 (sup log x / x^eps)^{1+beta} ||f||_inf^{eps (1+beta)}
             + int Phi^{1+beta} f + int (int_0^{2pi} Phi(v1(th))^{1+beta} dth) f f.
@@ -182,15 +171,16 @@ class EnvelopeRow:
         return self.bound is not None and self.measured <= self.bound
 
 
-def logpower_envelope(f: GridDensity1D, witness: LogPowerWitness,
+def logpower_envelope(witness: LogPowerWitness,
                       n_list) -> list[EnvelopeRow]:
-    """Measured log-power integrals against the certified constant.
+    """Measured log-power integrals of mixture(witness.delta) against the
+    certified constant.
 
     The envelope at each N uses the local-CLT remainder suprema of levels
     N and N-1; when sqrt(2 pi) sup|lambda_N| >= 1 the denominator of the
     certified constant is nonpositive and the bound is undefined there.
     """
-    witness.validate_lower_bound(f)
+    f = mixture(witness.delta)
     beta = witness.beta
     m_total = moment_envelope(f, witness)["total"]
     ladder = NormalizationLadder(f, max(n_list))

@@ -51,11 +51,12 @@ from .quadrature import (ANGLES, SHELLS, TWO_PI, energy_shells, fold, freeze,
 
 def _check_limit_inputs(gamma: float, v_max: float, nodes: int) -> None:
     """Raise unless gamma lies in [0, 1] and the half grid [0, v_max] of
-    nodes points carries a not-a-knot cubic spline (four knots at least)."""
+    nodes points, v_max finite, carries a not-a-knot cubic spline (four
+    knots at least)."""
     if not 0.0 <= gamma <= 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma!r}")
-    if not (v_max > 0 and nodes >= 4):
-        raise ConfigurationError(f"need v_max > 0 and nodes >= 4, got "
+    if not (0 < v_max < np.inf and nodes >= 4):
+        raise ConfigurationError(f"need 0 < v_max < inf and nodes >= 4, got "
                                  f"{v_max!r} and {nodes!r}")
 
 
@@ -283,9 +284,9 @@ class LimitSolver:
 
     def evolve(self, t_final: float, dt: float,
                record_every: int = 1) -> EvolutionRecord:
-        if not (t_final > 0 and dt > 0):
-            raise ConfigurationError(
-                f"need t_final > 0 and dt > 0, got {t_final} and {dt}")
+        if not (0 < t_final < np.inf and 0 < dt < np.inf):
+            raise ConfigurationError(f"need finite t_final > 0 and dt > 0, "
+                                     f"got {t_final} and {dt}")
         # 0 records the end point only
         if not record_every >= 0:
             raise ConfigurationError(

@@ -30,11 +30,12 @@ inside ratio queries.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
 
-from .densities import GridDensity1D, mixture, moment
+from .densities import GridDensity1D, moment
 from .errors import ConfigurationError
 from .sphere import log_sphere_area
 
@@ -239,30 +240,26 @@ def lambda_sup(ladder: NormalizationLadder, n: int) -> float:
     return float(np.max(np.abs(lambda_profile(ladder, n)[1])))
 
 
-def clt_envelope(ladder: NormalizationLadder,
-                 n_list) -> list[tuple[int, float, float]]:
-    """(N, Sigma^2, sup|lambda_N|) for one generator's ladder."""
-    return [(n, ladder.sigma2, lambda_sup(ladder, n)) for n in n_list]
+def clt_envelope(generators, n_list,
+                 j: int = 0) -> list[tuple[int, float, float]]:
+    """(N, Sigma^2, sup|lambda_{N-j}|) for each N of n_list.
+
+    ``generators`` is either a single density, whose rows all read one
+    ladder up to max(n_list) - j, or a callable N -> density, such as the
+    schedule delta_N = N^{2 beta - 1}, whose row at N reads its own ladder
+    up to N - j.
+    """
+    if j not in (0, 1, 2):
+        raise ValueError("j must be 0, 1 or 2")
+    if isinstance(generators, GridDensity1D):
+        ladders = itertools.repeat(
+            NormalizationLadder(generators, max(n_list) - j))
+    else:
+        ladders = (NormalizationLadder(generators(n), n - j) for n in n_list)
+    return [(n, ladder.sigma2, lambda_sup(ladder, n - j))
+            for n, ladder in zip(n_list, ladders)]
 
 
 def schedule_delta(beta: float, n: int) -> float:
     """The vanishing hot-component weight delta_N = N^{2 beta - 1}."""
     return float(n) ** (2.0 * beta - 1.0)
-
-
-def clt_envelope_ndependent(beta: float, n_list,
-                            j: int) -> list[tuple[int, float, float]]:
-    """(N, Sigma^2_{delta_N}, sup|lambda_j(N-j, .)|) along the schedule.
-
-    Valid for 0 < beta < 1/6, where delta_N = N^{2 beta - 1} satisfies both
-    growth conditions of the N-dependent concentration theorem.
-    """
-    if not 0.0 < beta < 1.0 / 6.0:
-        raise ValueError("beta must lie in (0, 1/6)")
-    if j not in (0, 1, 2):
-        raise ValueError("j must be 0, 1 or 2")
-    rows = []
-    for n in n_list:
-        ladder = NormalizationLadder(mixture(schedule_delta(beta, n)), n - j)
-        rows.append((n, ladder.sigma2, lambda_sup(ladder, n - j)))
-    return rows

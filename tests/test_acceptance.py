@@ -9,10 +9,9 @@ import pytest
 from scipy.stats import wasserstein_distance
 
 from kaclab.conditioned import ConditionedFamily
-from kaclab.densities import MixtureSpec, gaussian, mixture, relative_entropy
+from kaclab.densities import gaussian, mixture, relative_entropy
 from kaclab.inequalities import (LogPowerWitness, fit_loglog_slope,
                                  gamma_ratio_sweep, logpower_envelope,
-                                 mixture_exponent_bound,
                                  rescaled_inequality_check, villani_floor)
 from kaclab.limit_eq import LimitSolver, cercignani_ratio, limit_production
 from kaclab.normalization import NormalizationLadder, clt_envelope
@@ -49,8 +48,8 @@ def test_01_spectral_gap_small_n():
     report("01 spectral gap N=3,4,5", worst < 1e-6, f"max err {worst:.2e}")
 
 
-def test_02_local_clt(mix_ladder):
-    sups = [row[2] for row in clt_envelope(mix_ladder, N_SWEEP)]
+def test_02_local_clt(mix):
+    sups = [row[2] for row in clt_envelope(mix, N_SWEEP)]
     decreasing = bool(np.all(np.diff(sups) < 0))
     small = sups[-1] < 0.05
     gauss = NormalizationLadder(gaussian(1.0), 64, n_grid=2**18)
@@ -116,13 +115,12 @@ def test_06_cercignani_failure():
 
 @pytest.fixture(scope="module")
 def witness():
-    return LogPowerWitness(beta=1.0, k=3.0,
-                           phi=mixture_exponent_bound(MixtureSpec(DELTA)))
+    return LogPowerWitness(delta=DELTA, beta=1.0, k=3.0)
 
 
 @pytest.fixture(scope="module")
-def envelope(mix, witness):
-    return logpower_envelope(mix, witness, N_SWEEP)
+def envelope(witness):
+    return logpower_envelope(witness, N_SWEEP)
 
 
 def test_07_rescaled_inequality(witness, envelope):

@@ -169,6 +169,29 @@ INVALID_CONFIGS = [
     ("villani", '{"n_list": [64, 64]}'),
     ("inequality", '{"c1": 0.0}'),
     ("inequality", '{"c1": -1.0}'),
+    ("inequality", '{"gamma": 1.0}'),
+    ("clt", '{"j": 5}'),
+    # a schedule's beta must lie in (0, 1/6)
+    ("villani",
+     '{"generator": {"kind": "schedule", "beta": -1.0}, "n_list": [16, 32]}'),
+    ("villani",
+     '{"generator": {"kind": "schedule", "beta": 0.3}, "n_list": [16, 32]}'),
+    # non-finite numbers, and literals that overflow to them
+    ("pde", '{"t_final": Infinity}'),
+    ("chaos", '{"t_final": Infinity}'),
+    ("pde", '{"dt": Infinity}'),
+    ("pde", '{"v_max": Infinity}'),
+    ("pde", '{"v_max": 1e999}'),
+    ("villani", '{"gamma": NaN, "n_list": [16, 32]}'),
+    ("entropy-scan", '{"gamma": NaN, "n_list": [16]}'),
+    ("chaos", '{"w1_tolerance": NaN}'),
+    ("inequality", '{"beta": NaN}'),
+    ("chaos", '{"w1_tolerance": -Infinity}'),
+    # the production's rate exponent must lie in [0, 1]
+    ("villani", '{"gamma": 5.0, "n_list": [16, 32]}'),
+    ("villani", '{"gamma": -2.0, "n_list": [16, 32]}'),
+    ("entropy-scan", '{"gamma": 5.0, "n_list": [16]}'),
+    ("entropy-scan", '{"gamma": -2.0, "n_list": [16]}'),
 ]
 
 

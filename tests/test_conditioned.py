@@ -117,6 +117,12 @@ def test_production_positive_and_monotone_in_gamma(mix_family):
     assert 0 < d0 < d1
 
 
+def test_production_rejects_gamma_outside_unit_interval(mix_family):
+    for gamma in (-2.0, -1e-9, 1.0 + 1e-9, 5.0, np.nan):
+        with pytest.raises(ConfigurationError, match="gamma must lie"):
+            mix_family.production(gamma)
+
+
 def test_production_quadrature_self_check(mix_family):
     # the check compares against the half rule; it never changes the value
     for gamma in (0.0, 0.5, 1.0):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kaclab.densities import (MixtureSpec, gaussian, mixture, moment,
-                              relative_entropy)
+from kaclab.densities import gaussian, mixture, moment, relative_entropy
 from kaclab.errors import AccuracyError
 from kaclab.quadrature import log_power_kernel, pair_kernel
 
@@ -50,11 +49,10 @@ def test_mixture_fourth_moment_closed_form():
                                              rel=1e-6)
 
 
-def test_mixture_spec_validation():
-    with pytest.raises(ValueError):
-        MixtureSpec(0.0)
-    with pytest.raises(ValueError):
-        MixtureSpec(1.0)
+def test_mixture_validation():
+    for delta in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            mixture(delta)
 
 
 def test_relative_entropy_zero_at_equilibrium():

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from kaclab.conditioned import ConditionedFamily
-from kaclab.densities import MixtureSpec, from_callable, gaussian, mixture
+from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import (AccuracyError, ConfigurationError,
                            DegenerateTestFunctionError)
 from kaclab.inequalities import (LogPowerWitness, fit_loglog_slope,
                                  gamma_ratio_sweep, log_over_power_sup,
-                                 logpower_envelope, mixture_exponent_bound,
-                                 moment_envelope, optimized_constant,
+                                 logpower_envelope, moment_envelope, optimized_constant,
                                  rescaled_exponent, rescaled_inequality_check,
                                  villani_floor)
 
@@ -27,8 +26,7 @@ def mix():
 
 @pytest.fixture(scope="module")
 def witness():
-    return LogPowerWitness(beta=1.0, k=3.0,
-                           phi=mixture_exponent_bound(MixtureSpec(0.25)))
+    return LogPowerWitness(delta=0.25, beta=1.0, k=3.0)
 
 
 def test_villani_floor():
@@ -107,24 +105,25 @@ def test_log_over_power_sup():
     assert log_over_power_sup(eps) == pytest.approx(1.0 / (np.e * eps))
 
 
-def test_exponent_bound_dominates(mix, witness):
-    witness.validate_lower_bound(mix)  # must not raise
-    v = np.linspace(-10, 10, 1001)
-    assert np.all(np.exp(-witness.phi(v)) <= mix(v) + 1e-15)
+def test_exponent_bound_dominates():
+    # exp(-Phi) is the cold part of f_delta, so f_delta - exp(-Phi) is the
+    # hot part delta M_hot > 0
+    for delta in (0.1, 0.25, 0.2731, 0.5, 0.9):
+        f = mixture(delta)
+        v = np.linspace(-f.v_max, f.v_max, 2001)
+        phi = LogPowerWitness(delta=delta, beta=1.0, k=3.0).phi(v)
+        assert np.all(phi > 0.5 * np.log(np.pi))
+        assert np.all(np.exp(-phi) <= f(v) * (1.0 + 1e-9))
 
 
 def test_witness_validation():
-    phi = mixture_exponent_bound(MixtureSpec(0.25))
-    with pytest.raises(ConfigurationError):
-        LogPowerWitness(beta=1.0, k=2.0, phi=phi)  # k <= 1 + 1/beta
-    with pytest.raises(ConfigurationError):
-        LogPowerWitness(beta=-1.0, k=3.0, phi=phi)
-
-
-def test_bad_witness_rejected(mix):
-    bad = LogPowerWitness(beta=1.0, k=3.0, phi=lambda v: 0.1 * np.asarray(v)**2)
-    with pytest.raises(ConfigurationError):
-        bad.validate_lower_bound(mix)
+    for beta, k, epsilon in [(1.0, 2.0, 0.5),  # k <= 1 + 1/beta
+                             (-1.0, 3.0, 0.5), (np.nan, 3.0, 0.5),
+                             (np.inf, 3.0, 0.5), (1.0, np.nan, 0.5),
+                             (1.0, np.inf, 0.5), (1.0, 3.0, 0.0),
+                             (1.0, 3.0, np.nan)]:
+        with pytest.raises(ConfigurationError):
+            LogPowerWitness(delta=0.25, beta=beta, k=k, epsilon=epsilon)
 
 
 def test_moment_envelope_pieces(mix, witness):
@@ -157,8 +156,7 @@ def cartesian_moment_envelope(f, witness, nodes, angle_nodes):
 def test_moment_envelope_matches_cartesian_reference(delta):
     # measured: 6.7e-14 (delta 0.25) and 5.0e-13 (delta 0.1) relative
     f = mixture(delta)
-    wit = LogPowerWitness(beta=1.0, k=3.0,
-                          phi=mixture_exponent_bound(MixtureSpec(delta)))
+    wit = LogPowerWitness(delta=delta, beta=1.0, k=3.0)
     ref = cartesian_moment_envelope(f, wit, 801, 64)
     assert moment_envelope(f, wit)["m_avg"] == pytest.approx(ref, rel=1e-11)
 
@@ -170,8 +168,8 @@ def test_moment_envelope_rejects_uneven_generator(witness):
 
 
 @pytest.fixture(scope="module")
-def envelope(mix, witness):
-    return logpower_envelope(mix, witness, N_LIST)
+def envelope(witness):
+    return logpower_envelope(witness, N_LIST)
 
 
 def test_logpower_envelope_holds(envelope):
@@ -181,9 +179,9 @@ def test_logpower_envelope_holds(envelope):
             assert r.holds
 
 
-def test_logpower_envelope_undefined_at_small_n(mix, witness):
+def test_logpower_envelope_undefined_at_small_n(witness):
     # sqrt(2 pi) sup|lambda_N| is 1.33 at N = 3 and 0.99 at N = 4
-    small, next_up = logpower_envelope(mix, witness, [3, 4])
+    small, next_up = logpower_envelope(witness, [3, 4])
     assert np.sqrt(2.0 * np.pi) * small.lambda_sup_n >= 1.0
     assert small.bound is None
     assert not small.applicable and not small.holds

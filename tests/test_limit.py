@@ -257,6 +257,19 @@ def test_mass_drift_shows_a_leaking_operator(monkeypatch):
                                                rel=1e-3)
 
 
+def test_nonfinite_inputs_are_typed():
+    # an infinite t_final or dt would overflow or divide by zero steps
+    solver = LimitSolver(mixture(0.25), 0.0, nodes=17)
+    for t_final, dt in [(np.inf, 0.01), (1.0, np.inf), (np.nan, 0.01),
+                        (1.0, np.nan)]:
+        with pytest.raises(ConfigurationError, match="finite"):
+            solver.evolve(t_final, dt)
+    assert solver.time == 0.0
+    for v_max in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="v_max"):
+            LimitSolver(mixture(0.25), 0.0, v_max=v_max)
+
+
 def test_entropy_decays_monotonically():
     solver = LimitSolver(mixture(0.25), 0.0, v_max=8.0, nodes=257)
     rec = solver.evolve(1.0, 0.01, record_every=10)

@@ -8,8 +8,7 @@ from scipy.signal import fftconvolve
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.normalization import (_TRIM, NormalizationLadder, _fast_length,
-                                  _window, clt_envelope,
-                                  clt_envelope_ndependent, lambda_sup,
+                                  _window, clt_envelope, lambda_sup,
                                   schedule_delta, sigma_squared)
 from kaclab.sphere import log_sphere_area
 
@@ -179,30 +178,44 @@ def test_lambda_profile_decays(mix_ladder):
 
 
 def test_clt_envelope_rows(mix_ladder):
-    rows = clt_envelope(mix_ladder, [16, 64])
-    assert [r[0] for r in rows] == [16, 64]
-    assert rows[0][1] == mix_ladder.sigma2
+    # a density's rows all read one ladder up to max(n_list), here the
+    # fixture's
+    rows = clt_envelope(mixture(0.25), [16, 64])
+    assert rows == [(n, mix_ladder.sigma2, lambda_sup(mix_ladder, n))
+                    for n in (16, 64)]
     assert rows[0][2] > rows[1][2] > 0
+
+
+def test_clt_envelope_fixed_generator_reads_level_n_minus_j():
+    ladder = NormalizationLadder(mixture(0.25), 63)
+    rows = clt_envelope(mixture(0.25), [16, 64], j=1)
+    assert rows == [(16, ladder.sigma2, lambda_sup(ladder, 15)),
+                    (64, ladder.sigma2, lambda_sup(ladder, 63))]
 
 
 def test_schedule_delta():
     assert schedule_delta(0.1, 100) == pytest.approx(100.0 ** (-0.8))
 
 
+def _schedule(beta):
+    return lambda n: mixture(schedule_delta(beta, n))
+
+
 def test_ndependent_envelope_validation():
-    with pytest.raises(ValueError):
-        clt_envelope_ndependent(0.3, [16], 0)
-    with pytest.raises(ValueError):
-        clt_envelope_ndependent(0.1, [16], 5)
+    for generators in (mixture(0.25), _schedule(0.1)):
+        for j in (-1, 3, 5):
+            with pytest.raises(ValueError, match="j must be"):
+                clt_envelope(generators, [16], j)
 
 
 def test_ndependent_envelope_shrinks():
-    rows = clt_envelope_ndependent(0.15, [64, 256], 0)
+    rows = clt_envelope(_schedule(0.15), [64, 256])
     assert rows[0][2] > rows[1][2]
 
 
 def test_ndependent_envelope_is_the_schedule_envelope():
-    # both CLT paths give the same row for the schedule's mixture at N
+    # a one-N schedule reads the same ladder as its density at that N
     beta, n = 0.1, 64
-    ladder = NormalizationLadder(mixture(schedule_delta(beta, n)), n)
-    assert clt_envelope(ladder, [n]) == clt_envelope_ndependent(beta, [n], 0)
+    for j in (0, 1, 2):
+        assert (clt_envelope(mixture(schedule_delta(beta, n)), [n], j)
+                == clt_envelope(_schedule(beta), [n], j))
