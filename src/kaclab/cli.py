@@ -21,9 +21,9 @@ from .densities import GridDensity1D, gaussian, mixture
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError, SamplingError)
 from .conditioned import ConditionedFamily
-from .inequalities import (LogPowerWitness, fit_loglog_slope,
-                           gamma_ratio_sweep, logpower_envelope,
-                           rescaled_inequality_check, villani_floor)
+from .inequalities import (LogPowerWitness, check_rescaled_inputs,
+                           fit_loglog_slope, gamma_ratio_sweep, villani_floor,
+                           logpower_envelope, rescaled_inequality_check)
 from .limit_eq import LimitSolver, cercignani_ratio
 from .normalization import clt_envelope, schedule_delta
 from .process import (SimulationConfig, dirichlet_rayleigh, exact_gap_smalln,
@@ -221,9 +221,10 @@ def cmd_inequality(cfg: dict, art: Artifacts, rng) -> int:
                               beta=_get(cfg, "beta", 1.0),
                               k=_get(cfg, "k", 3.0),
                               epsilon=_get(cfg, "epsilon", 0.5))
+    gamma, c1 = _get(cfg, "gamma", 0.5), _get(cfg, "c1", 2.0)
+    check_rescaled_inputs(gamma, c1)
     env = logpower_envelope(witness, _n_list(cfg, [32, 64, 128, 256]))
-    reports = rescaled_inequality_check(_get(cfg, "gamma", 0.5), witness, env,
-                                        c1=_get(cfg, "c1", 2.0))
+    reports = rescaled_inequality_check(gamma, witness, env, c1=c1)
     art.csv("logpower.csv",
             ["n", "measured", "bound", "lambda_sup_n", "holds"],
             [(r.n, r.measured, r.bound if r.bound is not None else "",

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import AccuracyError, ConfigurationError
 from .quadrature import gaussian_relative_entropy, trapezoid_weights
@@ -24,10 +23,9 @@ DEFAULT_NODES = 4096
 class GridDensity1D:
     """A nonnegative density tabulated on a uniform grid, unit mass.
 
-    ``pdf``/``cdf`` are optional closed-form evaluators attached by the
-    analytic constructors; without ``pdf`` the density is a table only and
-    cannot be called, and without ``cdf`` it has no cumulative
-    distribution.
+    ``pdf`` is the optional closed-form evaluator attached by the analytic
+    constructors; without it the density is a table only and cannot be
+    called.
     """
 
     v_max: float
@@ -35,7 +33,6 @@ class GridDensity1D:
     values: np.ndarray
     quadrature_weights: np.ndarray
     pdf: Optional[Callable] = None
-    cdf: Optional[Callable] = None
     tag: str = ""
 
     def __call__(self, v):
@@ -45,17 +42,11 @@ class GridDensity1D:
                 f"density {self.tag or 'f'} is a table only, with no pdf")
         return self.pdf(v)
 
-    def cumulative(self, v):
-        if self.cdf is None:
-            raise ConfigurationError(
-                f"density {self.tag or 'f'} has no closed-form cdf")
-        return self.cdf(v)
-
     def sup_norm(self) -> float:
         return float(np.max(self.values))
 
 
-def from_callable(pdf, v_max, cdf=None, tag=""):
+def from_callable(pdf, v_max, tag=""):
     """Tabulate ``pdf`` on a symmetric DEFAULT_NODES-point grid and
     renormalize to unit mass."""
     nodes = np.linspace(-v_max, v_max, DEFAULT_NODES)
@@ -64,7 +55,7 @@ def from_callable(pdf, v_max, cdf=None, tag=""):
     total = float(np.sum(vals * w))
     if not total > 0:
         raise ValueError("pdf vanishes on the whole grid")
-    return GridDensity1D(v_max, nodes, vals / total, w, cdf=cdf, tag=tag,
+    return GridDensity1D(v_max, nodes, vals / total, w, tag=tag,
                          pdf=lambda v: np.asarray(pdf(v)) / total)
 
 
@@ -73,13 +64,11 @@ def gaussian(a: float) -> GridDensity1D:
     if a <= 0:
         raise ValueError("variance must be positive")
     v_max = max(DEFAULT_V_MAX, 8.0 * np.sqrt(a))
-    sd = np.sqrt(a)
 
     def pdf(v):
         return np.exp(-np.asarray(v) ** 2 / (2.0 * a)) / np.sqrt(2.0 * np.pi * a)
 
-    return from_callable(pdf, v_max, cdf=lambda v: ndtr(np.asarray(v) / sd),
-                         tag=f"gauss(a={a:g})")
+    return from_callable(pdf, v_max, tag=f"gauss(a={a:g})")
 
 
 def mixture(delta) -> GridDensity1D:
@@ -92,7 +81,6 @@ def mixture(delta) -> GridDensity1D:
     a_hot = 1.0 / (2.0 * d)
     a_cold = 1.0 / (2.0 * (1.0 - d))
     v_max = max(DEFAULT_V_MAX, 8.0 / np.sqrt(2.0 * min(d, 1.0 - d)))
-    s_hot, s_cold = np.sqrt(a_hot), np.sqrt(a_cold)
 
     def pdf(v):
         v = np.asarray(v)
@@ -101,11 +89,7 @@ def mixture(delta) -> GridDensity1D:
             + (1 - d) * np.exp(-(v * v) / (2 * a_cold)) / np.sqrt(2 * np.pi * a_cold)
         )
 
-    def cdf(v):
-        v = np.asarray(v)
-        return d * ndtr(v / s_hot) + (1 - d) * ndtr(v / s_cold)
-
-    return from_callable(pdf, v_max, cdf=cdf, tag=f"mix(delta={d:g})")
+    return from_callable(pdf, v_max, tag=f"mix(delta={d:g})")
 
 
 def moment(f: GridDensity1D, p: int) -> float:

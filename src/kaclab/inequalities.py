@@ -20,8 +20,8 @@ from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
 from .normalization import NormalizationLadder, lambda_sup
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
-                         energy_shells, fold, quadrant_angles, require_even,
-                         shell_sum, trapezoid_weights)
+                         energy_shells, fold, quadrant_angles, shell_sum,
+                         trapezoid_weights)
 
 
 def villani_floor(n: int) -> float:
@@ -122,9 +122,9 @@ def log_over_power_sup(epsilon: float) -> float:
     return 1.0 / (np.e * epsilon)
 
 
-def moment_envelope(f: GridDensity1D, witness: LogPowerWitness) -> dict:
-    """The three moment pieces of the envelope of f and their total;
-    :func:`logpower_envelope` passes f = mixture(witness.delta).
+def moment_envelope(witness: LogPowerWitness) -> dict:
+    """The three moment pieces of the envelope of f = mixture(witness.delta)
+    and their total.
 
     total = 2 (sup log x / x^eps)^{1+beta} ||f||_inf^{eps (1+beta)}
             + int Phi^{1+beta} f + int (int_0^{2pi} Phi(v1(th))^{1+beta} dth) f f.
@@ -132,10 +132,10 @@ def moment_envelope(f: GridDensity1D, witness: LogPowerWitness) -> dict:
     With (v1, v2) = r (cos a, sin a), v1(th) = r cos(th - a), so the angle
     integral is B(r) = int_0^{2pi} Phi(r cos th)^{1+beta} dth for every a,
     and the last piece is (1/2) int B(sqrt s) A(s) ds over the energy
-    shells s = r^2 in [0, v_max^2], A(s) = int_0^{2pi} f(r cos) f(r sin).
-    A uses the quadrant fold, so f must be even.
+    shells s = r^2 in [0, v_max^2], A(s) = int_0^{2pi} f(r cos) f(r sin),
+    by the quadrant fold.
     """
-    require_even(f)
+    f = mixture(witness.delta)
     beta, eps = witness.beta, witness.epsilon
     v = np.linspace(-f.v_max, f.v_max, 2001)
     fv = np.maximum(f(v), 0.0)
@@ -182,7 +182,7 @@ def logpower_envelope(witness: LogPowerWitness,
     """
     f = mixture(witness.delta)
     beta = witness.beta
-    m_total = moment_envelope(f, witness)["total"]
+    m_total = moment_envelope(witness)["total"]
     ladder = NormalizationLadder(f, max(n_list))
     rows = []
     for n in n_list:
@@ -244,6 +244,16 @@ def optimized_constant(gamma: float, beta: float, k: float,
     return front * middle * tail, q
 
 
+def check_rescaled_inputs(gamma: float, c1: float) -> None:
+    """Raise ConfigurationError unless 0 <= gamma < 1 and 0 < c1 < inf,
+    the inputs :func:`rescaled_inequality_check` takes besides the
+    envelope, so a caller can check them before building one."""
+    if not 0.0 <= gamma < 1.0:
+        raise ConfigurationError("gamma must lie in [0, 1)")
+    if not 0.0 < c1 < np.inf:
+        raise ConfigurationError(f"c1 must be finite and positive, got {c1}")
+
+
 def rescaled_inequality_check(gamma: float, witness: LogPowerWitness,
                               envelope: list[EnvelopeRow],
                               c1: float = 2.0) -> list[RescaledReport]:
@@ -255,10 +265,7 @@ def rescaled_inequality_check(gamma: float, witness: LogPowerWitness,
     marginal moment as stand-ins for the (unreachable) true suprema over
     all N, and C_1 as the configured gamma = 1 entropic-gap constant.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigurationError("gamma must lie in [0, 1)")
-    if not 0.0 < c1 < np.inf:
-        raise ConfigurationError(f"c1 must be finite and positive, got {c1}")
+    check_rescaled_inputs(gamma, c1)
     beta, k = witness.beta, witness.k
     # sweep-sup estimates of C_beta^{1+beta} and M_{2k}
     c_beta = max(r.measured for r in envelope) ** (1.0 / (1.0 + beta))

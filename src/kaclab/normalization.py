@@ -37,12 +37,17 @@ import numpy as np
 
 from .densities import GridDensity1D, moment
 from .errors import ConfigurationError
+from .quadrature import gauss_legendre, require_even
 from .sphere import log_sphere_area
 
 # a factor's cells below this share of its peak are left out of its
 # transform: at 1e-16 rounding noise lands above the cut and the windows
 # stay near the whole grid, while 1e-14 moves H_N by about 6e-12
 _TRIM = 1e-15
+# Gauss-Legendre points per base cell: 6 match a 16-point rule to 3e-15
+# relative on every cell above _TRIM of the peak, where 4 leave 1.1e-10
+# (mixture(1024^-0.9), the beta = 0.05 schedule, on its N = 1024 ladder)
+_BASE_RULE = 6
 
 
 def as_int(value, name: str) -> int:
@@ -89,6 +94,8 @@ class NormalizationLadder:
     def __init__(self, f: GridDensity1D, n_max: int, n_grid: int = 2**15):
         if n_max < 2:
             raise ValueError("n_max must be >= 2")
+        # the base masses integrate f(r) over r >= 0 for both signs of v
+        require_even(f)
         # sigma_squared and u_max both read Sigma^2 = int v^4 f - 1
         energy = moment(f, 2)
         if abs(energy - 1.0) > 1e-6:
@@ -114,13 +121,25 @@ class NormalizationLadder:
     # -- construction ---------------------------------------------------
 
     def _base_masses(self) -> np.ndarray:
-        """Cell masses of h around each node, via the CDF of the generator."""
-        edges = np.concatenate([[0.0], self.du * (np.arange(self.n_grid) + 0.5)])
-        r = np.sqrt(edges)
-        cum = np.asarray(self.generator.cumulative(r)
-                         - self.generator.cumulative(-r), dtype=float)
-        w = np.diff(cum)
-        return np.maximum(w, 0.0)
+        """Cell masses of h around each node: 2 f(r) integrated between
+        the cell's edges r = sqrt(du (k -+ 1/2)) by _BASE_RULE-point
+        Gauss-Legendre.
+
+        Only the cells that start below f.v_max, the end of f's table, are
+        integrated; for the package's generators, whose tables reach 8
+        standard deviations of the wider component, the rest hold less than
+        _TRIM of the peak and stay 0.
+        """
+        f = self.generator
+        k = np.arange(self.n_grid + 1)
+        edges = np.sqrt(np.maximum(k - 0.5, 0.0) * self.du)
+        cells = int(np.searchsorted(edges[:-1], f.v_max))
+        lo, hi = edges[:cells], edges[1:cells + 1]
+        x, w = gauss_legendre(_BASE_RULE)
+        r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
+        masses = np.zeros(self.n_grid)
+        masses[:cells] = (hi - lo) * (np.maximum(f(r), 0.0) @ w)
+        return masses
 
     @staticmethod
     def halves(n: int) -> tuple[int, int]:
@@ -129,11 +148,13 @@ class NormalizationLadder:
         return (n - n // 2, n // 2)
 
     def level(self, n: int, *also: int) -> np.ndarray:
-        """Cell-mass array of h^{(*n)}.  The levels among n and also that
-        are not cached yet are built together in one walk."""
+        """Cell-mass array of h^{(*n)}, 1 <= n <= n_max.  The levels among
+        n and also that are not cached yet are built together in one
+        walk."""
         wanted = {as_int(k, "level") for k in (n, *also)}
-        if min(wanted) < 1:
-            raise ValueError("level must be >= 1")
+        for k in wanted:
+            if not 1 <= k <= self.n_max:
+                raise ValueError(f"level n={k} not in 1..n_max={self.n_max}")
         if not wanted.issubset(self._masses):
             self._walk(wanted)
         return self._masses[n]
@@ -208,8 +229,8 @@ class NormalizationLadder:
 
     def log_z(self, n: int, u) -> np.ndarray:
         """log Z_n(f, sqrt(u))."""
-        if not 2 <= n <= max(self.n_max, max(self._masses)):
-            raise ValueError(f"level n={n} outside ladder range")
+        if not 2 <= n <= self.n_max:
+            raise ValueError(f"level n={n} not in 2..n_max={self.n_max}")
         u = np.asarray(u, dtype=float)
         out = (np.log(2.0) + self.log_density(n, u)
                - 0.5 * (n - 2) * np.log(np.maximum(u, 1e-300))

@@ -7,8 +7,9 @@ before exponentiation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 
 def rotate_pair(vi, vj, theta):
@@ -41,4 +42,4 @@ def log_sphere_area(n: int) -> float:
     """log of the surface area of the unit (n-1)-sphere in R^n."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return np.log(2.0) + 0.5 * n * np.log(np.pi) - gammaln(0.5 * n)
+    return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)

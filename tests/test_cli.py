@@ -12,6 +12,7 @@ import kaclab
 from kaclab.cli import main
 from kaclab.conditioned import ConditionedFamily
 from kaclab.errors import SamplingError
+from kaclab.normalization import NormalizationLadder
 
 
 def read_csv_numbers(path):
@@ -62,8 +63,11 @@ def _loaded_by(module: str, names: list) -> list:
 def test_cli_import_loads_no_scipy_signal():
     # scipy.signal adds about half a second and 24 MB to every start-up,
     # and scipy.fft serves nothing in kaclab, whose ladder transforms are
-    # numpy.fft's
-    assert _loaded_by("kaclab.cli", ["scipy.signal", "scipy.fft"]) == []
+    # numpy.fft's; scipy.special (about a quarter second) serves nothing
+    # either, since the ladder integrates the pdf and log_sphere_area uses
+    # math.lgamma, so the import loads no scipy module at all
+    assert _loaded_by("kaclab.cli", ["scipy", "scipy.signal", "scipy.fft",
+                                     "scipy.special"]) == []
 
 
 def test_cli_import_loads_no_spline_stack():
@@ -170,6 +174,7 @@ INVALID_CONFIGS = [
     ("inequality", '{"c1": 0.0}'),
     ("inequality", '{"c1": -1.0}'),
     ("inequality", '{"gamma": 1.0}'),
+    ("entropy-scan", '{"generator": {"kind": "schedule"}, "n_list": [16]}'),
     ("clt", '{"j": 5}'),
     # a schedule's beta must lie in (0, 1/6)
     ("villani",
@@ -205,6 +210,19 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         assert code == 2, (command, text)
         assert "error" in json.loads(capsys.readouterr().err), (command, text)
         assert not list(out.glob("*.csv")), (command, text)
+
+
+def test_inequality_checks_gamma_and_c1_before_any_ladder(tmp_path,
+                                                        monkeypatch):
+    def unbuilt(self, *args, **kwargs):
+        raise RuntimeError("a ladder was built")
+
+    monkeypatch.setattr(NormalizationLadder, "__init__", unbuilt)
+    for k, text in enumerate(['{"gamma": 1.0}', '{"c1": 0.0}']):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(text)
+        assert main(["inequality", "--config", str(cfg), "--out",
+                     str(tmp_path / f"o{k}")]) == 2, text
 
 
 def test_stalled_sampler_exit_code(tmp_path, monkeypatch, capsys):

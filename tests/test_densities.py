@@ -28,12 +28,6 @@ def test_gaussian_mass_and_moments():
     assert moment(f, 4) == pytest.approx(3.0, abs=1e-7)
 
 
-def test_gaussian_cdf_attached():
-    f = gaussian(1.0)
-    assert f.cumulative(0.0) == pytest.approx(0.5)
-    assert f.cumulative(1.0) == pytest.approx(0.8413447, abs=1e-6)
-
-
 @given(st.floats(0.05, 0.95))
 def test_mixture_unit_energy(delta):
     f = mixture(delta)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kaclab.conditioned import ConditionedFamily
-from kaclab.densities import from_callable, gaussian, mixture
+from kaclab.densities import gaussian, mixture
 from kaclab.errors import (AccuracyError, ConfigurationError,
                            DegenerateTestFunctionError)
 from kaclab.inequalities import (LogPowerWitness, fit_loglog_slope,
@@ -126,8 +126,8 @@ def test_witness_validation():
             LogPowerWitness(delta=0.25, beta=beta, k=k, epsilon=epsilon)
 
 
-def test_moment_envelope_pieces(mix, witness):
-    parts = moment_envelope(mix, witness)
+def test_moment_envelope_pieces(witness):
+    parts = moment_envelope(witness)
     assert parts["head"] > 0 and parts["m_phi"] > 0 and parts["m_avg"] > 0
     assert parts["total"] == pytest.approx(
         parts["head"] + parts["m_phi"] + parts["m_avg"])
@@ -158,13 +158,22 @@ def test_moment_envelope_matches_cartesian_reference(delta):
     f = mixture(delta)
     wit = LogPowerWitness(delta=delta, beta=1.0, k=3.0)
     ref = cartesian_moment_envelope(f, wit, 801, 64)
-    assert moment_envelope(f, wit)["m_avg"] == pytest.approx(ref, rel=1e-11)
+    assert moment_envelope(wit)["m_avg"] == pytest.approx(ref, rel=1e-11)
 
 
-def test_moment_envelope_rejects_uneven_generator(witness):
-    shifted = from_callable(lambda v: np.exp(-0.5 * (v - 0.3) ** 2), 12.0)
-    with pytest.raises(ConfigurationError, match="not even"):
-        moment_envelope(shifted, witness)
+@pytest.mark.parametrize("delta, total", [(0.25, 34.28387915492045),
+                                          (0.1, 56.37745991112408)])
+def test_moment_envelope_total_is_pinned(delta, total):
+    # the totals the envelope gave when it took mixture(delta) as a
+    # separate argument, bit for bit
+    wit = LogPowerWitness(delta=delta, beta=1.0, k=3.0)
+    assert moment_envelope(wit)["total"] == total
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.5])
+def test_moment_envelope_rejects_delta_outside_unit_interval(delta):
+    with pytest.raises(ValueError, match="delta must lie in"):
+        moment_envelope(LogPowerWitness(delta=delta, beta=1.0, k=3.0))
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
+from scipy.special import erfc
 
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
+from kaclab.limit_eq import LimitSolver
 from kaclab.normalization import (_TRIM, NormalizationLadder, _fast_length,
                                   _window, clt_envelope, lambda_sup,
                                   schedule_delta, sigma_squared)
@@ -56,11 +58,54 @@ def test_levels_conserve_mass_and_mean(mix_ladder):
             float(n), rel=1e-4)
 
 
-def test_ladder_needs_a_closed_form_cdf():
-    table = from_callable(lambda v: np.exp(-0.5 * v * v), 12.0,
-                          tag="table-gauss")
-    with pytest.raises(ConfigurationError, match="table-gauss"):
+def test_ladder_needs_a_closed_form_pdf():
+    # the base masses integrate the generator's pdf; a PDE profile is a
+    # table only
+    table = LimitSolver(mixture(0.25), 0.0).density()
+    with pytest.raises(ConfigurationError, match=r"limit\(t=0\) is a table"):
         NormalizationLadder(table, 8)
+
+
+def test_ladder_rejects_uneven_generator():
+    shifted = from_callable(lambda v: np.exp(-0.5 * (v - 0.3) ** 2), 12.0)
+    with pytest.raises(ConfigurationError, match="not even"):
+        NormalizationLadder(shifted, 8)
+
+
+@pytest.mark.parametrize("delta, n_max", [(None, 64), (0.25, 256),
+                                          (0.1, 1024), (1024**-0.8, 1024)],
+                         ids=["gauss-64", "mix0.25-256", "mix0.1-1024",
+                              "schedule-1024"])
+def test_base_masses_match_erfc_differences(delta, n_max):
+    # a cell's mass of h is P(r_lo < |V| < r_hi), the difference of erfc at
+    # its edges per Gaussian component (weight, variance); the masses
+    # must hold to 1e-10 relative down to _TRIM of the peak, where cdf
+    # differences carry O(1) rounding noise
+    if delta is None:
+        f, parts = gaussian(1.0), [(1.0, 1.0)]
+    else:
+        f = mixture(delta)
+        parts = [(delta, 0.5 / delta), (1.0 - delta, 0.5 / (1.0 - delta))]
+    ladder = NormalizationLadder(f, n_max)
+    r = np.sqrt(ladder.du * np.concatenate([[0.0],
+                                            np.arange(ladder.n_grid) + 0.5]))
+    want = sum(w * -np.diff(erfc(r / np.sqrt(2.0 * a))) for w, a in parts)
+    keep = want >= _TRIM * want.max()
+    got = ladder.level(1)
+    assert np.max(np.abs(got[keep] / want[keep] - 1.0)) <= 1e-10
+
+
+def test_levels_above_n_max_are_rejected(mix_ladder):
+    # a 64-ladder's grid is too short for level 200, which would hold
+    # mass 0.56 on it
+    for query in (lambda: mix_ladder.level(200),
+                  lambda: mix_ladder.level(64, 200),
+                  lambda: mix_ladder.log_z(200, 150.0)):
+        with pytest.raises(ValueError, match=r"n=200 .*n_max=64"):
+            query()
+    with pytest.raises(ValueError, match="n=65"):
+        mix_ladder.log_z(65, 65.0)
+    assert 200 not in mix_ladder._masses
 
 
 def test_ladder_needs_a_unit_energy_generator():
