@@ -4,10 +4,11 @@ For a unit-energy velocity density f, the state F_N = f^{otimes N} / Z_N
 restricted to the sphere S^{N-1}(sqrt N) has marginals, entropy and
 entropy production that all reduce to one-dimensional integrals against
 ratios of convolution powers of the energy density h.  Those ratios come
-from a shared :class:`~kaclab.normalization.NormalizationLadder`, so every
-functional here is a quadrature over explicit log-domain tables.  The
-production and log-power integrals use the polar-shell fold of
-:mod:`kaclab.quadrature`, which needs an even generator.
+from a :class:`~kaclab.normalization.NormalizationLadder`, so every
+functional here is a quadrature over explicit log-domain tables, and the
+sampler draws from the ladder's discretised measure.  The production and
+log-power integrals use the polar-shell fold of :mod:`kaclab.quadrature`,
+which needs an even generator, as the ladder does.
 """
 
 from __future__ import annotations
@@ -17,34 +18,33 @@ import functools
 import numpy as np
 
 from .densities import GridDensity1D
-from .errors import AccuracyError, ConfigurationError, SamplingError
+from .errors import AccuracyError, ConfigurationError
 from .normalization import NormalizationLadder, as_int
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
                          energy_shells, fold, log_power_kernel, pair_kernel,
-                         quadrant_angles, require_even, shell_sum,
-                         trapezoid_weights)
+                         quadrant_angles, shell_sum, trapezoid_weights)
 from .sphere import rotate_pair
 
 # Monte Carlo states per batch
 _MC_BATCH = 50_000
-# rejection rounds of a split draw; cells still pending after them are
-# drawn from the exact law
-_SPLIT_ROUNDS = 1000
 
 
 class ConditionedFamily:
-    """Marginals and entropy functionals of F_N for one even generator f."""
+    """Marginals and entropy functionals of F_N for one even generator f.
 
-    def __init__(self, f: GridDensity1D, n: int,
-                 ladder: NormalizationLadder | None = None):
+    source is f itself, which gets its own ladder up to N, or a
+    :class:`~kaclab.normalization.NormalizationLadder` with n_max >= N,
+    whose generator is f.
+    """
+
+    def __init__(self, source: GridDensity1D | NormalizationLadder, n: int):
         n = as_int(n, "N")
         if n < 3:
             raise ValueError("need at least three particles")
-        require_even(f)
-        self.f = f
         self.n = n
-        self.ladder = (ladder if ladder is not None
-                       else NormalizationLadder(f, n))
+        self.ladder = (source if isinstance(source, NormalizationLadder)
+                       else NormalizationLadder(source, n))
+        self.f = self.ladder.generator
         if n > self.ladder.n_max:
             raise ValueError(f"ladder built for N <= {self.ladder.n_max}, "
                              f"not N={n}")
@@ -97,6 +97,11 @@ class ConditionedFamily:
         if not 0.9 < mass < 1.1:
             raise AccuracyError(f"first marginal mass {mass:.4f} far from 1")
         return v, w, dens / mass
+
+    def marginal_moment(self, p: float) -> float:
+        """int |v|^p F_{N,1}(v) dv, by the trapezoid rule of the entropy."""
+        v, w, dens = self._marginal_quadrature()
+        return float(np.sum(np.abs(v) ** p * dens * w))
 
     # -- entropy --------------------------------------------------------
 
@@ -189,42 +194,13 @@ class ConditionedFamily:
 
         Every generator is even, so the squared velocities s_i = v_i^2 are
         i.i.d. from h conditioned on sum s_i = N and the signs are fair
-        coins.  The energies are drawn as ladder cells, exactly for the
-        ladder's discretised measure, down the ladder's own balanced tree
-        (:meth:`~kaclab.normalization.NormalizationLadder.halves`), whose
-        levels below N the walk for N's halves builds.  Starting from the
-        cell e_0 = round(N / du) of the total, each node n = a + b splits
-        its residual cell e into j and e - j with probability proportional
-        to m_a[j] m_b[e - j], m_k the level-k cell masses (see
-        :class:`_Split`).  A depth holds at most two node sizes, and the
-        nodes of one size split in one draw.  Within its cell each |v_i| is
-        uniform between the square roots of the cell's edges; the
-        velocities are then rescaled so the energies sum to N exactly.
+        coins.  The ladder draws the |v_i| for its discretised measure
+        (:meth:`~kaclab.normalization.NormalizationLadder.sample_radii`);
+        they are rescaled so the energies sum to N exactly.
         """
-        n, ladder = self.n, self.ladder
-        ladder.level(*ladder.halves(n))
-        top = int(round(n / ladder.du))
-        # each node size's columns of residual cells at the current depth;
-        # columns of size 1 are leaves, in the order of their depths
-        depth, leaves = {n: np.full((size, 1), top)}, []
-        while depth:
-            below: dict[int, list[np.ndarray]] = {}
-            for k, cells in depth.items():
-                a, b = ladder.halves(k)
-                # no residual cell lies above the top one
-                split = _Split(ladder.level(a)[:top + 1],
-                               ladder.level(b)[:top + 1])
-                low = split.draw(cells.ravel(), rng).reshape(cells.shape)
-                below.setdefault(a, []).append(low)
-                below.setdefault(b, []).append(cells - low)
-            leaves += below.pop(1, [])
-            depth = {k: np.concatenate(c, axis=1) for k, c in below.items()}
-        cells = np.concatenate(leaves, axis=1)
-        r_lo = np.sqrt(np.maximum(cells - 0.5, 0.0) * ladder.du)
-        r_hi = np.sqrt((cells + 0.5) * ladder.du)
-        r = r_lo + rng.random(cells.shape) * (r_hi - r_lo)
-        r *= np.sqrt(n / np.sum(r * r, axis=1, keepdims=True))
-        return np.where(rng.random(cells.shape) < 0.5, -r, r)
+        r = self.ladder.sample_radii(self.n, size, rng)
+        r *= np.sqrt(self.n / np.sum(r * r, axis=1, keepdims=True))
+        return np.where(rng.random(r.shape) < 0.5, -r, r)
 
     # -- Monte Carlo cross-checks ---------------------------------------
 
@@ -271,79 +247,3 @@ class ConditionedFamily:
             s = v1 * v1 + v2 * v2
             total += float(np.sum((1.0 + s) ** gamma * inner))
         return self.n / (4.0 * np.pi) * total / samples
-
-
-class _Split:
-    """The split law P(j | e) proportional to m_a[j] m_b[e - j], j = 0..e.
-
-    Drawn by rejection under the envelope that bounds the factor not
-    proposed by its suffix maximum, an exact array maximum: with
-    h = e // 2,
-
-        g(j) = m_a[j] max_{k >= e - h} m_b[k]      for j <= h,
-        g(j) = max_{k > h} m_a[k] m_b[e - j]       for j > h.
-
-    Each piece is drawn in O(log n) by inverting a cumulative sum, and a
-    draw from g is accepted with probability m_a[j] m_b[e - j] / g(j).
-
-    The suffix maxima can look past e, where no draw lands, so at some
-    cells the acceptance is tiny.  Cells still pending after _SPLIT_ROUNDS
-    rounds are drawn by inverting the exact law, one cumulative sum per
-    distinct residual e, in O(e) each: of 15 000
-    draws of mixture(0.25), 0, 0, 4 and 1 cells take this path at
-    N = 100, 300, 1000 and 1023.  The rounds are independent of the value
-    finally drawn, so the result stays exact.
-    """
-
-    def __init__(self, m_a: np.ndarray, m_b: np.ndarray):
-        self.m_a, self.m_b = m_a, m_b
-        self.cum_a, self.cum_b = np.cumsum(m_a), np.cumsum(m_b)
-        self.sup_a = np.maximum.accumulate(m_a[::-1])[::-1]
-        self.sup_b = np.maximum.accumulate(m_b[::-1])[::-1]
-
-    def caps(self, e: np.ndarray):
-        """h = e // 2, the largest e - j over j > h (0 when there is none)
-        and the envelope's mass on j <= h and on j > h."""
-        h = e // 2
-        top = np.maximum(e - h - 1, 0)
-        low = self.cum_a[h] * self.sup_b[e - h]
-        high = np.where(e > 0, self.cum_b[top] * self.sup_a[h + 1], 0.0)
-        return h, top, low, high
-
-    def envelope(self, e: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """g(j) for residual cells e."""
-        h = e // 2
-        return np.where(j <= h, self.m_a[j] * self.sup_b[e - h],
-                        self.sup_a[h + 1] * self.m_b[e - j])
-
-    def draw(self, e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One split j for each residual cell in e."""
-        h, top, low, high = self.caps(e)
-        if np.any(low + high <= 0):
-            raise SamplingError("a residual energy cell has no split mass")
-        out = np.empty_like(e)
-        todo = np.arange(e.size)
-        for _ in range(_SPLIT_ROUNDS):
-            if todo.size == 0:
-                return out
-            res = e[todo]
-            below = rng.random(todo.size) * (low[todo] + high[todo]) < low[todo]
-            u = rng.random(todo.size)
-            j = res.copy()
-            j[below] = _invert(self.cum_a, u[below], h[todo[below]])
-            j[~below] -= _invert(self.cum_b, u[~below], top[todo[~below]])
-            keep = (rng.random(todo.size) * self.envelope(res, j)
-                    < self.m_a[j] * self.m_b[res - j])
-            out[todo[keep]] = j[keep]
-            todo = todo[~keep]
-        res, u = e[todo], rng.random(todo.size)
-        for cell in np.unique(res):
-            law = np.cumsum(self.m_a[:cell + 1] * self.m_b[cell::-1])
-            pick = res == cell
-            out[todo[pick]] = _invert(law, u[pick], cell)
-        return out
-
-
-def _invert(cum: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Index k <= last with P(k) = mass[k] / cum[last], for uniforms u."""
-    return np.minimum(np.searchsorted(cum, u * cum[last], side="right"), last)

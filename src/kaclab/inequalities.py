@@ -180,13 +180,12 @@ def logpower_envelope(witness: LogPowerWitness,
     N and N-1; when sqrt(2 pi) sup|lambda_N| >= 1 the denominator of the
     certified constant is nonpositive and the bound is undefined there.
     """
-    f = mixture(witness.delta)
     beta = witness.beta
     m_total = moment_envelope(witness)["total"]
-    ladder = NormalizationLadder(f, max(n_list))
+    ladder = NormalizationLadder(mixture(witness.delta), max(n_list))
     rows = []
     for n in n_list:
-        fam = ConditionedFamily(f, n, ladder=ladder)
+        fam = ConditionedFamily(ladder, n)
         measured = fam.log_power_integral(beta)
         sup_n = lambda_sup(ladder, n)
         sup_nm1 = lambda_sup(ladder, n - 1)
@@ -269,10 +268,7 @@ def rescaled_inequality_check(gamma: float, witness: LogPowerWitness,
     beta, k = witness.beta, witness.k
     # sweep-sup estimates of C_beta^{1+beta} and M_{2k}
     c_beta = max(r.measured for r in envelope) ** (1.0 / (1.0 + beta))
-    m_2k = 0.0
-    for r in envelope:
-        v, w, dens = r.family._marginal_quadrature()
-        m_2k = max(m_2k, float(np.sum(np.abs(v) ** (2.0 * k) * dens * w)))
+    m_2k = max(r.family.marginal_moment(2.0 * k) for r in envelope)
     exponent = rescaled_exponent(gamma, beta, k)
     big_k, q = optimized_constant(gamma, beta, k, c_beta, m_2k)
     constant = (c1 / big_k) ** (1.0 / q)

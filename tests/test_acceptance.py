@@ -39,8 +39,8 @@ def mix_ladder(mix):
 
 
 @pytest.fixture(scope="module")
-def families(mix, mix_ladder):
-    return {n: ConditionedFamily(mix, n, ladder=mix_ladder) for n in N_SWEEP}
+def families(mix_ladder):
+    return {n: ConditionedFamily(mix_ladder, n) for n in N_SWEEP}
 
 
 def test_01_spectral_gap_small_n():

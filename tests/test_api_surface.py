@@ -245,3 +245,56 @@ def test_every_default_is_set_somewhere():
                    for node, name, param, _ in knobs
                    if (id(node), param) in unset)
     assert not names, f"defaults that nothing sets: {names}"
+
+
+def _private_reads(modules: dict) -> list:
+    """Reads in modules (stem -> tree) of an underscore name that another
+    module defines: obj._x on an object other than self, for an _x the
+    module itself neither defines nor assigns, and from m import _x from
+    another kaclab module.  Dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for stem, tree in modules.items():
+        own = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        own |= {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and private(node.attr)
+                    and node.attr not in own
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                found.append(f"{stem}:{node.lineno} {node.attr}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.level > 0
+                       or (node.module or "").split(".")[0] == "kaclab")):
+                found += [f"{stem}:{node.lineno} {alias.name}"
+                          for alias in node.names if private(alias.name)]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    """The modules of src/kaclab talk through public names only, so a
+    private name can change with its own module alone."""
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    found = _private_reads(modules)
+    assert not found, f"private names read across modules: {found}"
+
+
+def test_private_reads_are_found_on_objects_and_imports():
+    inequalities = ast.parse(
+        "from .conditioned import ConditionedFamily, _MC_BATCH\n"
+        "def check(r):\n"
+        "    return r.family._marginal_quadrature(), r.__class__\n")
+    conditioned = ast.parse(
+        "class ConditionedFamily:\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "    def same(self, other):\n"
+        "        return self._cache, other._cache, self._levels\n")
+    assert _private_reads({"inequalities": inequalities,
+                           "conditioned": conditioned}) == [
+        "inequalities:1 _MC_BATCH", "inequalities:3 _marginal_quadrature"]

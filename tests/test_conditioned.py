@@ -6,10 +6,11 @@ from scipy.special import gammaln
 from scipy.stats import chisquare
 
 import kaclab.conditioned as conditioned
-from kaclab.conditioned import ConditionedFamily, _Split
+import kaclab.normalization as normalization
+from kaclab.conditioned import ConditionedFamily
 from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
 from kaclab.errors import AccuracyError, ConfigurationError
-from kaclab.normalization import NormalizationLadder
+from kaclab.normalization import NormalizationLadder, _Split
 from kaclab.quadrature import ANGLES, SHELLS, angle_midpoints
 
 N_GAUSS = 16
@@ -215,12 +216,12 @@ def test_split_envelope_dominates_target(coarse_ladder, a, b):
 
 # with no rejection rounds every cell is drawn by inverting the exact law
 @pytest.mark.parametrize("a, b, rounds", [
-    (1, 1, conditioned._SPLIT_ROUNDS), (2, 1, conditioned._SPLIT_ROUNDS),
-    (4, 4, conditioned._SPLIT_ROUNDS), (2, 1, 0)],
+    (1, 1, normalization._SPLIT_ROUNDS), (2, 1, normalization._SPLIT_ROUNDS),
+    (4, 4, normalization._SPLIT_ROUNDS), (2, 1, 0)],
     ids=["1-1", "2-1", "4-4", "2-1-exact-law"])
 def test_split_draws_follow_the_exact_law(coarse_ladder, monkeypatch,
                                           a, b, rounds):
-    monkeypatch.setattr(conditioned, "_SPLIT_ROUNDS", rounds)
+    monkeypatch.setattr(normalization, "_SPLIT_ROUNDS", rounds)
     m_a, m_b = coarse_ladder.level(a), coarse_ladder.level(b)
     split = _Split(m_a, m_b)
     rng = np.random.default_rng(10 * a + b)
@@ -244,7 +245,7 @@ def test_exact_law_fallback_draws_as_one_cell_at_a_time(coarse_ladder,
     # the fallback inverts one cumulative law per distinct residual on one
     # vector of uniforms; it draws what inverting each cell's own law on
     # one scalar uniform per cell, in cell order, draws, bit for bit
-    monkeypatch.setattr(conditioned, "_SPLIT_ROUNDS", 0)
+    monkeypatch.setattr(normalization, "_SPLIT_ROUNDS", 0)
     m_a, m_b = coarse_ladder.level(2), coarse_ladder.level(1)
     e0 = int(round(8 / coarse_ladder.du))
     e = np.random.default_rng(3).choice([0, 1, e0 // 4, e0, e0 + 7], 5000)
@@ -253,7 +254,7 @@ def test_exact_law_fallback_draws_as_one_cell_at_a_time(coarse_ladder,
     want = np.empty_like(e)
     for k, cell in enumerate(e):
         law = np.cumsum(m_a[:cell + 1] * m_b[cell::-1])
-        want[k] = conditioned._invert(law, rng.random(), cell)
+        want[k] = normalization._invert(law, rng.random(), cell)
     assert np.array_equal(got, want)
 
 
@@ -288,7 +289,22 @@ def test_family_levels_are_one_balanced_walk():
 def test_family_rejects_a_ladder_below_its_n():
     f = mixture(0.25)
     with pytest.raises(ValueError, match="N <= 256, not N=300"):
-        ConditionedFamily(f, 300, ladder=NormalizationLadder(f, 256))
+        ConditionedFamily(NormalizationLadder(f, 256), 300)
+
+
+def test_family_on_a_ladder_reads_the_ladders_generator():
+    # f is the ladder's generator: a Maxwellian ladder gives H_N ~ 0
+    ladder = NormalizationLadder(gaussian(1.0), 64)
+    fam = ConditionedFamily(ladder, 64)
+    assert fam.f is ladder.generator
+    assert fam.entropy() < 1e-4
+
+
+def test_family_takes_no_separate_ladder():
+    # a generator and another generator's ladder cannot be paired
+    f = gaussian(1.0)
+    with pytest.raises(TypeError):
+        ConditionedFamily(f, 64, ladder=NormalizationLadder(mixture(0.25), 64))
 
 
 @pytest.mark.parametrize("n", [512, 1023])

@@ -11,7 +11,7 @@ from kaclab.errors import ConfigurationError
 from kaclab.limit_eq import LimitSolver
 from kaclab.normalization import (_TRIM, NormalizationLadder, _fast_length,
                                   _window, clt_envelope, lambda_sup,
-                                  schedule_delta, sigma_squared)
+                                  schedule_delta)
 from kaclab.sphere import log_sphere_area
 
 
@@ -26,10 +26,22 @@ def mix_ladder():
 
 
 def test_sigma_squared_closed_forms():
-    assert sigma_squared(gaussian(1.0)) == pytest.approx(2.0, rel=1e-6)
+    assert NormalizationLadder(gaussian(1.0), 2).sigma2 == pytest.approx(
+        2.0, rel=1e-6)
     # mixture: int v^4 f - 1 = 3/(4 d (1-d)) - 1
-    assert sigma_squared(mixture(0.25)) == pytest.approx(3.0 / 0.75 - 1.0,
-                                                        rel=1e-6)
+    assert NormalizationLadder(mixture(0.25), 2).sigma2 == pytest.approx(
+        3.0 / 0.75 - 1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((64.5,), "n_max must be an integer, not 64.5"),
+    ((64, 2**14 + 0.9), "n_grid must be an integer"),
+    ((64, 0), "n_grid must be >= 2, not 0")],
+    ids=["float-n_max", "float-n_grid", "zero-n_grid"])
+def test_ladder_sizes_are_integers(args, match):
+    # a float size is not truncated and an empty grid does not divide by 0
+    with pytest.raises(ValueError, match=match):
+        NormalizationLadder(mixture(0.25), *args)
 
 
 def test_gaussian_partition_closed_form(gauss_ladder):
@@ -100,7 +112,9 @@ def test_levels_above_n_max_are_rejected(mix_ladder):
     # mass 0.56 on it
     for query in (lambda: mix_ladder.level(200),
                   lambda: mix_ladder.level(64, 200),
-                  lambda: mix_ladder.log_z(200, 150.0)):
+                  lambda: mix_ladder.log_z(200, 150.0),
+                  lambda: mix_ladder.sample_radii(
+                      200, 1, np.random.default_rng(0))):
         with pytest.raises(ValueError, match=r"n=200 .*n_max=64"):
             query()
     with pytest.raises(ValueError, match="n=65"):
@@ -109,8 +123,8 @@ def test_levels_above_n_max_are_rejected(mix_ladder):
 
 
 def test_ladder_needs_a_unit_energy_generator():
-    # sigma_squared and u_max read int v^4 f - 1, the variance of V^2
-    # only at unit energy
+    # Sigma^2 and u_max read int v^4 f - 1, the variance of V^2 only at
+    # unit energy
     with pytest.raises(ConfigurationError, match=r"'gauss\(a=2\)'.* = 2,"):
         NormalizationLadder(gaussian(2.0), 8)
 
