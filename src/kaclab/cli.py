@@ -115,6 +115,15 @@ class Artifacts:
                     repr(float(x)) if isinstance(x, (float, np.floating))
                     else str(x) for x in row) + "\n")
 
+    def table(self, name: str, columns, rows, series, **chart) -> None:
+        """name.csv of rows, and name.svg plotting each (label, column)
+        of series against column 0; chart holds svg.line_chart's options."""
+        self.csv(name + ".csv", columns, rows)
+        x = [r[0] for r in rows]
+        svg.line_chart(self.path(name + ".svg"),
+                       [(label, x, [r[c] for r in rows])
+                        for label, c in series], **chart)
+
     def json(self, name: str, payload: dict) -> None:
         payload = {"config_hash": self.config_hash, "seed": self.seed,
                    **payload}
@@ -149,12 +158,9 @@ def cmd_gap(cfg: dict, art: Artifacts, rng: np.random.Generator) -> int:
 def cmd_clt(cfg: dict, art: Artifacts, rng) -> int:
     rows = clt_envelope(_generator(cfg), _n_list(cfg, [32, 64, 128, 256]),
                         _get(cfg, "j", 0))
-    art.csv("clt.csv", ["n", "sigma2", "lambda_sup"], rows)
-    svg.line_chart(art.path("clt.svg"),
-                   [("sup|lambda_N|", [r[0] for r in rows],
-                     [r[2] for r in rows])],
-                   title="local CLT remainder", x_label="N",
-                   y_label="sup|lambda|", log_x=True, log_y=True)
+    art.table("clt", ["n", "sigma2", "lambda_sup"], rows,
+              [("sup|lambda_N|", 2)], title="local CLT remainder",
+              x_label="N", y_label="sup|lambda|", log_x=True, log_y=True)
     return EXIT_OK
 
 
@@ -168,13 +174,10 @@ def cmd_entropy_scan(cfg: dict, art: Artifacts, rng) -> int:
     for n in n_list:
         fam = ConditionedFamily(gen, n)
         rows.append((n, fam.entropy() / n, fam.production(gamma) / n))
-    art.csv("entropy_scan.csv", ["n", "entropy_per_n", "production_per_n"],
-            rows)
-    svg.line_chart(art.path("entropy_scan.svg"),
-                   [("H_N/N", [r[0] for r in rows], [r[1] for r in rows]),
-                    ("D_N/N", [r[0] for r in rows], [r[2] for r in rows])],
-                   title="entropy and production per particle", x_label="N",
-                   y_label="value", log_x=True)
+    art.table("entropy_scan", ["n", "entropy_per_n", "production_per_n"],
+              rows, [("H_N/N", 1), ("D_N/N", 2)],
+              title="entropy and production per particle", x_label="N",
+              y_label="value", log_x=True, log_y=False)
     return EXIT_OK
 
 
@@ -183,16 +186,12 @@ def cmd_villani(cfg: dict, art: Artifacts, rng) -> int:
     n_list = _n_list(cfg, [64, 128, 256, 512, 1024])
     rows = gamma_ratio_sweep(gen, _get(cfg, "gamma", 0.0), n_list)
     slope = fit_loglog_slope([r.n for r in rows], [r.ratio for r in rows])
-    art.csv("villani.csv", ["n", "entropy", "production", "ratio", "floor"],
-            [(r.n, r.entropy, r.production, r.ratio, villani_floor(r.n))
-             for r in rows])
+    art.table("villani", ["n", "entropy", "production", "ratio", "floor"],
+              [(r.n, r.entropy, r.production, r.ratio, villani_floor(r.n))
+               for r in rows], [("ratio", 3), ("2/(N-1)", 4)],
+              title=f"entropic gap sweep (slope {slope:.3f})",
+              x_label="N", y_label="Gamma_N", log_x=True, log_y=True)
     art.json("villani.json", {"slope": slope})
-    svg.line_chart(art.path("villani.svg"),
-                   [("ratio", [r.n for r in rows], [r.ratio for r in rows]),
-                    ("2/(N-1)", [r.n for r in rows],
-                     [villani_floor(r.n) for r in rows])],
-                   title=f"entropic gap sweep (slope {slope:.3f})",
-                   x_label="N", y_label="Gamma_N", log_x=True, log_y=True)
     return EXIT_OK
 
 
@@ -206,13 +205,10 @@ def cmd_cercignani(cfg: dict, art: Artifacts, rng) -> int:
         v = np.linspace(0.0, f.v_max, _get(cfg, "nodes", 513))
         ratio = cercignani_ratio(f(v), v, _get(cfg, "gamma", 0.0))
         rows.append((d, ratio, d * np.log(1.0 / d)))
-    art.csv("cercignani.csv", ["delta", "ratio", "delta_log_inv_delta"], rows)
-    svg.line_chart(art.path("cercignani.svg"),
-                   [("D/(2H)", [r[0] for r in rows], [r[1] for r in rows]),
-                    ("delta log 1/delta", [r[0] for r in rows],
-                     [r[2] for r in rows])],
-                   title="entropic gap collapse of the limit equation",
-                   x_label="delta", y_label="ratio", log_x=True, log_y=True)
+    art.table("cercignani", ["delta", "ratio", "delta_log_inv_delta"], rows,
+              [("D/(2H)", 1), ("delta log 1/delta", 2)],
+              title="entropic gap collapse of the limit equation",
+              x_label="delta", y_label="ratio", log_x=True, log_y=True)
     return EXIT_OK
 
 
@@ -254,13 +250,11 @@ def cmd_pde(cfg: dict, art: Artifacts, rng) -> int:
     _, solver = _limit_solver(cfg)
     rec = solver.evolve(_get(cfg, "t_final", 5.0), _get(cfg, "dt", 0.01),
                         record_every=_get(cfg, "record_every", 10))
-    rows = list(zip(rec.times, rec.entropy, rec.production, rec.mass_drift))
-    art.csv("pde.csv", ["t", "entropy", "production", "mass_drift"], rows)
-    svg.line_chart(art.path("pde.svg"),
-                   [("H(f|M)", rec.times, np.maximum(rec.entropy, 1e-16)),
-                    ("D_gamma", rec.times, np.maximum(rec.production, 1e-16))],
-                   title="H-theorem decay", x_label="t", y_label="value",
-                   log_y=True)
+    art.table("pde", ["t", "entropy", "production", "mass_drift"],
+              list(zip(rec.times, rec.entropy, rec.production,
+                       rec.mass_drift)),
+              [("H(f|M)", 1), ("D_gamma", 2)], title="H-theorem decay",
+              x_label="t", y_label="value", log_x=False, log_y=True)
     if np.any(np.diff(rec.entropy) > 1e-10):
         raise AccuracyError("entropy increased along the PDE flow")
     return EXIT_OK

@@ -20,9 +20,9 @@ import numpy as np
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
 from .normalization import NormalizationLadder, as_int
-from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
-                         energy_shells, fold, log_power_kernel, pair_kernel,
-                         quadrant_angles, shell_sum, trapezoid_weights)
+from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints, fold,
+                         log_power_kernel, pair_kernel, polar_integral,
+                         polar_shells, trapezoid_weights)
 from .sphere import rotate_pair
 
 # Monte Carlo states per batch
@@ -124,12 +124,12 @@ class ConditionedFamily:
     # -- entropy production ---------------------------------------------
 
     def _shells(self, n_s: int, angle_nodes: int):
-        """Energy shells s in [0, N], their weights, the conditioning
-        weight of the second marginal and the folded f(r cos) f(r sin)."""
-        s, ws = energy_shells(n_s, float(self.n))
-        e = self.f(np.outer(np.sqrt(s), np.cos(quadrant_angles(angle_nodes))))
+        """Energy shells on the support of f(v1) f(v2) within s <= N, their
+        weights, the conditioning weight of the second marginal and the
+        folded f(r cos) f(r sin)."""
+        s, ws, x = polar_shells(self.f.v_max, self.n, n_s, angle_nodes)
         return (s, ws, np.exp(self.log_marginal_weight(2, s)),
-                fold(np.maximum(e, 0.0)))
+                fold(np.maximum(self.f(x), 0.0)))
 
     def _checked(self, what: str, value, check: bool) -> float:
         """value(SHELLS, ANGLES); with check, it must agree with the value
@@ -166,8 +166,8 @@ class ConditionedFamily:
         def production_value(n_s, angle_nodes):
             s, ws, weight, p = self._shells(n_s, angle_nodes)
             rate = weight * (1.0 + s) ** gamma
-            # jacobian dv1 dv2 = (1/2) ds dphi, prefactor N / 4 pi
-            return self.n / (4.0 * np.pi) * 0.5 * shell_sum(
+            # prefactor N / 2 on the polar measure
+            return 0.5 * self.n * polar_integral(
                 ws, rate, pair_kernel(p, angle_nodes), angle_nodes)
 
         return self._checked("production", production_value, check)
@@ -181,9 +181,8 @@ class ConditionedFamily:
         """
         def log_power_value(n_s, angle_nodes):
             s, ws, weight, p = self._shells(n_s, angle_nodes)
-            pair = log_power_kernel(p, beta)
-            # prefactor 1 / 2 pi and the polar jacobian 1/2; no N scaling
-            return shell_sum(ws, weight, pair, angle_nodes) / TWO_PI * 0.5
+            return polar_integral(ws, weight, log_power_kernel(p, beta),
+                                  angle_nodes)
 
         return self._checked("log-power", log_power_value, True)
 
@@ -210,6 +209,9 @@ class ConditionedFamily:
         else draws."""
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
+        if velocities is not None and np.shape(velocities)[1:] != (self.n,):
+            raise ValueError(f"velocities must have N={self.n} columns, got "
+                             f"shape {np.shape(velocities)}")
         if velocities is not None and len(velocities) < samples:
             raise ValueError(f"velocities has {len(velocities)} rows, fewer "
                              f"than samples={samples}")

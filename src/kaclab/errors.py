@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
-Plain ``ValueError`` is used for bad arguments; the classes here mark
-failures of numerical contracts rather than caller mistakes.
+Plain ``ValueError`` marks a malformed argument, such as a count below its
+minimum or an array of the wrong shape.  ``ConfigurationError`` marks a
+setting the computation cannot serve, such as a rate exponent gamma
+outside [0, 1], a grid too coarse for the request or a start off the
+energy sphere.  The other classes mark failures of numerical contracts
+rather than caller mistakes.
 """
 
 
 class ConfigurationError(Exception):
-    """A grid / truncation choice cannot support the requested computation."""
+    """A setting, grid or truncation cannot support the requested
+    computation."""
 
 
 class AccuracyError(Exception):
@@ -14,7 +19,8 @@ class AccuracyError(Exception):
 
 
 class SamplingError(Exception):
-    """A rejection loop exceeded its trial budget."""
+    """A residual energy cell of the ladder's sampler has no split mass to
+    draw from."""
 
 
 class DegenerateTestFunctionError(Exception):

@@ -19,9 +19,7 @@ from .densities import GridDensity1D, mixture
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
 from .normalization import NormalizationLadder, lambda_sup
-from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
-                         energy_shells, fold, quadrant_angles, shell_sum,
-                         trapezoid_weights)
+from .quadrature import ANGLES, TWO_PI, fold, polar_integral, polar_shells
 
 
 def villani_floor(n: int) -> float:
@@ -131,23 +129,19 @@ def moment_envelope(witness: LogPowerWitness) -> dict:
 
     With (v1, v2) = r (cos a, sin a), v1(th) = r cos(th - a), so the angle
     integral is B(r) = int_0^{2pi} Phi(r cos th)^{1+beta} dth for every a,
-    and the last piece is (1/2) int B(sqrt s) A(s) ds over the energy
-    shells s = r^2 in [0, v_max^2], A(s) = int_0^{2pi} f(r cos) f(r sin),
-    by the quadrant fold.
+    and the last piece is (1/2) int B(sqrt s) A(s) ds over the polar
+    shells, A(s) = int_0^{2pi} f(r cos) f(r sin).  Phi is even and f is
+    even, so both angle sums come from the quadrant points, four times.
     """
     f = mixture(witness.delta)
     beta, eps = witness.beta, witness.epsilon
-    v = np.linspace(-f.v_max, f.v_max, 2001)
-    fv = np.maximum(f(v), 0.0)
-    m_phi = float(np.sum(witness.phi(v) ** (1.0 + beta) * fv
-                         * trapezoid_weights(v)))
-    s, ws = energy_shells(SHELLS, f.v_max ** 2)
-    r = np.sqrt(s)
-    b = np.sum(witness.phi(np.outer(r, np.cos(angle_midpoints(ANGLES))))
-               ** (1.0 + beta), axis=1)
-    e = np.maximum(f(np.outer(r, np.cos(quadrant_angles(ANGLES)))), 0.0)
-    # four quadrants per folded value; the jacobian dv1 dv2 = ds da / 2
-    m_avg = 0.5 * shell_sum(ws, b, 4.0 * np.sum(fold(e), axis=1), ANGLES)
+    m_phi = float(np.sum(witness.phi(f.nodes) ** (1.0 + beta) * f.values
+                         * f.quadrature_weights))
+    s, ws, x = polar_shells(f.v_max)
+    b = 4.0 * np.sum(witness.phi(x) ** (1.0 + beta), axis=1)
+    a = 4.0 * np.sum(fold(np.maximum(f(x), 0.0)), axis=1)
+    # B A is the sum over angle pairs; the polar measure carries 1 / 2 pi
+    m_avg = TWO_PI * polar_integral(ws, b, a, ANGLES)
     head = (2.0 * log_over_power_sup(eps) ** (1.0 + beta)
             * f.sup_norm() ** (eps * (1.0 + beta)))
     return {"head": head, "m_phi": m_phi, "m_avg": m_avg,

@@ -43,10 +43,9 @@ import numpy as np
 
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
-from .quadrature import (ANGLES, SHELLS, TWO_PI, energy_shells, fold, freeze,
-                         gaussian_relative_entropy, half_grid_weights,
-                         pair_kernel, quadrant_angles, shell_sum,
-                         trapezoid_weights)
+from .quadrature import (ANGLES, fold, freeze, gaussian_relative_entropy,
+                         half_grid_weights, pair_kernel, polar_integral,
+                         polar_shells, quadrant_points, trapezoid_weights)
 
 
 def _check_limit_inputs(gamma: float, v_max: float, nodes: int) -> None:
@@ -125,12 +124,12 @@ class _QuadrantFold:
     def __init__(self, v: np.ndarray, radii: np.ndarray):
         from scipy.sparse import diags_array
 
-        th = quadrant_angles(ANGLES)
-        x = np.outer(radii, np.cos(th)).ravel()
+        points = quadrant_points(radii)
+        x = points.ravel()
         self.fit = _fit(v)
         self.radii = radii
         freeze(radii)
-        self.shape = (len(radii), len(th))
+        self.shape = points.shape
         # points beyond v_max get zero rows
         self.design = diags_array((x <= v[-1]) * 1.0) @ self.fit.design(x)
         freeze(self.design.data, self.design.indices, self.design.indptr)
@@ -321,8 +320,8 @@ class LimitSolver:
 
 @_grid_cache
 def _production_geometry(v: np.ndarray):
-    """Quadrant fold on Gauss-Legendre energy shells s in [0, 2 v_max^2]."""
-    s, ws = energy_shells(SHELLS, 2.0 * v[-1] ** 2)
+    """Quadrant fold on the polar shells of the half grid [0, v_max]."""
+    s, ws, _ = polar_shells(v[-1])
     freeze(s, ws)
     return _QuadrantFold(v, np.sqrt(s)), s, ws
 
@@ -335,7 +334,7 @@ def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float) -> float:
     """
     quadrant, s, ws = _production_geometry(v)
     pair = pair_kernel(quadrant.products(f_vals), ANGLES)
-    return shell_sum(ws, (1.0 + s) ** gamma, pair, ANGLES) / TWO_PI * 0.5
+    return polar_integral(ws, (1.0 + s) ** gamma, pair, ANGLES)
 
 
 def cercignani_ratio(f_vals: np.ndarray, v: np.ndarray,

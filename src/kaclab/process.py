@@ -87,6 +87,9 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
         v = np.array(initial, dtype=float)
         if v.shape != (n,):
             raise ConfigurationError(f"initial state must have shape ({n},)")
+        if not abs(v @ v - n) <= 1e-9 * n:
+            raise ConfigurationError(
+                f"initial state has energy {v @ v}, not N={n}")
     lam = n * (1.0 + n) ** gamma
     vel = v.tolist()
     t, proposed, accepted = 0.0, 0, 0
@@ -129,7 +132,13 @@ def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
 def simulate_ensemble(config: SimulationConfig, replicas: int,
                       initial: np.ndarray | None = None,
                       seed: int | None = None) -> np.ndarray:
-    """Final states of independent replicas, shape (replicas, N)."""
+    """Final states of independent replicas, shape (replicas, N).
+
+    initial is one state for every replica, or one row per replica.
+    """
+    if initial is not None and initial.ndim == 2 and len(initial) != replicas:
+        raise ConfigurationError(f"initial has {len(initial)} rows for "
+                                 f"{replicas} replicas")
     base = config.seed if seed is None else seed
     out = np.empty((replicas, config.n))
     for r in range(replicas):

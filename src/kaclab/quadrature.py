@@ -5,7 +5,11 @@ the limit equation reduce to the same two-body integral: Gauss-Legendre
 energy shells s = v1^2 + v2^2, angle midpoints on each shell, and the
 pair kernel psi(x, y) = (x - y)(log x - log y) summed over angle pairs.
 The log-power integral and the angle-averaged moment of the log-power
-envelope use the same shells.
+envelope use the same shells.  Every one of these integrands carries
+f(v1) f(v2), which vanishes beyond v1^2 + v2^2 = 2 v_max^2 for f = 0 beyond
+v_max, so the shells always cover [0, min(s_max, 2 v_max^2)]
+(:func:`polar_shells`) and the sums always take the polar measure
+(1/2 pi) ds dphi / 2 (:func:`polar_integral`).
 
 Quadrant fold.  For an even f and a midpoint rule with a multiple of 4
 angles, f(r cos th) f(r sin th) takes each first-quadrant value once per
@@ -71,21 +75,27 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def energy_shells(count: int, s_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre shell energies s on [0, s_max] and their weights."""
-    x, w = gauss_legendre(count)
-    return 0.5 * s_max * (x + 1.0), 0.5 * s_max * w
-
-
 def angle_midpoints(count: int) -> np.ndarray:
     """Midpoints of count equal arcs of [0, 2 pi)."""
     return TWO_PI * (np.arange(count) + 0.5) / count
 
 
-def quadrant_angles(angle_nodes: int) -> np.ndarray:
-    """The first-quadrant midpoints of an angle_nodes-point rule, for
-    angle_nodes a multiple of 4."""
-    return angle_midpoints(angle_nodes)[:angle_nodes // 4]
+def quadrant_points(radii: np.ndarray, angle_nodes: int = ANGLES):
+    """r cos th_k for each radius r (rows) and first-quadrant midpoint th_k
+    (columns) of an angle_nodes-point rule, angle_nodes a multiple of 4."""
+    th = angle_midpoints(angle_nodes)[:angle_nodes // 4]
+    return np.outer(radii, np.cos(th))
+
+
+def polar_shells(v_max: float, s_max: float = np.inf, count: int = SHELLS,
+                 angle_nodes: int = ANGLES):
+    """Gauss-Legendre energy shells s on [0, min(s_max, 2 v_max^2)], the
+    support of f(v1) f(v2) below s_max for f = 0 beyond v_max, their
+    weights and the quadrant points r cos th_k, r = sqrt(s)."""
+    top = min(float(s_max), 2.0 * v_max ** 2)
+    x, w = gauss_legendre(count)
+    s = 0.5 * top * (x + 1.0)
+    return s, 0.5 * top * w, quadrant_points(np.sqrt(s), angle_nodes)
 
 
 def fold(e: np.ndarray) -> np.ndarray:
@@ -131,8 +141,10 @@ def log_power_kernel(p: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def shell_sum(ws: np.ndarray, weight: np.ndarray, pair: np.ndarray,
-              angle_nodes: int) -> float:
-    """sum over shells of ws * weight * pair * dphi^2, dphi = 2 pi / K."""
+def polar_integral(ws: np.ndarray, weight: np.ndarray, pair: np.ndarray,
+                   angle_nodes: int) -> float:
+    """(1/2 pi) int weight * pair ds dphi / 2 on the shells of
+    :func:`polar_shells`, pair summed over ordered angle pairs: the sum of
+    ws * weight * pair * dphi^2 / (4 pi), dphi = 2 pi / K."""
     dphi = TWO_PI / angle_nodes
-    return float(np.sum(ws * (weight * pair * dphi * dphi)))
+    return float(np.sum(ws * (weight * pair * dphi * dphi))) / TWO_PI * 0.5

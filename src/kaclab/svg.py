@@ -1,7 +1,9 @@
 """Minimal self-contained SVG line charts for quick-look figures.
 
 Deliberately tiny: polylines on a linear or log-log frame with axis
-ticks, enough to eyeball a sweep without any plotting dependency.
+ticks, enough to eyeball a sweep without any plotting dependency.  A log
+axis plots values below 1e-16 at 1e-16, so a quantity that decays to
+rounding noise or to zero still draws.
 """
 
 from __future__ import annotations
@@ -10,18 +12,19 @@ import numpy as np
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
+_LOG_FLOOR = 1e-16
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def line_chart(path, series, title: str = "", x_label: str = "",
-               y_label: str = "", log_x: bool = False,
-               log_y: bool = False) -> None:
+def line_chart(path, series, *, title: str, x_label: str, y_label: str,
+               log_x: bool, log_y: bool) -> None:
     """Write an SVG with one polyline per (label, x, y) triple in series."""
     def tx(v):
         return np.log10(v) if log_x else np.asarray(v, dtype=float)
 
     def ty(v):
-        return np.log10(v) if log_y else np.asarray(v, dtype=float)
+        return (np.log10(np.maximum(v, _LOG_FLOOR)) if log_y
+                else np.asarray(v, dtype=float))
 
     xs = np.concatenate([tx(np.asarray(s[1], dtype=float)) for s in series])
     ys = np.concatenate([ty(np.asarray(s[2], dtype=float)) for s in series])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kaclab
+from kaclab import svg
 from kaclab.cli import main
 from kaclab.conditioned import ConditionedFamily
 from kaclab.errors import SamplingError
@@ -281,6 +282,16 @@ def test_pde_short_run(tmp_path):
     assert main(["pde", "--config", str(cfg), "--out", str(out)]) == 0
     rows = np.loadtxt(out / "pde.csv", delimiter=",", skiprows=2)
     assert np.all(np.diff(rows[:, 1]) <= 1e-12)
+
+
+def test_log_axis_draws_values_below_its_floor(tmp_path):
+    # a production that decays to rounding noise, or to zero, still draws
+    path = tmp_path / "floor.svg"
+    svg.line_chart(path, [("D", [0.0, 1.0, 2.0], [1.0, 1e-20, 0.0])],
+                   title="", x_label="t", y_label="D", log_x=False,
+                   log_y=True)
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
 
 
 def test_artifacts_carry_provenance(tmp_path):

@@ -80,13 +80,13 @@ def test_checked_production_at_a_maxwellian(gauss_family):
 ], ids=["production", "log-power"])
 def test_refinement_check_raises_when_not_converged(monkeypatch, mix_family,
                                                     what, evaluate):
-    shell_sum = conditioned.shell_sum
+    polar_integral = conditioned.polar_integral
 
     def off_at_half_rule(ws, weight, pair, angle_nodes):
-        out = shell_sum(ws, weight, pair, angle_nodes)
+        out = polar_integral(ws, weight, pair, angle_nodes)
         return 1.01 * out if len(ws) == SHELLS // 2 else out
 
-    monkeypatch.setattr(conditioned, "shell_sum", off_at_half_rule)
+    monkeypatch.setattr(conditioned, "polar_integral", off_at_half_rule)
     with pytest.raises(AccuracyError, match=f"{what} quadrature not converged"):
         evaluate(mix_family)
 
@@ -96,6 +96,34 @@ def test_refinement_check_floor(gauss_family):
     # returned is the full rule's
     assert gauss_family._checked(
         "production", lambda s, a: 1e-12 * (s == SHELLS), True) == 1e-12
+
+
+def _checked_values(fam):
+    """D_{N,0}, D_{N,0.5} and the log-power integral at beta = 1, all with
+    the half-rule check on."""
+    return np.array([fam.production(0.0), fam.production(0.5),
+                     fam.log_power_integral(1.0)])
+
+
+def test_shells_on_the_support_converge_at_large_n():
+    # mixture(0.25) has v_max = 16, so f(v1) f(v2) vanishes beyond s = 512;
+    # shells spread over [0, N] put too few of them there to pass the check
+    vals = _checked_values(ConditionedFamily(mixture(0.25), 16384))
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+
+
+@pytest.mark.parametrize("n, rel", [(32, 1e-15), (512, 1e-15), (1024, 1e-7),
+                                    (4096, 1e-7)])
+def test_shells_on_the_support_match_shells_to_n(monkeypatch, n, rel):
+    # at N <= 2 v_max^2 = 512 the support is [0, N]; above it the shells
+    # to N only add ones where f(v1) f(v2) is below 1e-50
+    fam = ConditionedFamily(mixture(0.25), n)
+    got = _checked_values(fam)
+    shells = conditioned.polar_shells
+    monkeypatch.setattr(conditioned, "polar_shells",
+                        lambda v_max, s_max, *rule:
+                        shells(np.inf, s_max, *rule))
+    assert got == pytest.approx(_checked_values(fam), rel=rel, abs=0.0)
 
 
 def test_marginal_mass(mix_family):
@@ -401,6 +429,17 @@ def test_uneven_generator_rejected():
     shifted = from_callable(lambda v: np.exp(-0.5 * (v - 0.3) ** 2), 12.0)
     with pytest.raises(ConfigurationError, match="not even"):
         ConditionedFamily(shifted, 8)
+
+
+def test_monte_carlo_rejects_velocities_of_another_width():
+    fam = ConditionedFamily(mixture(0.3), 8)
+    rng = np.random.default_rng(9)
+    draws = fam.sample(100, rng)
+    for bad in (draws[:, :2], np.hstack([draws, draws[:, :4]]), draws[0]):
+        with pytest.raises(ValueError, match="N=8 columns"):
+            fam.entropy_monte_carlo(50, rng, velocities=bad)
+        with pytest.raises(ValueError, match="N=8 columns"):
+            fam.production_monte_carlo(0.5, 50, rng, velocities=bad)
 
 
 def test_monte_carlo_rejects_short_velocity_arrays():

@@ -161,11 +161,11 @@ def test_moment_envelope_matches_cartesian_reference(delta):
     assert moment_envelope(wit)["m_avg"] == pytest.approx(ref, rel=1e-11)
 
 
-@pytest.mark.parametrize("delta, total", [(0.25, 34.28387915492045),
-                                          (0.1, 56.37745991112408)])
+@pytest.mark.parametrize("delta, total", [(0.25, 34.28387915492142),
+                                          (0.1, 56.377459911201065)])
 def test_moment_envelope_total_is_pinned(delta, total):
-    # the totals the envelope gave when it took mixture(delta) as a
-    # separate argument, bit for bit
+    # the totals on the polar shells of the support [0, 2 v_max^2], with
+    # int Phi^{1+beta} f on f's own grid, bit for bit
     wit = LogPowerWitness(delta=delta, beta=1.0, k=3.0)
     assert moment_envelope(wit)["total"] == total
 

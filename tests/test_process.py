@@ -182,6 +182,28 @@ def test_simulate_config_validation():
         SimulationConfig(n=5, gamma=2.0)
 
 
+def test_simulate_rejects_a_start_off_the_sphere():
+    n = 16
+    cfg = SimulationConfig(n=n, gamma=0.5, t_final=0.5, seed=3)
+    v = uniform_sphere_batch(n, 1, np.random.default_rng(3))[0]
+    # energy 64: the rescale that removes rounding drift would move it to 16
+    with pytest.raises(ConfigurationError, match="energy .* not N=16"):
+        simulate(cfg, initial=2.0 * v)
+    with pytest.raises(ConfigurationError, match="not N=16"):
+        simulate(cfg, initial=v * (1.0 + 1e-9))
+    # a start on the sphere to rounding runs as before
+    assert np.array_equal(simulate(cfg, initial=v).velocities,
+                          simulate(cfg, initial=v.copy()).velocities)
+
+
+def test_ensemble_rejects_a_wrong_number_of_starts():
+    starts = uniform_sphere_batch(8, 3, np.random.default_rng(1))
+    cfg = SimulationConfig(n=8, t_final=0.5, seed=1)
+    with pytest.raises(ConfigurationError, match="3 rows for 5 replicas"):
+        simulate_ensemble(cfg, 5, initial=starts)
+    assert simulate_ensemble(cfg, 3, initial=starts).shape == (3, 8)
+
+
 def test_ensemble_shapes_and_energy():
     cfg = SimulationConfig(n=8, gamma=0.0, t_final=0.5, seed=4)
     states = simulate_ensemble(cfg, 16)
