@@ -260,9 +260,24 @@ def cmd_pde(cfg: dict, art: Artifacts, rng) -> int:
     return EXIT_OK
 
 
-def cmd_chaos(cfg: dict, art: Artifacts, rng) -> int:
-    from scipy.stats import wasserstein_distance
+def _wasserstein1(u: np.ndarray, v: np.ndarray,
+                  v_weights: np.ndarray) -> float:
+    """W1 between the equal-weight sample u and the points v with weights
+    v_weights: the integral of |F - G| over the merged sorted support, F
+    and G the right-continuous cdfs.  The arithmetic of
+    scipy.stats.wasserstein_distance, without importing scipy.stats
+    (about a second and 70 MB)."""
+    u_sorted = np.sort(u)
+    v_order = np.argsort(v)
+    merged = np.concatenate((u, v))
+    merged.sort(kind="mergesort")
+    cdf_u = u_sorted.searchsorted(merged[:-1], "right") / u.size
+    cum_v = np.concatenate(([0], np.cumsum(v_weights[v_order])))
+    cdf_v = cum_v[v[v_order].searchsorted(merged[:-1], "right")] / cum_v[-1]
+    return float(np.vecdot(np.abs(cdf_u - cdf_v), np.diff(merged)))
 
+
+def cmd_chaos(cfg: dict, art: Artifacts, rng) -> int:
     f0, solver = _limit_solver(cfg)
     t_final = _get(cfg, "t_final", 1.0)
     replicas = _get(cfg, "replicas", 200)
@@ -276,8 +291,8 @@ def cmd_chaos(cfg: dict, art: Artifacts, rng) -> int:
         states = simulate_ensemble(sim, replicas, initial=init,
                                    seed=art.seed)
         pooled = np.ravel(states)
-        w1 = wasserstein_distance(pooled, pde.nodes,
-                                  v_weights=pde.values * pde.quadrature_weights)
+        w1 = _wasserstein1(pooled, pde.nodes,
+                           pde.values * pde.quadrature_weights)
         rows.append((n, w1))
     art.csv("chaos.csv", ["n", "wasserstein1"], rows)
     if rows[-1][1] > _get(cfg, "w1_tolerance", 0.05):

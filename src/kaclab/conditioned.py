@@ -21,8 +21,8 @@ from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
 from .normalization import NormalizationLadder, as_int
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints, fold,
-                         log_power_kernel, pair_kernel, polar_integral,
-                         polar_shells, trapezoid_weights)
+                         half_rule_checked, log_power_kernel, pair_kernel,
+                         polar_integral, polar_shells, trapezoid_weights)
 from .sphere import rotate_pair
 
 # Monte Carlo states per batch
@@ -53,7 +53,7 @@ class ConditionedFamily:
     def _levels(self) -> NormalizationLadder:
         """The ladder, on first read made to hold levels N, N - 1 and N - 2,
         all that Z_N and the marginals read, from one walk."""
-        self.ladder.level(self.n, self.n - 1, self.n - 2)
+        self.ladder.window(self.n, self.n - 1, self.n - 2)
         return self.ladder
 
     @functools.cached_property
@@ -132,23 +132,19 @@ class ConditionedFamily:
                 fold(np.maximum(self.f(x), 0.0)))
 
     def _checked(self, what: str, value, check: bool) -> float:
-        """value(SHELLS, ANGLES); with check, it must agree with the value
-        on half the shells and angles to 1e-3 relative or to 1e-12 N.
+        """value(SHELLS, ANGLES); with check, it must pass the half rule
+        (:func:`~kaclab.quadrature.half_rule_checked`) to 1e-3 relative or
+        to 1e-12 N.
 
-        The half rule keeps a multiple of 4 angles, so it folds too; it
-        costs about half the production's value and a sixth of the
-        log-power integral's.  The absolute floor sits far above the
-        rounding noise of the shell sums, which grows with N: at a
+        The half rule costs about half the production's value and a sixth
+        of the log-power integral's.  The absolute floor sits far above
+        the rounding noise of the shell sums, which grows with N: at a
         Maxwellian generator, where the production is zero, both rules
         give values of about 1e-15 N.
         """
-        val = value(SHELLS, ANGLES)
-        if check:
-            half = value(SHELLS // 2, ANGLES // 2)
-            if abs(val - half) > max(1e-3 * abs(val), 1e-12 * self.n):
-                raise AccuracyError(
-                    f"{what} quadrature not converged: {val} vs {half}")
-        return val
+        if not check:
+            return value(SHELLS, ANGLES)
+        return half_rule_checked(what, value, 1e-12 * self.n)
 
     def production(self, gamma: float, check: bool = True) -> float:
         """Entropy production D_{N,gamma}(F_N) with rate (1 + v_i^2 + v_j^2)^gamma.

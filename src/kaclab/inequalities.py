@@ -19,7 +19,8 @@ from .densities import GridDensity1D, mixture
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
 from .normalization import NormalizationLadder, lambda_sup
-from .quadrature import ANGLES, TWO_PI, fold, polar_integral, polar_shells
+from .quadrature import (TWO_PI, fold, half_rule_checked, polar_integral,
+                         polar_shells)
 
 
 def villani_floor(n: int) -> float:
@@ -132,16 +133,22 @@ def moment_envelope(witness: LogPowerWitness) -> dict:
     and the last piece is (1/2) int B(sqrt s) A(s) ds over the polar
     shells, A(s) = int_0^{2pi} f(r cos) f(r sin).  Phi is even and f is
     even, so both angle sums come from the quadrant points, four times.
+    The last piece must pass the half rule to 1e-3 relative, else
+    AccuracyError: at small delta the shells stop resolving f f.
     """
     f = mixture(witness.delta)
     beta, eps = witness.beta, witness.epsilon
     m_phi = float(np.sum(witness.phi(f.nodes) ** (1.0 + beta) * f.values
                          * f.quadrature_weights))
-    s, ws, x = polar_shells(f.v_max)
-    b = 4.0 * np.sum(witness.phi(x) ** (1.0 + beta), axis=1)
-    a = 4.0 * np.sum(fold(np.maximum(f(x), 0.0)), axis=1)
-    # B A is the sum over angle pairs; the polar measure carries 1 / 2 pi
-    m_avg = TWO_PI * polar_integral(ws, b, a, ANGLES)
+
+    def m_avg_value(count, angle_nodes):
+        _, ws, x = polar_shells(f.v_max, count=count, angle_nodes=angle_nodes)
+        b = 4.0 * np.sum(witness.phi(x) ** (1.0 + beta), axis=1)
+        a = 4.0 * np.sum(fold(np.maximum(f(x), 0.0)), axis=1)
+        # B A is the sum over angle pairs; the polar measure carries 1 / 2 pi
+        return TWO_PI * polar_integral(ws, b, a, angle_nodes)
+
+    m_avg = half_rule_checked("angle-averaged moment", m_avg_value, 0.0)
     head = (2.0 * log_over_power_sup(eps) ** (1.0 + beta)
             * f.sup_norm() ** (eps * (1.0 + beta)))
     return {"head": head, "m_phi": m_phi, "m_avg": m_avg,

@@ -20,18 +20,22 @@ Cached geometry.  A not-a-knot cubic spline is linear in its knot
 values twice over: its B-spline coefficients solve a banded collocation
 system that depends on the knots alone, and the spline at fixed points is
 a sparse design matrix (four entries a row) times those coefficients.
-Each collocation matrix is LU-factored once with LAPACK's dgbtrf, the
-factorization make_interp_spline runs on every call, so a fit is one
-banded solve and gives make_interp_spline's coefficients bit for bit.
+The knot vector and the B-spline values, by de Boor's recursion, are
+built here in numpy with scipy's arithmetic, so both matrices are
+scipy's bit for bit without importing scipy's interpolation package
+(about 50 MB and half a second at start-up).  Each collocation matrix
+is LU-factored once with LAPACK's dgbtrf, the factorization
+make_interp_spline runs on every call, so a fit is one banded solve and
+gives make_interp_spline's coefficients bit for bit.
 The factorizations, the design matrices and a sparse map from the pairs
 v_i <= v_j to the grid, rates[i, pair(i, j)] = (1 + v_i^2 + v_j^2)^gamma
 times the weight of v_j, are built once per grid (and gamma) and held in
 small caches.  The profile fit serves the radial and the production
 folds; the radial fold and the fit of A(r) serve every gamma.  A
 right-hand side call is then two banded solves, two sparse products, the
-pairwise loss and one sparse row sum.  scipy's spline, sparse and LAPACK
-modules load with the first geometry, not with this module, so runs
-that never reach the limit equation do not pay for them.
+pairwise loss and one sparse row sum.  scipy's sparse and LAPACK modules
+load with the first geometry, not with this module, so runs that never
+reach the limit equation do not pay for them.
 """
 
 from __future__ import annotations
@@ -71,27 +75,53 @@ def _grid_cache(build):
     return lookup
 
 
+def _cubic_basis(t: np.ndarray, x: np.ndarray):
+    """The four nonzero cubic B-splines on knots t at each point of x, shape
+    (len(x), 4), and the index of the first of them.
+
+    Each point takes the knot interval t[l] <= x < t[l + 1], l clipped to
+    the spline's pieces 3..len(t) - 5 so that the end pieces extend, and
+    the de Boor triangle (de Boor 1972) raises the degree from 0 to 3.
+    The arithmetic is scipy's BSpline.design_matrix, step for step.
+    """
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, 3, len(t) - 5)
+    h = np.zeros((len(x), 4))
+    h[:, 0] = 1.0
+    for j in range(1, 4):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for k in range(1, j + 1):
+            hi, lo = t[ell + k], t[ell + k - j]
+            w = prev[:, k - 1] / (hi - lo)
+            h[:, k - 1] += w * (hi - x)
+            h[:, k] = w * (x - lo)
+    return h, ell - 3
+
+
 class _CubicFit:
     """make_interp_spline(knots, vals, k=3).c for fixed knots and any vals.
 
-    make_interp_spline solves its banded collocation system with LAPACK's
-    gbsv, which is gbtrf followed by gbtrs; the factorization is done once
-    here, so a fit is one gbtrs solve with the same arithmetic.
+    The knot vector is make_interp_spline's not-a-knot one.  It solves its
+    banded collocation system with LAPACK's gbsv, which is gbtrf followed
+    by gbtrs; the factorization is done once here, so a fit is one gbtrs
+    solve with the same arithmetic.
     """
 
     def __init__(self, knots: np.ndarray):
-        from scipy.interpolate import BSpline, make_interp_spline
         from scipy.linalg import lapack
 
         n = len(knots)
         if n < 4:
             raise ConfigurationError(
                 f"a not-a-knot cubic spline needs 4 knots, got {n}")
-        self.t = make_interp_spline(knots, knots, k=3).t
-        colloc = BSpline.design_matrix(knots, self.t, 3).tocoo()
-        # band storage of kl = ku = 3, with kl more rows for the fill-in
+        self.t = np.r_[(knots[0],) * 4, knots[2:-2], (knots[-1],) * 4]
+        values, first = _cubic_basis(self.t, knots)
+        # band storage of kl = ku = 3, with kl more rows for the fill-in:
+        # entry (i, first[i] + k) sits at row 6 + i - first[i] - k
+        rows = np.arange(n)[:, None]
+        cols = first[:, None] + np.arange(4)
         band = np.zeros((10, n), order="F")
-        band[6 + colloc.row - colloc.col, colloc.col] = colloc.data
+        band[6 + rows - cols, cols] = values
         self.lu, self.pivots, info = lapack.dgbtrf(band, 3, 3)
         if info != 0:
             raise AccuracyError(f"collocation matrix on {n} knots is "
@@ -104,10 +134,15 @@ class _CubicFit:
 
     def design(self, points: np.ndarray):
         """Sparse map from the coefficients to the spline's values at
-        points; beyond the knots the end pieces extend."""
-        from scipy.interpolate import BSpline
+        points; beyond the knots the end pieces extend.  Its int32 indices
+        keep the sparse products on their fastest path."""
+        from scipy.sparse import csr_array
 
-        return BSpline.design_matrix(points, self.t, 3, extrapolate=True)
+        values, first = _cubic_basis(self.t, points)
+        cols = first.astype(np.int32)[:, None] + np.arange(4, dtype=np.int32)
+        rows = np.arange(0, 4 * len(points) + 1, 4, dtype=np.int32)
+        return csr_array((values.ravel(), cols.ravel(), rows),
+                         shape=(len(points), len(self.t) - 4))
 
 
 _fit = _grid_cache(_CubicFit)

@@ -20,7 +20,12 @@ rest of the grid holds FFT rounding noise.  So each factor is transformed
 over its window only, the cells from the first to the last holding at
 least _TRIM of its peak, and each level is exactly zero outside the sum of
 its halves' windows.  Dropping the cells below the cut moves a level by at
-most _TRIM (max m_a sum m_b + max m_b sum m_a).
+most _TRIM (max m_a sum m_b + max m_b sum m_a).  A level is stored as
+(offset, cells), the cells its walk wrote, and its log-density table as
+those cells and one floor node on either side; a whole-grid array is
+assembled only for a caller that asks for one (:meth:`level`).  The 11
+levels and log tables of a 2^18-cell Gaussian ladder read up to level
+1024 so take 7.7 MiB, where whole-grid arrays would take 28 MB.
 
 The ladder also owns the sampler of its discretised measure:
 :meth:`NormalizationLadder.sample_radii` draws n energies conditioned on
@@ -40,7 +45,7 @@ import numpy as np
 
 from .densities import GridDensity1D, moment
 from .errors import ConfigurationError, SamplingError
-from .quadrature import gauss_legendre, require_even
+from .quadrature import freeze, gauss_legendre, require_even
 from .sphere import log_sphere_area
 
 # a factor's cells below this share of its peak are left out of its
@@ -116,13 +121,18 @@ class NormalizationLadder:
         # |v| at the cell edges u = du (k -+ 1/2), the lowest clipped at 0
         self._edges = np.sqrt(np.maximum(np.arange(n_grid + 1) - 0.5, 0.0)
                               * self.du)
-        self._masses: dict[int, np.ndarray] = {1: self._base_masses()}
-        self._log_density: dict[int, np.ndarray] = {}
+        base = self._base_masses()
+        freeze(base)
+        # level n -> (offset, cells): its masses from grid index offset on;
+        # the grid's other cells hold zero
+        self._masses: dict[int, tuple[int, np.ndarray]] = {1: (0, base)}
+        # level n -> (first node, log density on the nodes from it on)
+        self._log_density: dict[int, tuple[int, np.ndarray]] = {}
         # leakage of the single-particle energy density past the grid
-        if 1.0 - float(np.sum(self._masses[1])) > 1e-4:
+        if 1.0 - float(np.sum(base)) > 1e-4:
             raise ConfigurationError(
                 f"u_max={self.u_max:.3g} truncates the energy density "
-                f"(mass {np.sum(self._masses[1]):.6f})"
+                f"(mass {np.sum(base):.6f})"
             )
 
     # -- construction ---------------------------------------------------
@@ -133,18 +143,16 @@ class NormalizationLadder:
         Gauss-Legendre.
 
         Only the cells that start below f.v_max, the end of f's table, are
-        integrated; for the package's generators, whose tables reach 8
-        standard deviations of the wider component, the rest hold less than
-        _TRIM of the peak and stay 0.
+        integrated and returned; for the package's generators, whose tables
+        reach 8 standard deviations of the wider component, the rest hold
+        less than _TRIM of the peak and are 0.
         """
         f, edges = self.generator, self._edges
         cells = int(np.searchsorted(edges[:-1], f.v_max))
         lo, hi = edges[:cells], edges[1:cells + 1]
         x, w = gauss_legendre(_BASE_RULE)
         r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
-        masses = np.zeros(self.n_grid)
-        masses[:cells] = (hi - lo) * (np.maximum(f(r), 0.0) @ w)
-        return masses
+        return (hi - lo) * (np.maximum(f(r), 0.0) @ w)
 
     @staticmethod
     def halves(n: int) -> tuple[int, int]:
@@ -152,10 +160,12 @@ class NormalizationLadder:
         and floor(n/2)."""
         return (n - n // 2, n // 2)
 
-    def level(self, n: int, *also: int) -> np.ndarray:
-        """Cell-mass array of h^{(*n)}, 1 <= n <= n_max.  The levels among
-        n and also that are not cached yet are built together in one
-        walk."""
+    def window(self, n: int, *also: int) -> tuple[int, np.ndarray]:
+        """(offset, cells): the stored cell masses of h^{(*n)}, which
+        start at grid index offset; every other cell of the grid holds
+        zero.  1 <= n <= n_max.  The levels among n and also that are not
+        stored yet are built together in one walk.  The cells are
+        read-only."""
         wanted = {as_int(k, "level") for k in (n, *also)}
         for k in wanted:
             if not 1 <= k <= self.n_max:
@@ -164,17 +174,44 @@ class NormalizationLadder:
             self._walk(wanted)
         return self._masses[n]
 
+    def level(self, n: int, *also: int) -> np.ndarray:
+        """Cell-mass array of h^{(*n)} on the whole grid, assembled from
+        :meth:`window` on each call; n and also as there."""
+        self.window(n, *also)
+        return self._head(n, self.n_grid)
+
+    def _head(self, n: int, stop: int) -> np.ndarray:
+        """A new array of the masses of stored level n on cells 0..stop-1."""
+        offset, cells = self._masses[n]
+        out = np.zeros(stop)
+        part = cells[:max(stop - offset, 0)]
+        out[offset:offset + part.size] = part
+        return out
+
+    @property
+    def levels(self) -> list[int]:
+        """The levels stored so far, ascending."""
+        return sorted(self._masses)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored levels and log-density tables."""
+        return sum(cells.nbytes for table in (self._masses, self._log_density)
+                   for _, cells in table.values())
+
     def _walk(self, wanted: set[int]) -> None:
         """Build the wanted levels and the missing levels of their tree.
 
         A level n >= 2 sits on tier ceil(log2 n) and its halves on lower
         tiers, so the tiers are built in ascending order.  Within a tier
-        each factor is transformed once, over its window; every new level
-        is the inverse transform of the product of its halves' spectra,
-        written at the sum of their windows' first cells into a zeroed
-        grid array.  A tier's transforms share one length, the smallest
-        5-smooth one that holds the linear convolution of its widest pair
-        of windows, and write into buffers that live for one walk.
+        each factor is transformed once, over its window, which is found
+        among its stored cells; every new level is the inverse transform
+        of the product of its halves' spectra, stored from the sum of
+        their windows' first cells on, over the sum of the windows (cut at
+        the grid's end).  A tier's transforms share one length, the
+        smallest 5-smooth one that holds the linear convolution of its
+        widest pair of windows, and write into buffers that live for one
+        walk.
         """
         missing: set[int] = set()
         stack = list(wanted)
@@ -193,44 +230,55 @@ class NormalizationLadder:
         product = np.empty(signal.size // 2 + 1, dtype=complex)
         for tier in sorted(tiers):
             levels = tiers[tier]
-            win = {h: _window(self._masses[h])
-                   for n in levels for h in self.halves(n)}
+            win, factor = {}, {}
+            for h in dict.fromkeys(h for n in levels for h in self.halves(n)):
+                offset, cells = self._masses[h]
+                lo, hi = _window(cells)
+                win[h] = (offset + lo, offset + hi)
+                factor[h] = cells[lo:hi + 1]
             length = _fast_length(max(
                 win[a][1] - win[a][0] + win[b][1] - win[b][0] + 2
                 for a, b in map(self.halves, levels)))
             size = length // 2 + 1
             while len(spectra) < len(win):
                 spectra.append(np.empty(product.size, dtype=complex))
-            spectrum = {h: np.fft.rfft(self._masses[h][lo:hi + 1], length,
-                                       out=buf[:size])
-                        for (h, (lo, hi)), buf in zip(win.items(), spectra)}
+            spectrum = {h: np.fft.rfft(cells, length, out=buf[:size])
+                        for (h, cells), buf in zip(factor.items(), spectra)}
             for n in levels:
                 a, b = self.halves(n)
                 lo = win[a][0] + win[b][0]
                 hi = min(win[a][1] + win[b][1], self.n_grid - 1)
                 np.multiply(spectrum[a], spectrum[b], out=product[:size])
                 np.fft.irfft(product[:size], length, out=signal[:length])
-                level = np.zeros(self.n_grid)
-                np.maximum(signal[: hi + 1 - lo], 0.0, out=level[lo:hi + 1])
-                self._masses[n] = level
+                cells = np.maximum(signal[:hi + 1 - lo], 0.0)
+                freeze(cells)
+                self._masses[n] = (lo, cells)
 
     # -- queries --------------------------------------------------------
 
-    def log_density_table(self, n: int) -> np.ndarray:
-        """log h^{(*n)} at the grid nodes (clipped at the density floor)."""
-        tab = self._log_density.get(n)
-        if tab is None:
-            dens = self.level(n) / self.du
-            tab = np.log(np.maximum(dens, 1e-300))
-            self._log_density[n] = tab
-        return tab
+    def _log_table(self, n: int) -> tuple[int, np.ndarray]:
+        """(first, table): log h^{(*n)}, clipped at the density floor
+        1e-300, at the nodes of level n's stored cells and at one node on
+        either side (where the grid has one), from node first on.  Beyond
+        the table the log density is the floor, which its end nodes hold,
+        so interpolating on the table reproduces the whole grid's values."""
+        entry = self._log_density.get(n)
+        if entry is None:
+            offset, cells = self.window(n)
+            first = max(offset - 1, 0)
+            dens = np.zeros(min(offset + cells.size + 1, self.n_grid) - first)
+            dens[offset - first:offset - first + cells.size] = cells / self.du
+            entry = first, np.log(np.maximum(dens, 1e-300))
+            self._log_density[n] = entry
+        return entry
 
     def log_density(self, n: int, u) -> np.ndarray:
         """Log-linear interpolation of log h^{(*n)} between u-nodes."""
         u = np.asarray(u, dtype=float)
         if np.any(u < 0) or np.any(u > self.u_max):
             raise ValueError("u outside the ladder grid")
-        return np.interp(u, self.grid, self.log_density_table(n))
+        first, table = self._log_table(n)
+        return np.interp(u, self.grid[first:first + table.size], table)
 
     def log_z(self, n: int, u) -> np.ndarray:
         """log Z_n(f, sqrt(u))."""
@@ -262,7 +310,7 @@ class NormalizationLadder:
         """
         if not 2 <= n <= self.n_max:
             raise ValueError(f"level n={n} not in 2..n_max={self.n_max}")
-        self.level(*self.halves(n))
+        self.window(*self.halves(n))
         top = int(round(n / self.du))
         # each node size's columns of residual cells at the current depth;
         # columns of size 1 are leaves, in the order of their depths
@@ -272,8 +320,7 @@ class NormalizationLadder:
             for k, cells in depth.items():
                 a, b = self.halves(k)
                 # no residual cell lies above the top one
-                split = _Split(self.level(a)[:top + 1],
-                               self.level(b)[:top + 1])
+                split = _Split(self._head(a, top + 1), self._head(b, top + 1))
                 low = split.draw(cells.ravel(), rng).reshape(cells.shape)
                 below.setdefault(a, []).append(low)
                 below.setdefault(b, []).append(cells - low)
@@ -370,9 +417,9 @@ def lambda_profile(ladder: NormalizationLadder, n: int) -> tuple[np.ndarray, np.
     lambda_n(u) = sqrt(n Sigma^2) h^{(*n)}(u) - exp(-(u-n)^2/(2 n Sigma^2))/sqrt(2 pi).
     """
     sig2 = ladder.sigma2
-    mask = ladder.grid <= n
-    u = ladder.grid[mask]
-    dens = ladder.level(n)[mask] / ladder.du
+    u = ladder.grid[ladder.grid <= n]
+    ladder.window(n)
+    dens = ladder._head(n, u.size) / ladder.du
     scale = np.sqrt(n * sig2)
     gauss = np.exp(-((u - n) ** 2) / (2.0 * n * sig2)) / np.sqrt(2.0 * np.pi)
     return u, scale * dens - gauss

@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import AccuracyError, ConfigurationError
 
 TWO_PI = 2.0 * np.pi
 # angle midpoints per energy shell (a multiple of 4, for the fold) and
@@ -148,3 +148,19 @@ def polar_integral(ws: np.ndarray, weight: np.ndarray, pair: np.ndarray,
     ws * weight * pair * dphi^2 / (4 pi), dphi = 2 pi / K."""
     dphi = TWO_PI / angle_nodes
     return float(np.sum(ws * (weight * pair * dphi * dphi))) / TWO_PI * 0.5
+
+
+def half_rule_checked(what: str, value, atol: float) -> float:
+    """value(SHELLS, ANGLES), which must agree with value(SHELLS // 2,
+    ANGLES // 2), the rule on half the shells and angles, to 1e-3
+    relative or to atol, else AccuracyError.
+
+    The half rule keeps a multiple of 4 angles, so it folds too; it costs
+    about half the full rule.
+    """
+    val = value(SHELLS, ANGLES)
+    half = value(SHELLS // 2, ANGLES // 2)
+    if abs(val - half) > max(1e-3 * abs(val), atol):
+        raise AccuracyError(
+            f"{what} quadrature not converged: {val} vs {half}")
+    return val

@@ -10,7 +10,7 @@ import pytest
 
 import kaclab
 from kaclab import svg
-from kaclab.cli import main
+from kaclab.cli import _wasserstein1, main
 from kaclab.conditioned import ConditionedFamily
 from kaclab.errors import SamplingError
 from kaclab.normalization import NormalizationLadder
@@ -49,11 +49,11 @@ def test_gap_deterministic(tmp_path):
     assert read_csv_numbers(a / "gap.csv") == read_csv_numbers(b / "gap.csv")
 
 
-def _loaded_by(module: str, names: list) -> list:
+def _loaded_by(module: str, names: list, then: str = "pass") -> list:
     """Those of names that a fresh interpreter has loaded after importing
-    module."""
+    module and running the statements then."""
     src = os.path.dirname(os.path.dirname(kaclab.__file__))
-    code = (f"import sys, {module}; "
+    code = (f"import sys, {module}; {then}; "
             f"print(' '.join(m for m in {names!r} if m in sys.modules))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -72,12 +72,26 @@ def test_cli_import_loads_no_scipy_signal():
 
 
 def test_cli_import_loads_no_spline_stack():
-    # scipy's spline, sparse and LAPACK modules load with the first
-    # limit-equation geometry; a run that never builds one never pays
-    # for them
+    # scipy's sparse and LAPACK modules load with the first limit-equation
+    # geometry; a run that never builds one never pays for them
     assert _loaded_by("kaclab.cli", ["scipy.interpolate", "scipy.optimize",
                                      "scipy.spatial", "scipy.sparse",
                                      "scipy.linalg"]) == []
+
+
+def test_limit_equation_loads_no_spline_stats_or_special_module():
+    # the knot vector and the B-spline design matrices are built in numpy
+    # (scipy.interpolate alone adds about 50 MB and half a second), and
+    # neither the solver nor the production reads scipy.stats or
+    # scipy.special
+    then = ("from kaclab.densities import mixture; "
+            "f = mixture(0.25); s = kaclab.limit_eq.LimitSolver(f, 0.5); "
+            "[s.step(0.01) for _ in range(3)]; "
+            "kaclab.limit_eq.limit_production(s.vals, s.v, 0.5); "
+            "import numpy as np; v = np.linspace(0.0, f.v_max, 513); "
+            "kaclab.limit_eq.cercignani_ratio(f(v), v)")
+    assert _loaded_by("kaclab.limit_eq", ["scipy.interpolate", "scipy.stats",
+                                          "scipy.special"], then) == []
 
 
 def test_inequalities_import_loads_no_limit_equation():
@@ -236,6 +250,21 @@ def test_stalled_sampler_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["chaos", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 3
     assert "stalled" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_wasserstein1_is_scipys():
+    # chaos's W1 against scipy.stats.wasserstein_distance, with ties and
+    # unsorted points, on weighted and on equal-weight points
+    from scipy.stats import wasserstein_distance
+
+    rng = np.random.default_rng(21)
+    u = np.round(rng.normal(size=2000), 2)
+    v = rng.permutation(np.linspace(-8.0, 8.0, 513))
+    w = rng.random(v.size)
+    assert _wasserstein1(u, v, w) == pytest.approx(
+        wasserstein_distance(u, v, v_weights=w), rel=1e-14, abs=0.0)
+    assert _wasserstein1(u, v, np.ones(v.size)) == pytest.approx(
+        wasserstein_distance(u, v), rel=1e-14, abs=0.0)
 
 
 # (subcommand, config text): each must exit 3 with a JSON error

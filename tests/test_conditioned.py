@@ -290,7 +290,7 @@ def test_sampler_builds_no_levels_beyond_the_normalisation():
     # a sample-only family builds the tree below N's halves, not level N
     fam = ConditionedFamily(mixture(0.25), 512)
     fam.sample(4, np.random.default_rng(11))
-    assert set(fam.ladder._masses) == {2**j for j in range(9)}
+    assert set(fam.ladder.levels) == {2**j for j in range(9)}
 
 
 @pytest.mark.parametrize("n", [300, 1000, 1023])
@@ -299,9 +299,9 @@ def test_sampler_descends_the_entropy_walk(n):
     # that Z_N and the marginals already built
     fam = ConditionedFamily(mixture(0.25), n)
     fam.entropy()
-    built = set(fam.ladder._masses)
+    built = set(fam.ladder.levels)
     fam.sample(4, np.random.default_rng(13))
-    assert set(fam.ladder._masses) == built
+    assert set(fam.ladder.levels) == built
 
 
 def test_family_levels_are_one_balanced_walk():
@@ -311,7 +311,7 @@ def test_family_levels_are_one_balanced_walk():
     fam.entropy()
     fam.production(0.0)
     tiers = {k for j in range(1, 11) for k in (2**j, 2**j - 1)}
-    assert set(fam.ladder._masses) == tiers | {1022}
+    assert set(fam.ladder.levels) == tiers | {1022}
 
 
 def test_family_rejects_a_ladder_below_its_n():

@@ -170,6 +170,15 @@ def test_moment_envelope_total_is_pinned(delta, total):
     assert moment_envelope(wit)["total"] == total
 
 
+def test_moment_envelope_checks_the_half_rule():
+    # at delta = 0.003 the 128 x 128 rule differs from the 256 x 256 one by
+    # 4.0e-2 relative: the shells do not resolve f f, and the certified
+    # constant would rest on that value
+    wit = LogPowerWitness(delta=0.003, beta=1.0, k=3.0)
+    with pytest.raises(AccuracyError, match="angle-averaged moment"):
+        moment_envelope(wit)
+
+
 @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.5])
 def test_moment_envelope_rejects_delta_outside_unit_interval(delta):
     with pytest.raises(ValueError, match="delta must lie in"):

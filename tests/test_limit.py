@@ -146,6 +146,20 @@ def test_cached_fits_are_make_interp_spline_bit_for_bit():
         assert np.array_equal(geo.radial_fit(a_of_r),
                               make_interp_spline(geo.fold.radii, a_of_r,
                                                  k=3).c)
+    # the knot vector and the design matrices are scipy's, data, int32
+    # indices and all, on the knots, between them, at 0 and past the end
+    for n in (4, 257, 513, 1028):
+        knots = np.linspace(0.0, 8.0, n)
+        fit = _CubicFit(knots)
+        assert np.array_equal(fit.t, make_interp_spline(knots, knots).t)
+        points = np.concatenate([knots, [0.0], np.linspace(0.1, 7.9, 3 * n),
+                                 8.0 + np.array([1e-12, 0.5, 3.0])])
+        got = fit.design(points)
+        want = BSpline.design_matrix(points, fit.t, 3, extrapolate=True)
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_cubic_fit_failures_are_typed(monkeypatch):

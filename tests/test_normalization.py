@@ -10,8 +10,8 @@ from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.limit_eq import LimitSolver
 from kaclab.normalization import (_TRIM, NormalizationLadder, _fast_length,
-                                  _window, clt_envelope, lambda_sup,
-                                  schedule_delta)
+                                  _window, clt_envelope, lambda_profile,
+                                  lambda_sup, schedule_delta)
 from kaclab.sphere import log_sphere_area
 
 
@@ -119,7 +119,7 @@ def test_levels_above_n_max_are_rejected(mix_ladder):
             query()
     with pytest.raises(ValueError, match="n=65"):
         mix_ladder.log_z(65, 65.0)
-    assert 200 not in mix_ladder._masses
+    assert 200 not in mix_ladder.levels
 
 
 def test_ladder_needs_a_unit_energy_generator():
@@ -148,10 +148,11 @@ def test_levels_are_the_convolutions_of_their_halves(top):
     # window, and exactly zero outside the sum of the windows
     ladder = NormalizationLadder(mixture(0.3), top)
     ladder.level(top, top - 1, top - 2)
-    assert {n % 2 for n in ladder._masses if n > 1} == {0, 1}
-    for n, got in ladder._masses.items():
+    assert {n % 2 for n in ladder.levels if n > 1} == {0, 1}
+    for n in ladder.levels:
         if n == 1:
             continue
+        got = ladder.level(n)
         a, b = ladder.halves(n)
         m_a, m_b = ladder.level(a), ladder.level(b)
         want = np.maximum(fftconvolve(m_a, m_b)[:ladder.n_grid], 0.0)
@@ -197,6 +198,55 @@ def test_walk_transforms_only_the_windows(monkeypatch):
     # the grid (u_max = 1476)
     cells = np.flatnonzero(ladder.level(64))
     assert cells[-1] - cells[0] + 1 <= 0.2 * ladder.n_grid
+
+
+def test_ladder_stores_the_cells_the_walk_wrote():
+    # the bench's 2^18-cell Gaussian oracle: its 11 levels and log tables
+    # took 28 MB as whole-grid arrays; as windows they take 7.7 MiB, and
+    # every value is the whole-grid one.  The three floor values
+    # (-845.59, -1316.61, -1784.84) are large-deviation tails below the
+    # 1e-300 density floor, which the one floor node each side of a
+    # window keeps exact
+    ladder = NormalizationLadder(gaussian(1.0), 1024, n_grid=2**18)
+    got = [float(ladder.log_z(n, r * n)) for n in (64, 256, 1024)
+           for r in (0.2, 0.5, 1.0, 1.5) if (n, r) != (1024, 1.5)]
+    assert got == [-65.2063222900334, -74.81121861743762, -90.81209720159077,
+                   -106.81225709656348, -845.5864256334127, -299.2445692924508,
+                   -363.2482958734498, -427.2489851934679, -1316.6144018592927,
+                   -1784.838965846986, -1452.993089527898]
+    assert ladder.levels == [2**j for j in range(11)]
+    assert ladder.nbytes <= 10 * 2**20
+    offset, cells = ladder.window(64)
+    assert not cells.flags.writeable
+    assert np.array_equal(ladder.level(64)[offset:offset + cells.size], cells)
+    assert not np.any(np.delete(ladder.level(64),
+                                np.s_[offset:offset + cells.size]))
+
+
+def test_windowed_queries_are_the_whole_grid_values():
+    # lambda_n on [0, n] and seeded sampler draws, as recorded from the
+    # whole-grid levels, bit for bit; a fresh ladder, since a walk's
+    # transform lengths depend on the levels it builds together
+    mix_ladder = NormalizationLadder(mixture(0.25), 64)
+    for n, size, want in ((64, 10354, [-9.29898596407092e-06,
+                                       -0.01929920186575336,
+                                       -0.0003908878479642608,
+                                       83.5796773334557]),
+                          (5, 809, [-0.1732105258083954, 0.311172548325084,
+                                    0.00854115797260624,
+                                    137.83103092030836])):
+        u, lam = lambda_profile(mix_ladder, n)
+        assert u.size == size
+        assert [lam[0], lam[size // 2], lam[-1], np.sum(lam)] == want
+    for n, want, total in (
+            (64, [0.11727265431594812, 0.45928961817797626,
+                  1.812211404066146, 0.015277693760566518],
+             143.56276792990448),
+            (7, [0.5769143157305469, 1.4248736760876848, 0.9769339704816198,
+                 0.10975879453653287], 16.513273275553875)):
+        r = mix_ladder.sample_radii(n, 3, np.random.default_rng(5))
+        assert r[0, :4].tolist() == want
+        assert float(r.sum()) == total
 
 
 def test_fast_length_is_scipys_real_fast_length():
