@@ -264,9 +264,10 @@ def _wasserstein1(u: np.ndarray, v: np.ndarray,
                   v_weights: np.ndarray) -> float:
     """W1 between the equal-weight sample u and the points v with weights
     v_weights: the integral of |F - G| over the merged sorted support, F
-    and G the right-continuous cdfs.  The arithmetic of
-    scipy.stats.wasserstein_distance, without importing scipy.stats
-    (about a second and 70 MB)."""
+    and G the right-continuous cdfs.  The steps of
+    scipy.stats.wasserstein_distance at p = 1, which on numpy 2 ends in
+    the same np.vecdot, so the value is scipy's bit for bit; scipy.stats
+    itself is not imported (about a second and 70 MB)."""
     u_sorted = np.sort(u)
     v_order = np.argsort(v)
     merged = np.concatenate((u, v))

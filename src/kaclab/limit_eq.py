@@ -111,6 +111,10 @@ class _CubicFit:
         from scipy.linalg import lapack
 
         n = len(knots)
+        if not (knots.ndim == 1 and np.all(np.isfinite(knots))
+                and np.all(np.diff(knots) > 0)):
+            raise ValueError("knots must be a finite, strictly increasing "
+                             "1-D grid")
         if n < 4:
             raise ConfigurationError(
                 f"a not-a-knot cubic spline needs 4 knots, got {n}")

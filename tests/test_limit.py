@@ -165,6 +165,21 @@ def test_cached_fits_are_make_interp_spline_bit_for_bit():
 def test_cubic_fit_failures_are_typed(monkeypatch):
     with pytest.raises(ConfigurationError):
         _CubicFit(np.linspace(0.0, 1.0, 3))
+    # a grid make_interp_spline rejects: two interior nodes swapped, a
+    # repeated node, a NaN node, two dimensions
+    v = np.linspace(0.0, 8.0, 33)
+    swapped, repeated, nan = v.copy(), v.copy(), v.copy()
+    swapped[[10, 11]] = swapped[[11, 10]]
+    repeated[11] = repeated[10]
+    nan[12] = np.nan
+    for bad in (swapped, repeated, nan, v.reshape(3, 11)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _CubicFit(bad)
+    f_vals = mixture(0.25)(swapped)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cercignani_ratio(f_vals, swapped)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        limit_production(f_vals, swapped, 0.5)
     monkeypatch.setattr(lapack, "dgbtrf",
                         lambda band, kl, ku: (band, np.zeros(9, np.int32), 4))
     with pytest.raises(AccuracyError, match="singular"):

@@ -1,8 +1,8 @@
 """Start-up and run cost of each kaclab CLI subcommand.
 
-Runs each subcommand on its default config (no --config) in a fresh
-Python process, writing into a temporary directory, and prints per
-subcommand:
+Runs each of the eight subcommands on its default config (no --config,
+seed 3) in a fresh Python process, writing into a temporary directory,
+and prints per subcommand:
 
 - wall:   seconds from starting the process to reaping it, interpreter
           start-up and imports included;
@@ -13,15 +13,11 @@ subcommand:
           (scipy.sparse, scipy.linalg, ...).
 
 Uses the standard library only.  OPENBLAS_NUM_THREADS defaults to 1.
-With --repeat R each subcommand runs R times, interleaved, and the
-median wall time and peak RSS are printed.
 
-Usage: python tools/cli_cost.py [--src DIR] [--seed S] [--repeat R]
-                                [COMMAND ...]
+Usage: python tools/cli_cost.py [--src DIR]
 
 --src is the directory that holds the kaclab package (default: src of
-this repository), so two checkouts can be compared.  COMMAND defaults to
-all eight subcommands.
+this repository), so two checkouts can be compared.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("gap", "clt", "entropy-scan", "villani", "cercignani",
             "inequality", "pde", "chaos")
+SEED = 3
 
 # runs one subcommand, then reports its exit code and the scipy submodules
 # loaded, as one JSON line on stdout (the CLI itself writes only files and
@@ -53,7 +49,7 @@ print(json.dumps({"exit": rc, "scipy": mods}))
 """
 
 
-def run_once(command: str, src: Path, seed: int, out: str) -> dict:
+def run_once(command: str, src: Path, out: str) -> dict:
     """Wall seconds, peak RSS in MB, exit code and scipy submodules of one
     fresh-process run of command."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -61,7 +57,7 @@ def run_once(command: str, src: Path, seed: int, out: str) -> dict:
     start = time.perf_counter()
     child = subprocess.Popen(
         [sys.executable, "-c", _CHILD, command, "--out", out,
-         "--seed", str(seed)],
+         "--seed", str(SEED)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True)
     report = child.stdout.read()
     child.stdout.close()
@@ -78,30 +74,14 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("commands", nargs="*", metavar="COMMAND")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
-    unknown = set(args.commands) - set(COMMANDS)
-    if unknown:
-        parser.error(f"unknown subcommands {sorted(unknown)}")
-    commands = args.commands or COMMANDS
-    runs: dict[str, list[dict]] = {c: [] for c in commands}
-    with tempfile.TemporaryDirectory() as tmp:
-        for k in range(args.repeat):
-            for c in commands:
-                runs[c].append(run_once(c, args.src.resolve(), args.seed,
-                                        os.path.join(tmp, f"{c}-{k}")))
     print(f"{'command':<13} {'wall_s':>7} {'rss_mb':>7} {'exit':>4}  scipy")
-    for c, rs in runs.items():
-        wall = statistics.median(r["wall"] for r in rs)
-        rss = statistics.median(r["rss"] for r in rs)
-        mods = sorted(set().union(*(r["scipy"] for r in rs)))
-        print(f"{c:<13} {wall:7.2f} {rss:7.1f} {rs[-1]['exit']:>4}  "
-              f"{' '.join(mods) or '-'}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for c in COMMANDS:
+            r = run_once(c, args.src.resolve(), os.path.join(tmp, c))
+            print(f"{c:<13} {r['wall']:7.2f} {r['rss']:7.1f} {r['exit']:>4}  "
+                  f"{' '.join(r['scipy']) or '-'}", flush=True)
     return 0
 
 
