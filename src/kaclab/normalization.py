@@ -21,11 +21,13 @@ over its window only, the cells from the first to the last holding at
 least _TRIM of its peak, and each level is exactly zero outside the sum of
 its halves' windows.  Dropping the cells below the cut moves a level by at
 most _TRIM (max m_a sum m_b + max m_b sum m_a).  A level is stored as
-(offset, cells), the cells its walk wrote, and its log-density table as
-those cells and one floor node on either side; a whole-grid array is
-assembled only for a caller that asks for one (:meth:`level`).  The 11
-levels and log tables of a 2^18-cell Gaussian ladder read up to level
-1024 so take 7.7 MiB, where whole-grid arrays would take 28 MB.
+(offset, cells), the cells its walk wrote; level 1 holds the cells up to
+the last one that can reach 1e-3 _TRIM of its peak, a superset of its
+window.  A whole-grid array is assembled only for a caller that asks for
+one (:meth:`level`), and no log table is kept: :meth:`log_density` reads
+the two nodes around each u.  The 11 levels of a 2^18-cell Gaussian
+ladder read up to level 1024 so take 5.1 MiB, where whole-grid arrays
+would take 22 MiB.
 
 The ladder also owns the sampler of its discretised measure:
 :meth:`NormalizationLadder.sample_radii` draws n energies conditioned on
@@ -126,8 +128,6 @@ class NormalizationLadder:
         # level n -> (offset, cells): its masses from grid index offset on;
         # the grid's other cells hold zero
         self._masses: dict[int, tuple[int, np.ndarray]] = {1: (0, base)}
-        # level n -> (first node, log density on the nodes from it on)
-        self._log_density: dict[int, tuple[int, np.ndarray]] = {}
         # leakage of the single-particle energy density past the grid
         if 1.0 - float(np.sum(base)) > 1e-4:
             raise ConfigurationError(
@@ -142,17 +142,34 @@ class NormalizationLadder:
         the cell's edges r = sqrt(du (k -+ 1/2)) by _BASE_RULE-point
         Gauss-Legendre.
 
-        Only the cells that start below f.v_max, the end of f's table, are
-        integrated and returned; for the package's generators, whose tables
-        reach 8 standard deviations of the wider component, the rest hold
-        less than _TRIM of the peak and are 0.
+        Only the first :meth:`_base_reach` cells are integrated and
+        returned; the rest are 0.
         """
         f, edges = self.generator, self._edges
-        cells = int(np.searchsorted(edges[:-1], f.v_max))
+        cells = self._base_reach()
         lo, hi = edges[:cells], edges[1:cells + 1]
         x, w = gauss_legendre(_BASE_RULE)
         r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
         return (hi - lo) * (np.maximum(f(r), 0.0) @ w)
+
+    def _base_reach(self) -> int:
+        """The number of base cells up to the last one whose bound
+        2 max(f(lo), f(hi)) (hi - lo), from f at the cell edges, reaches
+        1e-3 _TRIM of the largest, among the cells that start below
+        f.v_max, the end of f's table.
+
+        The bound holds the mass of each cell on which f falls (every
+        cell of the package's generators, Gaussians and mixtures of
+        them), so the cells past the reach hold less than 1e-3 _TRIM of
+        the peak: they lie outside level 1's window, which is all the walk
+        reads of it, and the sampler, which reads level 1 past its window,
+        would land on them with a probability of that order.
+        """
+        f, edges = self.generator, self._edges
+        e = edges[:int(np.searchsorted(edges[:-1], f.v_max)) + 1]
+        f_e = np.maximum(f(e), 0.0)
+        bound = 2.0 * np.maximum(f_e[:-1], f_e[1:]) * np.diff(e)
+        return int(np.flatnonzero(bound >= 1e-3 * _TRIM * bound.max())[-1]) + 1
 
     @staticmethod
     def halves(n: int) -> tuple[int, int]:
@@ -195,9 +212,8 @@ class NormalizationLadder:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the stored levels and log-density tables."""
-        return sum(cells.nbytes for table in (self._masses, self._log_density)
-                   for _, cells in table.values())
+        """Bytes held by the stored levels."""
+        return sum(cells.nbytes for _, cells in self._masses.values())
 
     def _walk(self, wanted: set[int]) -> None:
         """Build the wanted levels and the missing levels of their tree.
@@ -256,29 +272,33 @@ class NormalizationLadder:
 
     # -- queries --------------------------------------------------------
 
-    def _log_table(self, n: int) -> tuple[int, np.ndarray]:
-        """(first, table): log h^{(*n)}, clipped at the density floor
-        1e-300, at the nodes of level n's stored cells and at one node on
-        either side (where the grid has one), from node first on.  Beyond
-        the table the log density is the floor, which its end nodes hold,
-        so interpolating on the table reproduces the whole grid's values."""
-        entry = self._log_density.get(n)
-        if entry is None:
-            offset, cells = self.window(n)
-            first = max(offset - 1, 0)
-            dens = np.zeros(min(offset + cells.size + 1, self.n_grid) - first)
-            dens[offset - first:offset - first + cells.size] = cells / self.du
-            entry = first, np.log(np.maximum(dens, 1e-300))
-            self._log_density[n] = entry
-        return entry
+    def _log_nodes(self, n: int, k: np.ndarray) -> np.ndarray:
+        """log h^{(*n)} at the grid nodes k of stored level n, clipped at
+        the density floor 1e-300, which every node outside the level's
+        window holds."""
+        offset, cells = self._masses[n]
+        i = k - offset
+        inside = (i >= 0) & (i < cells.size)
+        dens = np.where(inside, cells[np.clip(i, 0, cells.size - 1)], 0.0)
+        return np.log(np.maximum(dens / self.du, 1e-300))
 
     def log_density(self, n: int, u) -> np.ndarray:
-        """Log-linear interpolation of log h^{(*n)} between u-nodes."""
+        """Log-linear interpolation of log h^{(*n)} between u-nodes.
+
+        Each u reads the two grid nodes that bracket it, with
+        :func:`numpy.interp`'s formula, so the values are its values on a
+        whole-grid log table bit for bit; past the last node, u up to
+        u_max takes that node's value."""
         u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u > self.u_max):
+        if not np.all((u >= 0) & (u <= self.u_max)):
             raise ValueError("u outside the ladder grid")
-        first, table = self._log_table(n)
-        return np.interp(u, self.grid[first:first + table.size], table)
+        self.window(n)
+        last = self.n_grid - 1
+        hi = np.clip(np.searchsorted(self.grid, u, side="right"), 1, last)
+        y0, y1 = self._log_nodes(n, hi - 1), self._log_nodes(n, hi)
+        x0 = self.grid[hi - 1]
+        slope = (y1 - y0) / (self.grid[hi] - x0)
+        return np.where(u < self.grid[last], slope * (u - x0) + y0, y1)
 
     def log_z(self, n: int, u) -> np.ndarray:
         """log Z_n(f, sqrt(u))."""

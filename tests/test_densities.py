@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kaclab.densities import gaussian, mixture, moment, relative_entropy
+from kaclab.densities import (from_callable, gaussian, mixture, moment,
+                              relative_entropy)
 from kaclab.errors import AccuracyError
-from kaclab.quadrature import log_power_kernel, pair_kernel
+from kaclab.quadrature import (ANGLES, SHELLS, fold, log_power_kernel,
+                               pair_kernel, polar_shells)
 
 
 def psi(x, y):
@@ -17,8 +19,24 @@ def psi(x, y):
 
 
 def psi_beta(x, y, beta):
-    """|x - y| |log(x/y)|^{1+beta} from the folded log-power kernel."""
-    return float(log_power_kernel(np.array([[x, y]]), beta)[0]) / 32.0
+    """|x - y| |log(x/y)|^{1+beta} from the folded log-power kernel: the
+    mirrored row (x, y, y, x) of 16 angles, whose ordered pairs sum to
+    128 psi_beta."""
+    return float(log_power_kernel(np.array([[x, y, y, x]]), beta)[0]) / 128.0
+
+
+def all_ordered_pairs(p, beta):
+    """The log-power kernel by brute force: 16 times psi_beta summed over
+    all q^2 ordered pairs of each folded row, zero values left out."""
+    logp = np.log(np.maximum(p, 1e-300))
+    out = np.empty(len(p))
+    for a, (row, lrow) in enumerate(zip(p, logp)):
+        live = row > 0
+        x, lx = row[live], lrow[live]
+        d = x[:, None] - x[None, :]
+        dl = lx[:, None] - lx[None, :]
+        out[a] = 16.0 * np.sum(d * np.sign(dl) * np.abs(dl) ** (1.0 + beta))
+    return out
 
 
 def test_gaussian_mass_and_moments():
@@ -87,6 +105,46 @@ def test_psi_beta_closed_form():
     assert psi_beta(2.0, 1.0, 1.0) == pytest.approx(np.log(2.0) ** 2)
     assert psi_beta(1.0, 2.0, 1.0) == pytest.approx(psi_beta(2.0, 1.0, 1.0))
     assert psi_beta(3.0, 1.5, 0.5) == pytest.approx(1.5 * np.log(2.0) ** 1.5)
+
+
+def _compact(v):
+    # an even density that is zero beyond |v| = 6
+    return np.where(np.abs(v) < 6.0, np.exp(-0.5 * np.asarray(v) ** 2), 0.0)
+
+
+@pytest.mark.parametrize("f, n, rule, zeros", [
+    (mixture(0.25), 256, (SHELLS, ANGLES), False),
+    (mixture(0.25), 256, (SHELLS // 2, ANGLES // 2), False),
+    (from_callable(_compact, 16.0), 4096, (SHELLS, ANGLES), True)],
+    ids=["mix0.25-256x256", "mix0.25-128x128", "compact-4096"])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+def test_log_power_kernel_is_the_all_pairs_sum(f, n, rule, zeros, beta):
+    # the folded table of a family at N on a rule of (shells, angles); the
+    # kernel, which reads the distinct half of each row, must match the
+    # sum over all ordered pairs to 1e-13 relative per shell
+    bound = 1e-13
+    _, _, x = polar_shells(f.v_max, n, *rule)
+    p = fold(np.maximum(f(x), 0.0))
+    # the outer shells of the compact generator hold only zeros, and some
+    # inner ones zeros next to positive values
+    assert np.any(np.all(p == 0, axis=1)) == zeros
+    assert np.any(np.any(p == 0, axis=1) & np.any(p > 0, axis=1)) == zeros
+    want = all_ordered_pairs(p, beta)
+    got = log_power_kernel(p, beta)
+    assert np.all(np.abs(got - want) <= bound * want)
+
+
+def test_log_power_kernel_needs_the_folds_mirror():
+    # the kernel reads only the first half of each row, so a table that
+    # is not the fold's mirror, or has an odd number of columns, raises
+    _, _, x = polar_shells(16.0, 256, 8, 64)
+    p = fold(gaussian(1.0)(x))
+    assert log_power_kernel(p, 0.5).shape == (8,)
+    odd = np.hstack([p[:, :8], p[:, :1], p[:, 7::-1]])
+    assert np.array_equal(odd, odd[:, ::-1])
+    for table in (np.array([[1.0, 2.0]]), p[:, :-1], gaussian(1.0)(x), odd):
+        with pytest.raises(ValueError, match="mirrored table"):
+            log_power_kernel(table, 0.5)
 
 
 def test_callable_evaluation_interpolates():

@@ -9,9 +9,10 @@ from scipy.special import erfc
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.limit_eq import LimitSolver
-from kaclab.normalization import (_TRIM, NormalizationLadder, _fast_length,
-                                  _window, clt_envelope, lambda_profile,
-                                  lambda_sup, schedule_delta)
+from kaclab.normalization import (_BASE_RULE, _TRIM, NormalizationLadder,
+                                  _fast_length, _window, clt_envelope,
+                                  lambda_profile, lambda_sup, schedule_delta)
+from kaclab.quadrature import gauss_legendre
 from kaclab.sphere import log_sphere_area
 
 
@@ -105,6 +106,51 @@ def test_base_masses_match_erfc_differences(delta, n_max):
     keep = want >= _TRIM * want.max()
     got = ladder.level(1)
     assert np.max(np.abs(got[keep] / want[keep] - 1.0)) <= 1e-10
+
+
+class _UncutBase(NormalizationLadder):
+    """A ladder whose base integrates every cell that starts below the
+    generator's v_max."""
+
+    def _base_masses(self):
+        f, edges = self.generator, self._edges
+        cells = int(np.searchsorted(edges[:-1], f.v_max))
+        lo, hi = edges[:cells], edges[1:cells + 1]
+        x, w = gauss_legendre(_BASE_RULE)
+        r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
+        return (hi - lo) * (np.maximum(f(r), 0.0) @ w)
+
+
+@pytest.mark.parametrize("f, n_max, n_grid", [
+    (gaussian(1.0), 64, 2**15), (gaussian(1.0), 1024, 2**18),
+    (mixture(0.25), 256, 2**15), (mixture(0.1), 1024, 2**15),
+    (mixture(1024**-0.8), 1024, 2**15)],
+    ids=["gauss-64", "gauss-1024-2^18", "mix0.25-256", "mix0.1-1024",
+         "schedule-1024"])
+def test_base_cut_changes_no_level_the_walk_reads(f, n_max, n_grid):
+    # the base stops at the last cell whose bound reaches 1e-3 _TRIM of
+    # the largest; every cell it leaves out holds less than that share
+    # of the peak, so level 1's window, every level of a walk and of the
+    # sampler's tree, and the sampler's draws are those of the uncut base
+    # bit for bit
+    cut = NormalizationLadder(f, n_max, n_grid=n_grid)
+    whole = _UncutBase(f, n_max, n_grid=n_grid)
+    _, base = cut.window(1)
+    _, ref = whole.window(1)
+    assert base.size <= ref.size
+    assert np.array_equal(base, ref[:base.size])
+    assert np.all(ref[base.size:] < 1e-3 * _TRIM * ref.max())
+    assert _window(base) == _window(ref)
+    walk = (n_max, n_max - 1, n_max - 2)
+    for ladder in (cut, whole):
+        ladder.window(*walk)
+    draws = [ladder.sample_radii(n_max // 2 + 3, 20, np.random.default_rng(7))
+             for ladder in (cut, whole)]
+    assert np.array_equal(*draws)
+    assert cut.levels == whole.levels
+    for n in cut.levels[1:]:
+        (offset, cells), (want_offset, want) = cut.window(n), whole.window(n)
+        assert offset == want_offset and np.array_equal(cells, want), n
 
 
 def test_levels_above_n_max_are_rejected(mix_ladder):
@@ -201,12 +247,11 @@ def test_walk_transforms_only_the_windows(monkeypatch):
 
 
 def test_ladder_stores_the_cells_the_walk_wrote():
-    # the bench's 2^18-cell Gaussian oracle: its 11 levels and log tables
-    # took 28 MB as whole-grid arrays; as windows they take 7.7 MiB, and
-    # every value is the whole-grid one.  The three floor values
-    # (-845.59, -1316.61, -1784.84) are large-deviation tails below the
-    # 1e-300 density floor, which the one floor node each side of a
-    # window keeps exact
+    # the bench's 2^18-cell Gaussian oracle: its 11 levels took 22 MiB as
+    # whole-grid arrays; as windows they take 5.1 MiB, no log table is
+    # kept, and every value is the whole-grid one.  The three floor
+    # values (-845.59, -1316.61, -1784.84) are large-deviation tails below
+    # the 1e-300 density floor, which every node outside a window holds
     ladder = NormalizationLadder(gaussian(1.0), 1024, n_grid=2**18)
     got = [float(ladder.log_z(n, r * n)) for n in (64, 256, 1024)
            for r in (0.2, 0.5, 1.0, 1.5) if (n, r) != (1024, 1.5)]
@@ -215,7 +260,7 @@ def test_ladder_stores_the_cells_the_walk_wrote():
                    -363.2482958734498, -427.2489851934679, -1316.6144018592927,
                    -1784.838965846986, -1452.993089527898]
     assert ladder.levels == [2**j for j in range(11)]
-    assert ladder.nbytes <= 10 * 2**20
+    assert ladder.nbytes <= 5.5 * 2**20
     offset, cells = ladder.window(64)
     assert not cells.flags.writeable
     assert np.array_equal(ladder.level(64)[offset:offset + cells.size], cells)
@@ -249,6 +294,33 @@ def test_windowed_queries_are_the_whole_grid_values():
         assert float(r.sum()) == total
 
 
+@pytest.mark.parametrize("f, n_max, n_grid", [
+    (mixture(0.25), 64, 2**15), (gaussian(1.0), 1024, 2**18)],
+    ids=["mix0.25-64", "gauss-1024-2^18"])
+def test_log_density_is_np_interp_on_the_log_table(f, n_max, n_grid):
+    # log_density reads the two nodes around each u; it must equal
+    # np.interp on the log table of the whole grid and on the table of a
+    # level's cells plus one floor node on either side, bit for bit, at
+    # random u, every node, 0, the last node and past it up to u_max,
+    # where np.interp clamps to the last node's value
+    ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
+    ladder.window(n_max, n_max - 1, n_max - 2)
+    rng = np.random.default_rng(11)
+    grid = ladder.grid
+    u = np.concatenate([rng.random(10**4) * ladder.u_max, grid,
+                        [0.0, grid[-1]],
+                        np.linspace(grid[-1], ladder.u_max, 5)])
+    for n in ladder.levels:
+        table = np.log(np.maximum(ladder.level(n) / ladder.du, 1e-300))
+        offset, cells = ladder.window(n)
+        first = max(offset - 1, 0)
+        stop = min(offset + cells.size + 1, ladder.n_grid)
+        got = ladder.log_density(n, u)
+        assert np.array_equal(got, np.interp(u, grid, table)), n
+        assert np.array_equal(got, np.interp(u, grid[first:stop],
+                                             table[first:stop])), n
+
+
 def test_fast_length_is_scipys_real_fast_length():
     # _fast_length is the least of terms nondecreasing in n, so it matches
     # next_fast_len on every n <= 10^6 once it matches at both ends of
@@ -267,8 +339,9 @@ def test_truncated_grid_rejected():
 
 
 def test_out_of_range_query(mix_ladder):
-    with pytest.raises(ValueError):
-        mix_ladder.log_density(4, mix_ladder.u_max + 1.0)
+    for u in (mix_ladder.u_max + 1.0, -1e-9, np.nan):
+        with pytest.raises(ValueError, match="outside the ladder grid"):
+            mix_ladder.log_density(4, [1.0, u])
 
 
 def test_clt_leading_term_near_center(gauss_ladder):

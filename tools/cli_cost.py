@@ -1,23 +1,25 @@
 """Start-up and run cost of each kaclab CLI subcommand.
 
 Runs each of the eight subcommands on its default config (no --config,
-seed 3) in a fresh Python process, writing into a temporary directory,
+seed 3) in K fresh Python processes, writing into a temporary directory,
 and prints per subcommand:
 
-- wall:   seconds from starting the process to reaping it, interpreter
-          start-up and imports included;
-- rss:    the child's peak resident set size in MB (ru_maxrss of
-          os.wait4, in KiB on Linux);
+- wall:   the median over the K runs of the seconds from starting the
+          process to reaping it, interpreter start-up and imports
+          included;
+- rss:    the largest of the K children's peak resident set sizes in MB
+          (ru_maxrss of os.wait4, in KiB on Linux);
 - exit:   the subcommand's exit code;
 - scipy:  the public top-level scipy submodules loaded when it ends
           (scipy.sparse, scipy.linalg, ...).
 
 Uses the standard library only.  OPENBLAS_NUM_THREADS defaults to 1.
 
-Usage: python tools/cli_cost.py [--src DIR]
+Usage: python tools/cli_cost.py [--src DIR] [--repeat K]
 
 --src is the directory that holds the kaclab package (default: src of
-this repository), so two checkouts can be compared.
+this repository), so two checkouts can be compared.  --repeat is the
+number of runs per subcommand, K >= 1 (default 1).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -75,12 +78,19 @@ def main(argv: list[str]) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error(f"--repeat must be >= 1, not {args.repeat}")
     print(f"{'command':<13} {'wall_s':>7} {'rss_mb':>7} {'exit':>4}  scipy")
     with tempfile.TemporaryDirectory() as tmp:
         for c in COMMANDS:
-            r = run_once(c, args.src.resolve(), os.path.join(tmp, c))
-            print(f"{c:<13} {r['wall']:7.2f} {r['rss']:7.1f} {r['exit']:>4}  "
+            runs = [run_once(c, args.src.resolve(), os.path.join(tmp, c))
+                    for _ in range(args.repeat)]
+            wall = statistics.median(r["wall"] for r in runs)
+            rss = max(r["rss"] for r in runs)
+            r = runs[-1]
+            print(f"{c:<13} {wall:7.2f} {rss:7.1f} {r['exit']:>4}  "
                   f"{' '.join(r['scipy']) or '-'}", flush=True)
     return 0
 
