@@ -19,7 +19,7 @@ import numpy as np
 from . import svg
 from .densities import GridDensity1D, gaussian, mixture
 from .errors import (AccuracyError, ConfigurationError,
-                     DegenerateTestFunctionError, SamplingError)
+                     DegenerateTestFunctionError)
 from .conditioned import ConditionedFamily
 from .inequalities import (LogPowerWitness, check_rescaled_inputs,
                            fit_loglog_slope, gamma_ratio_sweep, villani_floor,
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
         # ValueError is the library's bad-argument type (see errors.py)
         json.dump({"error": str(exc), "kind": "validation"}, sys.stderr)
         return EXIT_CONFIG
-    except (AccuracyError, SamplingError) as exc:
+    except AccuracyError as exc:
         json.dump({"error": str(exc), "kind": "tolerance"}, sys.stderr)
         return EXIT_TOLERANCE
 

@@ -5,15 +5,18 @@ restricted to the sphere S^{N-1}(sqrt N) has marginals, entropy and
 entropy production that all reduce to one-dimensional integrals against
 ratios of convolution powers of the energy density h.  Those ratios come
 from a :class:`~kaclab.normalization.NormalizationLadder`, so every
-functional here is a quadrature over explicit log-domain tables, and the
-sampler draws from the ladder's discretised measure.  The production and
-log-power integrals use the polar-shell fold of :mod:`kaclab.quadrature`,
-which needs an even generator, as the ladder does.
+functional here is a quadrature over explicit log-domain tables.  The
+production and log-power integrals use the polar-shell fold of
+:mod:`kaclab.quadrature`, which needs an even generator, as the ladder
+does.  The sampler reads no ladder: for a generator that is a mixture of
+at most two centred Gaussians it draws F_N exactly (see
+:meth:`ConditionedFamily.sample`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -27,6 +30,85 @@ from .sphere import rotate_pair
 
 # Monte Carlo states per batch
 _MC_BATCH = 50_000
+# the exact sampler keeps the (k, j) terms within e^-40 of the largest; the
+# rest hold under 1e-17 of the sum of all terms (mixture(0.1), (0.25) and
+# (0.7) at N <= 1024)
+_SPLIT_CUT = 40.0
+
+
+def _split_terms(f: GridDensity1D, n: int):
+    """(k, j, log T): the terms of the exact law of F_N that lie within
+    e^-_SPLIT_CUT of the largest, for a generator f that is a mixture of
+    the centred Gaussians in f.components, (weight, variance) pairs; a
+    generator without them raises ConfigurationError.
+
+    With the wider component first, rates rho_1 = 1/(2 a_1) < rho_2 and
+    c = (rho_2 - rho_1) N,
+
+        T(k, j) = C(N, k) w_1^k w_2^(N-k) rho_1^(k/2) rho_2^((N-k)/2)
+                  (k/2)_j c^j / ((N/2)_j j!),
+
+    so that h^{*N}(N) = sum T N^(N/2-1) e^(-rho_2 N) / Gamma(N/2).  k counts
+    the particles of the wider component and j indexes the series of
+    1F1(k/2; N/2; c).  Components of one variance are one Gaussian, whose
+    single term is k = N, j = 0.
+
+    For each k the largest term over j >= 1 sits just past the larger root
+    of j^2 + (N/2 + 1 - c) j + N/2 - c k/2, where T(k, j + 1) / T(k, j)
+    falls below 1; below that root the terms rise, after a fall from j = 0
+    when the smaller root is positive.  So the kept terms of one k lie in
+    one run of j, found on a window around the peak that doubles until
+    both its ends fall below the cut.  Its half-width starts at 6 standard
+    deviations of the largest term's row, from the curvature of log T
+    there; most tables need one doubling.
+    """
+    if f.components is None:
+        raise ConfigurationError(f"generator {f.tag or 'f'!r} has no "
+                                 f"Gaussian components to sample F_N from")
+    (w1, a1), *rest = sorted(f.components, key=lambda p: -p[1])
+    if not rest or rest[0][1] == a1:
+        w = sum(p[0] for p in f.components)
+        return (np.array([n]), np.array([0]),
+                np.array([0.5 * n * math.log(w * w / (2.0 * a1))]))
+    (w2, a2), = rest
+    rho1, rho2 = 0.5 / a1, 0.5 / a2
+    b, c, k = 0.5 * n, (rho2 - rho1) * n, np.arange(n + 1)
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
+    log_k = (math.lgamma(n + 1.0) - lgamma(k + 1.0) - lgamma(n + 1.0 - k)
+             + k * math.log(w1 * math.sqrt(rho1))
+             + (n - k) * math.log(w2 * math.sqrt(rho2)))
+    disc = (b + 1.0 - c) ** 2 - 4.0 * (b - 0.5 * c * k)
+    root = 0.5 * (np.sqrt(np.maximum(disc, 0.0)) - (b + 1.0 - c))
+    peak = np.where((disc >= 0) & (root >= 0) & (k > 0), np.floor(root) + 1,
+                    0).astype(np.int64)
+
+    def series(k, j):
+        """log (k/2)_j c^j / ((N/2)_j j!), exactly 0 at j = 0 (k = 0 has
+        j = 0 only, so its a may be any positive number)."""
+        a = np.maximum(0.5 * k, 0.5)
+        return (lgamma(a + j) - lgamma(a) - lgamma(b + j) + math.lgamma(b)
+                - lgamma(j + 1.0) + j * math.log(c))
+
+    top = log_k + np.maximum(series(k, peak), 0.0)
+    cut, m, a = top.max() - _SPLIT_CUT, peak[top.argmax()], 0.5 * top.argmax()
+    curve = 1.0 / (m + 1.0) + 1.0 / (b + m) - 1.0 / max(a + m, 1.0)
+    half = 8 + math.ceil(6.0 / math.sqrt(curve) if curve > 0 else 6.0)
+    k = np.flatnonzero(top >= cut)
+    while True:
+        lo = np.maximum(peak[k] - half, 0)
+        j = lo[:, None] + np.arange(2 * half + 1)
+        log_t = np.empty(j.shape)
+        log_t[:, 0] = log_k[k] + series(k, lo)
+        # log T(k, j + 1) / T(k, j); -inf at k = 0, which has j = 0 only
+        with np.errstate(divide="ignore"):
+            log_t[:, 1:] = (math.log(c) + np.log(0.5 * k[:, None] + j[:, :-1])
+                            - np.log(b + j[:, :-1]) - np.log1p(j[:, :-1]))
+        np.cumsum(log_t, axis=1, out=log_t)
+        if np.all((log_t[:, -1] < cut) & ((lo == 0) | (log_t[:, 0] < cut))):
+            keep = log_t >= cut
+            k = np.broadcast_to(k[:, None], j.shape)
+            return k[keep], j[keep], log_t[keep]
+        half *= 2
 
 
 class ConditionedFamily:
@@ -184,18 +266,46 @@ class ConditionedFamily:
 
     # -- sampling -------------------------------------------------------
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draws from F_N, shape (size, N); energies sum to N.
+    @functools.cached_property
+    def _split_law(self):
+        """(k, j, cum): the terms of :func:`_split_terms` and their
+        cumulative sums, scaled to a largest term of 1."""
+        k, j, log_t = _split_terms(self.f, self.n)
+        return k, j, np.cumsum(np.exp(log_t - log_t.max()))
 
-        Every generator is even, so the squared velocities s_i = v_i^2 are
-        i.i.d. from h conditioned on sum s_i = N and the signs are fair
-        coins.  The ladder draws the |v_i| for its discretised measure
-        (:meth:`~kaclab.normalization.NormalizationLadder.sample_radii`);
-        they are rescaled so the energies sum to N exactly.
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Exact draws from F_N, shape (size, N); energies sum to N.
+
+        The generator must be a mixture of at most two centred Gaussians
+        (its ``components``; a generator without them raises
+        ConfigurationError).  Expanding f^{otimes N} picks for each
+        particle the wider component, k of them, or the narrower one; given
+        k, the wider block's share t = X/N of the energy has density
+        proportional to t^(k/2-1) (1-t)^((N-k)/2-1) e^(ct), and the series
+        of e^(ct) splits it into Beta(k/2 + j, (N-k)/2) laws (see
+        :func:`_split_terms`).  So each row draws (k, j) from one table
+        lookup and t from one Beta draw (t = 0 at k = 0, 1 at k = N).  One
+        Gaussian row, normalised over each block, puts energy tN on the
+        first k coordinates and (1-t)N on the rest, uniformly on each
+        block's sphere, and a uniform permutation of the row makes the
+        coordinates exchangeable.  One component gives the uniform sphere.
         """
-        r = self.ladder.sample_radii(self.n, size, rng)
-        r *= np.sqrt(self.n / np.sum(r * r, axis=1, keepdims=True))
-        return np.where(rng.random(r.shape) < 0.5, -r, r)
+        k, j, cum = self._split_law
+        n = self.n
+        # every term is positive, so u cum[-1] in [0, cum[-1]] picks the
+        # entry i with cum[i - 1] < u cum[-1] <= cum[i]
+        pick = np.searchsorted(cum, rng.random(size) * cum[-1])
+        k, j = k[pick], j[pick]
+        t, mid = (k > 0).astype(float), (k > 0) & (k < n)
+        t[mid] = rng.beta(0.5 * k[mid] + j[mid], 0.5 * (n - k[mid]))
+        g = rng.standard_normal((size, n))
+        wide = np.arange(n) < k[:, None]
+        sq = g * g
+        # each coordinate's share of N over its own block's sum of g^2
+        block = np.where(wide, np.sum(sq, axis=1, where=wide)[:, None],
+                         np.sum(sq, axis=1, where=~wide)[:, None])
+        share = np.where(wide, t[:, None], 1.0 - t[:, None])
+        return rng.permuted(g * np.sqrt(n * share / block), axis=1)
 
     # -- Monte Carlo cross-checks ---------------------------------------
 

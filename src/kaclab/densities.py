@@ -25,7 +25,10 @@ class GridDensity1D:
 
     ``pdf`` is the optional closed-form evaluator attached by the analytic
     constructors; without it the density is a table only and cannot be
-    called.
+    called.  ``components`` holds the (weight, variance) pairs of the
+    centred Gaussians whose mixture the density is, for the constructors
+    that build one (:func:`gaussian`, :func:`mixture`), and is None
+    otherwise.
     """
 
     v_max: float
@@ -34,6 +37,7 @@ class GridDensity1D:
     quadrature_weights: np.ndarray
     pdf: Optional[Callable] = None
     tag: str = ""
+    components: Optional[tuple] = None
 
     def __call__(self, v):
         """Evaluate the density's closed form."""
@@ -46,9 +50,9 @@ class GridDensity1D:
         return float(np.max(self.values))
 
 
-def from_callable(pdf, v_max, tag=""):
+def from_callable(pdf, v_max, tag="", components=None):
     """Tabulate ``pdf`` on a symmetric DEFAULT_NODES-point grid and
-    renormalize to unit mass."""
+    renormalize to unit mass; components as on :class:`GridDensity1D`."""
     nodes = np.linspace(-v_max, v_max, DEFAULT_NODES)
     vals = np.maximum(np.asarray(pdf(nodes), dtype=float), 0.0)
     w = trapezoid_weights(nodes)
@@ -56,7 +60,8 @@ def from_callable(pdf, v_max, tag=""):
     if not total > 0:
         raise ValueError("pdf vanishes on the whole grid")
     return GridDensity1D(v_max, nodes, vals / total, w, tag=tag,
-                         pdf=lambda v: np.asarray(pdf(v)) / total)
+                         pdf=lambda v: np.asarray(pdf(v)) / total,
+                         components=components)
 
 
 def gaussian(a: float) -> GridDensity1D:
@@ -68,7 +73,7 @@ def gaussian(a: float) -> GridDensity1D:
     def pdf(v):
         return np.exp(-np.asarray(v) ** 2 / (2.0 * a)) / np.sqrt(2.0 * np.pi * a)
 
-    return from_callable(pdf, v_max, tag=f"gauss(a={a:g})")
+    return from_callable(pdf, v_max, f"gauss(a={a:g})", ((1.0, float(a)),))
 
 
 def mixture(delta) -> GridDensity1D:
@@ -89,7 +94,8 @@ def mixture(delta) -> GridDensity1D:
             + (1 - d) * np.exp(-(v * v) / (2 * a_cold)) / np.sqrt(2 * np.pi * a_cold)
         )
 
-    return from_callable(pdf, v_max, tag=f"mix(delta={d:g})")
+    return from_callable(pdf, v_max, tag=f"mix(delta={d:g})",
+                         components=((d, a_hot), (1.0 - d, a_cold)))
 
 
 def moment(f: GridDensity1D, p: int) -> float:

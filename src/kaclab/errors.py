@@ -18,10 +18,5 @@ class AccuracyError(Exception):
     """A quadrature or tail-mass check failed its stated tolerance."""
 
 
-class SamplingError(Exception):
-    """A residual energy cell of the ladder's sampler has no split mass to
-    draw from."""
-
-
 class DegenerateTestFunctionError(Exception):
     """Rayleigh quotient requested for a statistically constant observable."""

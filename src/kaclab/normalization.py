@@ -29,10 +29,6 @@ the two nodes around each u.  The 11 levels of a 2^18-cell Gaussian
 ladder read up to level 1024 so take 5.1 MiB, where whole-grid arrays
 would take 22 MiB.
 
-The ladder also owns the sampler of its discretised measure:
-:meth:`NormalizationLadder.sample_radii` draws n energies conditioned on
-their sum as cells split top-down along the same tree, then each |v|
-within its cell.
 Everything Z-shaped is exposed in the log domain; the huge power/area
 prefactors are combined with log-gamma arithmetic and cancel analytically
 inside ratio queries.
@@ -46,7 +42,7 @@ import operator
 import numpy as np
 
 from .densities import GridDensity1D, moment
-from .errors import ConfigurationError, SamplingError
+from .errors import ConfigurationError
 from .quadrature import freeze, gauss_legendre, require_even
 from .sphere import log_sphere_area
 
@@ -58,9 +54,9 @@ _TRIM = 1e-15
 # relative on every cell above _TRIM of the peak, where 4 leave 1.1e-10
 # (mixture(1024^-0.9), the beta = 0.05 schedule, on its N = 1024 ladder)
 _BASE_RULE = 6
-# rejection rounds of a split draw; cells still pending after them are
-# drawn from the exact law
-_SPLIT_ROUNDS = 1000
+# base cells per pass of that rule: (4096, 6) temporaries take 192 KiB,
+# where all 32 768 cells of a default ladder at once take 1.5 MiB each
+_BASE_BLOCK = 4096
 
 
 def as_int(value, name: str) -> int:
@@ -120,9 +116,6 @@ class NormalizationLadder:
         self.n_grid = n_grid
         self.du = self.u_max / self.n_grid
         self.grid = self.du * np.arange(self.n_grid)
-        # |v| at the cell edges u = du (k -+ 1/2), the lowest clipped at 0
-        self._edges = np.sqrt(np.maximum(np.arange(n_grid + 1) - 0.5, 0.0)
-                              * self.du)
         base = self._base_masses()
         freeze(base)
         # level n -> (offset, cells): its masses from grid index offset on;
@@ -137,24 +130,36 @@ class NormalizationLadder:
 
     # -- construction ---------------------------------------------------
 
+    def _edges(self) -> np.ndarray:
+        """|v| at the cell edges u = du (k -+ 1/2), the lowest clipped at
+        0; only the base masses read them, so they are not stored."""
+        return np.sqrt(np.maximum(np.arange(self.n_grid + 1) - 0.5, 0.0)
+                       * self.du)
+
     def _base_masses(self) -> np.ndarray:
         """Cell masses of h around each node: 2 f(r) integrated between
         the cell's edges r = sqrt(du (k -+ 1/2)) by _BASE_RULE-point
         Gauss-Legendre.
 
         Only the first :meth:`_base_reach` cells are integrated and
-        returned; the rest are 0.
+        returned; the rest are 0.  The rule runs on _BASE_BLOCK cells at a
+        time, which bounds its temporaries and leaves every mass as the
+        rule on all cells at once gives it, bit for bit.
         """
-        f, edges = self.generator, self._edges
-        cells = self._base_reach()
-        lo, hi = edges[:cells], edges[1:cells + 1]
+        f, edges = self.generator, self._edges()
         x, w = gauss_legendre(_BASE_RULE)
-        r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
-        return (hi - lo) * (np.maximum(f(r), 0.0) @ w)
+        out = np.empty(self._base_reach(edges))
+        for start in range(0, out.size, _BASE_BLOCK):
+            stop = min(start + _BASE_BLOCK, out.size)
+            lo, hi = edges[start:stop], edges[start + 1:stop + 1]
+            r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
+            out[start:stop] = (hi - lo) * (np.maximum(f(r), 0.0) @ w)
+        return out
 
-    def _base_reach(self) -> int:
+    def _base_reach(self, edges: np.ndarray) -> int:
         """The number of base cells up to the last one whose bound
-        2 max(f(lo), f(hi)) (hi - lo), from f at the cell edges, reaches
+        2 max(f(lo), f(hi)) (hi - lo), from f at the cell edges (edges, as
+        :meth:`_edges` gives them), reaches
         1e-3 _TRIM of the largest, among the cells that start below
         f.v_max, the end of f's table.
 
@@ -162,10 +167,9 @@ class NormalizationLadder:
         cell of the package's generators, Gaussians and mixtures of
         them), so the cells past the reach hold less than 1e-3 _TRIM of
         the peak: they lie outside level 1's window, which is all the walk
-        reads of it, and the sampler, which reads level 1 past its window,
-        would land on them with a probability of that order.
+        reads of it.
         """
-        f, edges = self.generator, self._edges
+        f = self.generator
         e = edges[:int(np.searchsorted(edges[:-1], f.v_max)) + 1]
         f_e = np.maximum(f(e), 0.0)
         bound = 2.0 * np.maximum(f_e[:-1], f_e[1:]) * np.diff(e)
@@ -209,11 +213,6 @@ class NormalizationLadder:
     def levels(self) -> list[int]:
         """The levels stored so far, ascending."""
         return sorted(self._masses)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the stored levels."""
-        return sum(cells.nbytes for _, cells in self._masses.values())
 
     def _walk(self, wanted: set[int]) -> None:
         """Build the wanted levels and the missing levels of their tree.
@@ -309,122 +308,6 @@ class NormalizationLadder:
                - 0.5 * (n - 2) * np.log(np.maximum(u, 1e-300))
                - log_sphere_area(n))
         return float(out) if out.ndim == 0 else out
-
-    # -- sampling -------------------------------------------------------
-
-    def sample_radii(self, n: int, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-        """|v| of size draws of n velocities whose squares are i.i.d. from
-        h conditioned on their sum lying in the cell of u = n, shape
-        (size, n); 2 <= n <= n_max.
-
-        The energies are drawn as ladder cells, exactly for the ladder's
-        discretised measure, down the ladder's own balanced tree
-        (:meth:`halves`), whose levels below n the walk for n's halves
-        builds.  Starting from the cell e_0 = round(n / du) of the total,
-        each node k = a + b splits its residual cell e into j and e - j
-        with probability proportional to m_a[j] m_b[e - j], m_k the
-        level-k cell masses (see :class:`_Split`).  A depth holds at most
-        two node sizes, and the nodes of one size split in one draw.
-        Within its cell each |v_i| is uniform between the cell's edges.
-        """
-        if not 2 <= n <= self.n_max:
-            raise ValueError(f"level n={n} not in 2..n_max={self.n_max}")
-        self.window(*self.halves(n))
-        top = int(round(n / self.du))
-        # each node size's columns of residual cells at the current depth;
-        # columns of size 1 are leaves, in the order of their depths
-        depth, leaves = {n: np.full((size, 1), top)}, []
-        while depth:
-            below: dict[int, list[np.ndarray]] = {}
-            for k, cells in depth.items():
-                a, b = self.halves(k)
-                # no residual cell lies above the top one
-                split = _Split(self._head(a, top + 1), self._head(b, top + 1))
-                low = split.draw(cells.ravel(), rng).reshape(cells.shape)
-                below.setdefault(a, []).append(low)
-                below.setdefault(b, []).append(cells - low)
-            leaves += below.pop(1, [])
-            depth = {k: np.concatenate(c, axis=1) for k, c in below.items()}
-        cells = np.concatenate(leaves, axis=1)
-        r_lo, r_hi = self._edges[cells], self._edges[cells + 1]
-        return r_lo + rng.random(cells.shape) * (r_hi - r_lo)
-
-
-class _Split:
-    """The split law P(j | e) proportional to m_a[j] m_b[e - j], j = 0..e.
-
-    Drawn by rejection under the envelope that bounds the factor not
-    proposed by its suffix maximum, an exact array maximum: with
-    h = e // 2,
-
-        g(j) = m_a[j] max_{k >= e - h} m_b[k]      for j <= h,
-        g(j) = max_{k > h} m_a[k] m_b[e - j]       for j > h.
-
-    Each piece is drawn in O(log n) by inverting a cumulative sum, and a
-    draw from g is accepted with probability m_a[j] m_b[e - j] / g(j).
-
-    The suffix maxima can look past e, where no draw lands, so at some
-    cells the acceptance is tiny.  Cells still pending after _SPLIT_ROUNDS
-    rounds are drawn by inverting the exact law, one cumulative sum per
-    distinct residual e, in O(e) each: of 15 000
-    draws of mixture(0.25), 0, 0, 4 and 1 cells take this path at
-    N = 100, 300, 1000 and 1023.  The rounds are independent of the value
-    finally drawn, so the result stays exact.
-    """
-
-    def __init__(self, m_a: np.ndarray, m_b: np.ndarray):
-        self.m_a, self.m_b = m_a, m_b
-        self.cum_a, self.cum_b = np.cumsum(m_a), np.cumsum(m_b)
-        self.sup_a = np.maximum.accumulate(m_a[::-1])[::-1]
-        self.sup_b = np.maximum.accumulate(m_b[::-1])[::-1]
-
-    def caps(self, e: np.ndarray):
-        """h = e // 2, the largest e - j over j > h (0 when there is none)
-        and the envelope's mass on j <= h and on j > h."""
-        h = e // 2
-        top = np.maximum(e - h - 1, 0)
-        low = self.cum_a[h] * self.sup_b[e - h]
-        high = np.where(e > 0, self.cum_b[top] * self.sup_a[h + 1], 0.0)
-        return h, top, low, high
-
-    def envelope(self, e: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """g(j) for residual cells e."""
-        h = e // 2
-        return np.where(j <= h, self.m_a[j] * self.sup_b[e - h],
-                        self.sup_a[h + 1] * self.m_b[e - j])
-
-    def draw(self, e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One split j for each residual cell in e."""
-        h, top, low, high = self.caps(e)
-        if np.any(low + high <= 0):
-            raise SamplingError("a residual energy cell has no split mass")
-        out = np.empty_like(e)
-        todo = np.arange(e.size)
-        for _ in range(_SPLIT_ROUNDS):
-            if todo.size == 0:
-                return out
-            res = e[todo]
-            below = rng.random(todo.size) * (low[todo] + high[todo]) < low[todo]
-            u = rng.random(todo.size)
-            j = res.copy()
-            j[below] = _invert(self.cum_a, u[below], h[todo[below]])
-            j[~below] -= _invert(self.cum_b, u[~below], top[todo[~below]])
-            keep = (rng.random(todo.size) * self.envelope(res, j)
-                    < self.m_a[j] * self.m_b[res - j])
-            out[todo[keep]] = j[keep]
-            todo = todo[~keep]
-        res, u = e[todo], rng.random(todo.size)
-        for cell in np.unique(res):
-            law = np.cumsum(self.m_a[:cell + 1] * self.m_b[cell::-1])
-            pick = res == cell
-            out[todo[pick]] = _invert(law, u[pick], cell)
-        return out
-
-
-def _invert(cum: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Index k <= last with P(k) = mass[k] / cum[last], for uniforms u."""
-    return np.minimum(np.searchsorted(cum, u * cum[last], side="right"), last)
 
 
 # -- local-CLT approximation and error envelopes ------------------------

@@ -184,19 +184,36 @@ def test_10_chaos_bridge(mix):
 def test_11_oracle_equivalence():
     fam = ConditionedFamily(mixture(0.3), 8)
     rng = np.random.default_rng(77)
-    h_b, d_b = [], []
+    h_b, d_b, x_b, x, y = [], [], [], [], []
     for _ in range(10):
         draws = fam.sample(100_000, rng)
         h_b.append(fam.entropy_monte_carlo(100_000, rng, velocities=draws))
         d_b.append(fam.production_monte_carlo(0.5, 100_000, rng,
                                               velocities=draws))
+        sq = draws * draws
+        x.append(np.stack([np.sum(sq * sq, axis=1),
+                           np.sum(sq * sq * sq, axis=1)], axis=1))
+        x_b.append(x[-1].mean(axis=0))
+        y.append(np.sum(np.log(fam.f(draws)), axis=1))
+    # control variates: sum log f(v_i) regressed on sum v_i^4 and
+    # sum v_i^6, whose means are N times the first marginal's moments
+    x, y = np.concatenate(x), np.concatenate(y)
+    coef = np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(), rcond=None)[0]
+    mean_x = fam.n * np.array([fam.marginal_moment(4), fam.marginal_moment(6)])
+    h_cv = np.array(h_b) - (np.array(x_b) - mean_x) @ coef
     h_q = fam.entropy()
     d_q = fam.production(0.5)
-    h_err = abs(np.mean(h_b) - h_q) / abs(h_q)
-    d_err = abs(np.mean(d_b) - d_q) / abs(d_q)
-    # z: the error in batch standard errors over the 10 batches
-    h_z = (np.mean(h_b) - h_q) / (np.std(h_b, ddof=1) / np.sqrt(len(h_b)))
-    d_z = (np.mean(d_b) - d_q) / (np.std(d_b, ddof=1) / np.sqrt(len(d_b)))
+
+    def rel_z(batches, exact):
+        """Relative error of the batch mean and the error in batch
+        standard errors over the 10 batches."""
+        err = np.mean(batches) - exact
+        return (abs(err) / abs(exact),
+                err / (np.std(batches, ddof=1) / np.sqrt(len(batches))))
+
+    (h_err, h_z), (h_plain, h_plain_z) = rel_z(h_cv, h_q), rel_z(h_b, h_q)
+    d_err, d_z = rel_z(d_b, d_q)
     report("11 quadrature vs Monte Carlo at N=8",
            h_err < 0.02 and d_err < 0.02,
-           f"H rel {h_err:.4f} (z {h_z:.2f}), D rel {d_err:.4f} (z {d_z:.2f})")
+           f"H rel {h_err:.4f} (z {h_z:.2f}; plain {h_plain:.4f}, "
+           f"z {h_plain_z:.2f}), D rel {d_err:.4f} (z {d_z:.2f})")

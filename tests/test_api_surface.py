@@ -1,5 +1,6 @@
-"""Every public module-level function and class of kaclab has a consumer,
-every option of kaclab is set by one and every dataclass field is read.
+"""Every public module-level function and class of kaclab, and every
+public method of a public class, has a consumer, every option of kaclab is
+set by one and every dataclass field is read.
 
 A name is used when it is referenced outside its own definition in
 ``src/kaclab``, in the acceptance gate ``tests/test_acceptance.py`` or in
@@ -60,6 +61,53 @@ def test_every_public_name_has_a_consumer():
                     and node.name not in _references(tree, skip=node)):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public names without a consumer: {unused}"
+
+
+def _unused_methods(modules: dict, consumers: list) -> list:
+    """Public methods and properties of the public classes of modules
+    (stem -> tree) that no tree references outside the method itself."""
+    outside = set().union(*map(_references, consumers))
+    unused = []
+    for stem, tree in modules.items():
+        elsewhere = outside.union(*(_references(other)
+                                    for s, other in modules.items()
+                                    if s != stem))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            unused += [f"{stem}.{cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, ast.FunctionDef)
+                       and not node.name.startswith("_")
+                       and node.name not in elsewhere
+                       and node.name not in _references(tree, skip=node)]
+    return unused
+
+
+def test_every_public_method_has_a_consumer():
+    """Each public method or property of a public class in src/kaclab is
+    referenced outside its own definition in src/, the acceptance gate or
+    bench/ (the bench tracer names the methods it wraps)."""
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    unused = _unused_methods(modules, [_parse(path) for path in CONSUMERS])
+    assert not unused, f"public methods without a consumer: {unused}"
+
+
+def test_unused_methods_are_found_on_public_classes_only():
+    normalization = ast.parse(
+        "class Ladder:\n"
+        "    def window(self):\n"
+        "        return self.walk()\n"
+        "    def walk(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def nbytes(self):\n"
+        "        return self.nbytes\n"
+        "class _Hidden:\n"
+        "    def draw(self):\n"
+        "        pass\n")
+    conditioned = ast.parse("ladder.window()\n")
+    assert _unused_methods({"normalization": normalization},
+                           [conditioned]) == ["normalization.Ladder.nbytes"]
 
 
 def _unread_fields(modules: dict, consumers: list) -> list:

@@ -11,8 +11,6 @@ import pytest
 import kaclab
 from kaclab import svg
 from kaclab.cli import _wasserstein1, main
-from kaclab.conditioned import ConditionedFamily
-from kaclab.errors import SamplingError
 from kaclab.normalization import NormalizationLadder
 
 
@@ -238,18 +236,6 @@ def test_inequality_checks_gamma_and_c1_before_any_ladder(tmp_path,
         cfg.write_text(text)
         assert main(["inequality", "--config", str(cfg), "--out",
                      str(tmp_path / f"o{k}")]) == 2, text
-
-
-def test_stalled_sampler_exit_code(tmp_path, monkeypatch, capsys):
-    def stalled(self, size, rng):
-        raise SamplingError("split draw stalled")
-
-    monkeypatch.setattr(ConditionedFamily, "sample", stalled)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t_final": 0.01, "n_list": [8]}))
-    assert main(["chaos", "--config", str(cfg), "--out",
-                 str(tmp_path / "o")]) == 3
-    assert "stalled" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_wasserstein1_is_scipys():

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
-from scipy.stats import chisquare
+from scipy.special import gammaln, logsumexp
+from scipy.stats import beta as beta_law
+from scipy.stats import chi2, kstest
 
 import kaclab.conditioned as conditioned
-import kaclab.normalization as normalization
 from kaclab.conditioned import ConditionedFamily
 from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
 from kaclab.errors import AccuracyError, ConfigurationError
-from kaclab.normalization import NormalizationLadder, _Split
+from kaclab.normalization import NormalizationLadder
 from kaclab.quadrature import ANGLES, SHELLS, angle_midpoints
 
 N_GAUSS = 16
@@ -183,12 +183,9 @@ def test_sampler_energy_constraint(mix_family):
     assert np.allclose(np.sum(s * s, axis=1), 32.0, atol=1e-9)
 
 
-# one column from each group the sampler emits.  N = 32 splits in halves
-# only.  N = 100 descends the balanced tree 100, 50, 25, {13, 12}, {7, 6},
-# {4, 3}, {2, 1}, so its leaves end at two depths: 3 = 2 + 1 peels
-# columns 0-27, then the splits 2 = 1 + 1 give the low (28-63) and high
-# (64-99) leaves of the last depth
-SAMPLER_COLUMNS = {32: (0, 15, 31), 100: (0, 28, 99)}
+# first, middle and last columns: the sampler fills the wider component's
+# block first and then permutes each row, so no column is special
+SAMPLER_COLUMNS = {32: (0, 15, 31), 100: (0, 50, 99)}
 
 
 @pytest.fixture(scope="module", params=sorted(SAMPLER_COLUMNS))
@@ -213,95 +210,133 @@ def test_sampler_marginal_matches_quadrature(sampler_family):
 def test_sampler_coordinates_exchangeable(sampler_family):
     rng = np.random.default_rng(7)
     s = sampler_family.sample(15_000, rng)
-    # second moments agree across the sampler's column groups
+    # second moments agree across the columns
     m = np.mean(s * s, axis=0)
     first, *rest = SAMPLER_COLUMNS[sampler_family.n]
     for col in rest:
         assert abs(m[first] - m[col]) < 0.08
 
 
-# a coarse ladder keeps the exhaustive split checks small: e_0 = 154 cells
-@pytest.fixture(scope="module")
-def coarse_ladder():
-    return NormalizationLadder(mixture(0.3), 8, n_grid=2**10)
+def _rows(fam, rows, rng, batch=1000):
+    """rows draws of fam in batches: the first column and the largest
+    |sum v^2 - N| over all of them."""
+    first, worst = [], 0.0
+    for start in range(0, rows, batch):
+        s = fam.sample(min(batch, rows - start), rng)
+        first.append(s[:, 0])
+        worst = max(worst, float(np.max(np.abs(np.sum(s * s, axis=1)
+                                               - fam.n))))
+    return np.concatenate(first), worst
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (2, 2), (4, 4)])
-def test_split_envelope_dominates_target(coarse_ladder, a, b):
-    m_a, m_b = coarse_ladder.level(a), coarse_ladder.level(b)
-    split = _Split(m_a, m_b)
-    e0 = int(round(8 / coarse_ladder.du))
-    for e in range(e0 + 1):
-        j = np.arange(e + 1)
-        res = np.full_like(j, e)
-        env = split.envelope(res, j)
-        assert np.all(m_a[j] * m_b[e - j] <= env)
-        # the proposal is the normalised envelope: its two pieces' masses
-        *_, low, high = split.caps(np.array([e]))
-        assert np.sum(env) == pytest.approx(float(low[0] + high[0]),
-                                            rel=1e-12)
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_gaussian_draws_are_uniform_on_the_sphere(n):
+    # one component: v_1^2 / N of the uniform sphere is
+    # Beta(1/2, (N - 1)/2); bound: KS p > 1e-3 on 20 000 rows
+    fam = ConditionedFamily(gaussian(1.0), n)
+    v1, worst = _rows(fam, 20_000, np.random.default_rng(n))
+    assert kstest(v1 * v1 / n, beta_law(0.5, 0.5 * (n - 1)).cdf).pvalue > 1e-3
+    assert worst <= 1e-9 * n
 
 
-# with no rejection rounds every cell is drawn by inverting the exact law
-@pytest.mark.parametrize("a, b, rounds", [
-    (1, 1, normalization._SPLIT_ROUNDS), (2, 1, normalization._SPLIT_ROUNDS),
-    (4, 4, normalization._SPLIT_ROUNDS), (2, 1, 0)],
-    ids=["1-1", "2-1", "4-4", "2-1-exact-law"])
-def test_split_draws_follow_the_exact_law(coarse_ladder, monkeypatch,
-                                          a, b, rounds):
-    monkeypatch.setattr(normalization, "_SPLIT_ROUNDS", rounds)
-    m_a, m_b = coarse_ladder.level(a), coarse_ladder.level(b)
-    split = _Split(m_a, m_b)
-    rng = np.random.default_rng(10 * a + b)
-    e0 = int(round(8 / coarse_ladder.du))
-    for e in (e0, e0 // 4):
-        draws = split.draw(np.full(40_000, e), rng)
-        law = m_a[:e + 1] * m_b[e::-1]
-        expected = 40_000 * law / law.sum()
-        observed = np.bincount(draws, minlength=e + 1)
-        # pool the cells expected to hold fewer than 5 draws
-        big = expected >= 5
-        obs, exp = observed[big], expected[big]
-        if not np.all(big):
-            obs = np.append(obs, observed[~big].sum())
-            exp = np.append(exp, expected[~big].sum())
-        assert chisquare(obs, exp).pvalue > 1e-3
+@pytest.mark.parametrize("delta", [0.25, 0.1, 0.7])
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_mixture_draws_follow_the_first_marginal(delta, n):
+    # P(|v_1| < c) over 20 000 rows against the ladder's first marginal,
+    # normalised on [0, min(v_max, sqrt N)]; bound: |z| <= 4 at each cut.
+    # At delta = 0.7 the wider component is the second one.  At N = 8
+    # every draw has |v_1| <= sqrt 8 < 3
+    fam = ConditionedFamily(mixture(delta), n)
+    v1, worst = _rows(fam, 20_000, np.random.default_rng(n + int(100 * delta)))
+    assert worst <= 1e-9 * n
+    v = np.linspace(0.0, min(fam.f.v_max, np.sqrt(n)), 200_001)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(v) * 0.5 * (
+        fam.marginal1(v[1:]) + fam.marginal1(v[:-1])))))
+    for c in (0.3, 1.2, 3.0):
+        hit = np.mean(np.abs(v1) < c)
+        if c * c >= n:
+            assert hit == 1.0
+            continue
+        p = np.interp(c, v, cdf) / cdf[-1]
+        z = (hit - p) / np.sqrt(p * (1.0 - p) / v1.size)
+        assert abs(z) <= 4.0, (c, z)
 
 
-def test_exact_law_fallback_draws_as_one_cell_at_a_time(coarse_ladder,
-                                                       monkeypatch):
-    # the fallback inverts one cumulative law per distinct residual on one
-    # vector of uniforms; it draws what inverting each cell's own law on
-    # one scalar uniform per cell, in cell order, draws, bit for bit
-    monkeypatch.setattr(normalization, "_SPLIT_ROUNDS", 0)
-    m_a, m_b = coarse_ladder.level(2), coarse_ladder.level(1)
-    e0 = int(round(8 / coarse_ladder.du))
-    e = np.random.default_rng(3).choice([0, 1, e0 // 4, e0, e0 + 7], 5000)
-    got = _Split(m_a, m_b).draw(e, np.random.default_rng(4))
-    rng = np.random.default_rng(4)
-    want = np.empty_like(e)
-    for k, cell in enumerate(e):
-        law = np.cumsum(m_a[:cell + 1] * m_b[cell::-1])
-        want[k] = normalization._invert(law, rng.random(), cell)
-    assert np.array_equal(got, want)
+def test_split_table_holds_every_term_above_the_cut():
+    # the windowed table against the whole double sum over k <= N and
+    # j <= 4N + 200 (scipy's gammaln): the same (k, j) terms within e^-40
+    # of the largest, to 1e-10 in log T
+    for f in (mixture(0.25), mixture(0.1), mixture(0.7)):
+        (w1, a1), (w2, a2) = sorted(f.components, key=lambda p: -p[1])
+        r1, r2 = 0.5 / a1, 0.5 / a2
+        for n in (3, 8, 64):
+            k, j = np.arange(n + 1)[:, None], np.arange(4 * n + 200)[None, :]
+            c, b = (r2 - r1) * n, 0.5 * n
+            with np.errstate(divide="ignore", invalid="ignore"):
+                series = np.where(j == 0, 0.0, gammaln(0.5 * k + j)
+                                  - gammaln(0.5 * k) - gammaln(b + j)
+                                  + gammaln(b) - gammaln(j + 1)
+                                  + j * np.log(c))
+            series = np.where((k == 0) & (j > 0), -np.inf, series)
+            full = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                    + k * np.log(w1 * np.sqrt(r1))
+                    + (n - k) * np.log(w2 * np.sqrt(r2)) + series)
+            kk, jj = np.nonzero(full >= full.max() - 40.0)
+            got_k, got_j, log_t = conditioned._split_terms(f, n)
+            order = np.lexsort((got_j, got_k))
+            assert np.array_equal(got_k[order], kk), (f.tag, n)
+            assert np.array_equal(got_j[order], jj), (f.tag, n)
+            assert np.max(np.abs(log_t[order] - full[kk, jj])) < 1e-10
+
+
+# the ladder's log h^{*N}(N) of mixture(0.25) reads -5.7e-6, -4.2e-5,
+# -1.8e-4 and -1.0e-3 off the table's sum; bound: 1.5 times those gaps
+LADDER_GAP = {8: 5.7e-6, 64: 4.2e-5, 256: 1.8e-4, 1024: 1.0e-3}
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_GAP))
+def test_split_table_sums_to_the_ladders_normaliser(n):
+    # log h^{*N}(N) = log sum T + (N/2 - 1) log N - rho_2 N - log Gamma(N/2)
+    f = mixture(0.25)
+    _, _, log_t = conditioned._split_terms(f, n)
+    exact = (logsumexp(log_t) + (0.5 * n - 1.0) * np.log(n) - 0.75 * n
+             - gammaln(0.5 * n))
+    got = float(NormalizationLadder(f, n).log_density(n, float(n)))
+    assert abs(got - exact) <= 1.5 * LADDER_GAP[n]
+    # one component: the single term gives the chi-square density
+    _, _, log_t = conditioned._split_terms(gaussian(1.0), n)
+    assert (log_t[0] + (0.5 * n - 1.0) * np.log(n) - 0.5 * n
+            - gammaln(0.5 * n)) == pytest.approx(chi2.logpdf(n, n), abs=1e-12)
 
 
 def test_sampler_builds_no_levels_beyond_the_normalisation():
-    # a sample-only family builds the tree below N's halves, not level N
+    # the sampler reads no ladder level: a sample-only family holds only
+    # the base cells that the ladder's construction computes
     fam = ConditionedFamily(mixture(0.25), 512)
     fam.sample(4, np.random.default_rng(11))
-    assert set(fam.ladder.levels) == {2**j for j in range(9)}
-
-
-@pytest.mark.parametrize("n", [300, 1000, 1023])
-def test_sampler_descends_the_entropy_walk(n):
-    # the sampler's tree is the ladder's own: below N it holds the levels
-    # that Z_N and the marginals already built
-    fam = ConditionedFamily(mixture(0.25), n)
+    assert fam.ladder.levels == [1]
+    # and a family whose Z_N is built keeps its walk as it was
     fam.entropy()
-    built = set(fam.ladder.levels)
+    built = fam.ladder.levels
     fam.sample(4, np.random.default_rng(13))
-    assert set(fam.ladder.levels) == built
+    assert fam.ladder.levels == built
+
+
+def test_sampler_needs_gaussian_components():
+    # a generator given only as a pdf has no components to draw F_N from
+    f = from_callable(lambda v: np.exp(-0.5 * v * v), 16.0, tag="tabled")
+    fam = ConditionedFamily(f, 8)
+    with pytest.raises(ConfigurationError, match="'tabled'"):
+        fam.sample(4, np.random.default_rng(0))
+
+
+def test_sampler_table_stays_linear_in_n():
+    # the table keeps about 63 N terms; bound: 100 N at N = 16384
+    n = 16384
+    fam = ConditionedFamily(mixture(0.25), n)
+    s = fam.sample(2, np.random.default_rng(14))
+    assert fam._split_law[0].size <= 100 * n
+    assert np.max(np.abs(np.sum(s * s, axis=1) - n)) <= 1e-9 * n
 
 
 def test_family_levels_are_one_balanced_walk():
@@ -344,9 +379,8 @@ def test_sampler_marginal_matches_quadrature_large_n(n):
     hist, edges = np.histogram(s, bins=40, range=(-6, 6), density=True)
     centers = 0.5 * (edges[1:] + edges[:-1])
     assert np.max(np.abs(hist - fam.marginal1(centers))) < 0.01
-    # the first and last columns come from the first and last leaf groups
-    # (at N = 1023 the first is the one leaf peeled by 3 = 2 + 1); their
-    # mean v^2 agree within 4 standard errors over rows
+    # the first and last columns' mean v^2 agree within 4 standard errors
+    # over rows
     d = s[:, 0] ** 2 - s[:, -1] ** 2
     assert abs(np.mean(d)) < 4.0 * np.std(d) / np.sqrt(len(d))
 

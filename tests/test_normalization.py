@@ -9,9 +9,10 @@ from scipy.special import erfc
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.limit_eq import LimitSolver
-from kaclab.normalization import (_BASE_RULE, _TRIM, NormalizationLadder,
-                                  _fast_length, _window, clt_envelope,
-                                  lambda_profile, lambda_sup, schedule_delta)
+from kaclab.normalization import (_BASE_BLOCK, _BASE_RULE, _TRIM,
+                                  NormalizationLadder, _fast_length, _window,
+                                  clt_envelope, lambda_profile, lambda_sup,
+                                  schedule_delta)
 from kaclab.quadrature import gauss_legendre
 from kaclab.sphere import log_sphere_area
 
@@ -113,12 +114,35 @@ class _UncutBase(NormalizationLadder):
     generator's v_max."""
 
     def _base_masses(self):
-        f, edges = self.generator, self._edges
+        f, edges = self.generator, self._edges()
         cells = int(np.searchsorted(edges[:-1], f.v_max))
         lo, hi = edges[:cells], edges[1:cells + 1]
         x, w = gauss_legendre(_BASE_RULE)
         r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
         return (hi - lo) * (np.maximum(f(r), 0.0) @ w)
+
+
+def _unblocked_base(ladder):
+    """The base rule on all of the ladder's base cells at once."""
+    f, edges = ladder.generator, ladder._edges()
+    cells = ladder._base_reach(edges)
+    lo, hi = edges[:cells], edges[1:cells + 1]
+    x, w = gauss_legendre(_BASE_RULE)
+    r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
+    return (hi - lo) * (np.maximum(f(r), 0.0) @ w)
+
+
+@pytest.mark.parametrize("f, n_max, n_grid", [
+    (mixture(0.3), 8, 2**15), (mixture(0.25), 512, 2**15),
+    (gaussian(1.0), 1024, 2**18)],
+    ids=["mix0.3-8", "mix0.25-512", "gauss-1024-2^18"])
+def test_blocked_base_is_the_unblocked_rule(f, n_max, n_grid):
+    # the bench's three ladders (32 768, 5 078 and 12 914 base cells):
+    # the rule in blocks of _BASE_BLOCK cells gives every mass bit for bit
+    ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
+    _, base = ladder.window(1)
+    assert base.size > _BASE_BLOCK
+    assert np.array_equal(base, _unblocked_base(ladder))
 
 
 @pytest.mark.parametrize("f, n_max, n_grid", [
@@ -130,9 +154,8 @@ class _UncutBase(NormalizationLadder):
 def test_base_cut_changes_no_level_the_walk_reads(f, n_max, n_grid):
     # the base stops at the last cell whose bound reaches 1e-3 _TRIM of
     # the largest; every cell it leaves out holds less than that share
-    # of the peak, so level 1's window, every level of a walk and of the
-    # sampler's tree, and the sampler's draws are those of the uncut base
-    # bit for bit
+    # of the peak, so level 1's window and every level of a walk are
+    # those of the uncut base bit for bit
     cut = NormalizationLadder(f, n_max, n_grid=n_grid)
     whole = _UncutBase(f, n_max, n_grid=n_grid)
     _, base = cut.window(1)
@@ -144,9 +167,6 @@ def test_base_cut_changes_no_level_the_walk_reads(f, n_max, n_grid):
     walk = (n_max, n_max - 1, n_max - 2)
     for ladder in (cut, whole):
         ladder.window(*walk)
-    draws = [ladder.sample_radii(n_max // 2 + 3, 20, np.random.default_rng(7))
-             for ladder in (cut, whole)]
-    assert np.array_equal(*draws)
     assert cut.levels == whole.levels
     for n in cut.levels[1:]:
         (offset, cells), (want_offset, want) = cut.window(n), whole.window(n)
@@ -158,9 +178,7 @@ def test_levels_above_n_max_are_rejected(mix_ladder):
     # mass 0.56 on it
     for query in (lambda: mix_ladder.level(200),
                   lambda: mix_ladder.level(64, 200),
-                  lambda: mix_ladder.log_z(200, 150.0),
-                  lambda: mix_ladder.sample_radii(
-                      200, 1, np.random.default_rng(0))):
+                  lambda: mix_ladder.log_z(200, 150.0)):
         with pytest.raises(ValueError, match=r"n=200 .*n_max=64"):
             query()
     with pytest.raises(ValueError, match="n=65"):
@@ -260,7 +278,8 @@ def test_ladder_stores_the_cells_the_walk_wrote():
                    -363.2482958734498, -427.2489851934679, -1316.6144018592927,
                    -1784.838965846986, -1452.993089527898]
     assert ladder.levels == [2**j for j in range(11)]
-    assert ladder.nbytes <= 5.5 * 2**20
+    held = sum(ladder.window(n)[1].nbytes for n in ladder.levels)
+    assert held <= 5.5 * 2**20
     offset, cells = ladder.window(64)
     assert not cells.flags.writeable
     assert np.array_equal(ladder.level(64)[offset:offset + cells.size], cells)
@@ -269,9 +288,9 @@ def test_ladder_stores_the_cells_the_walk_wrote():
 
 
 def test_windowed_queries_are_the_whole_grid_values():
-    # lambda_n on [0, n] and seeded sampler draws, as recorded from the
-    # whole-grid levels, bit for bit; a fresh ladder, since a walk's
-    # transform lengths depend on the levels it builds together
+    # lambda_n on [0, n] as recorded from the whole-grid levels, bit for
+    # bit; a fresh ladder, since a walk's transform lengths depend on the
+    # levels it builds together
     mix_ladder = NormalizationLadder(mixture(0.25), 64)
     for n, size, want in ((64, 10354, [-9.29898596407092e-06,
                                        -0.01929920186575336,
@@ -283,15 +302,6 @@ def test_windowed_queries_are_the_whole_grid_values():
         u, lam = lambda_profile(mix_ladder, n)
         assert u.size == size
         assert [lam[0], lam[size // 2], lam[-1], np.sum(lam)] == want
-    for n, want, total in (
-            (64, [0.11727265431594812, 0.45928961817797626,
-                  1.812211404066146, 0.015277693760566518],
-             143.56276792990448),
-            (7, [0.5769143157305469, 1.4248736760876848, 0.9769339704816198,
-                 0.10975879453653287], 16.513273275553875)):
-        r = mix_ladder.sample_radii(n, 3, np.random.default_rng(5))
-        assert r[0, :4].tolist() == want
-        assert float(r.sum()) == total
 
 
 @pytest.mark.parametrize("f, n_max, n_grid", [
