@@ -315,7 +315,14 @@ def test_sampler_builds_no_levels_beyond_the_normalisation():
     fam = ConditionedFamily(mixture(0.25), 512)
     fam.sample(4, np.random.default_rng(11))
     assert fam.ladder.levels == [1]
-    # and a family whose Z_N is built keeps its walk as it was
+
+
+@pytest.mark.parametrize("n", [300, 1000, 1023])
+def test_sampler_descends_the_entropy_walk(n):
+    # a family whose Z_N and marginals are built keeps the walk that they
+    # built: the sampler adds no level to it, at odd N and below a power
+    # of two alike
+    fam = ConditionedFamily(mixture(0.25), n)
     fam.entropy()
     built = fam.ladder.levels
     fam.sample(4, np.random.default_rng(13))
