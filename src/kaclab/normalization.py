@@ -20,14 +20,33 @@ rest of the grid holds FFT rounding noise.  So each factor is transformed
 over its window only, the cells from the first to the last holding at
 least _TRIM of its peak, and each level is exactly zero outside the sum of
 its halves' windows.  Dropping the cells below the cut moves a level by at
-most _TRIM (max m_a sum m_b + max m_b sum m_a).  A level is stored as
-(offset, cells), the cells its walk wrote; level 1 holds the cells up to
-the last one that can reach 1e-3 _TRIM of its peak, a superset of its
-window.  A whole-grid array is assembled only for a caller that asks for
-one (:meth:`level`), and no log table is kept: :meth:`log_density` reads
-the two nodes around each u.  The 11 levels of a 2^18-cell Gaussian
-ladder read up to level 1024 so take 5.1 MiB, where whole-grid arrays
-would take 22 MiB.
+most _TRIM (max m_a sum m_b + max m_b sum m_a).
+
+Every reader reads level n <= n_max at u <= n_max only: a family's Z_N
+and marginal weights h^{*(N-k)}(N - s) / h^{*N}(N), lambda_n on [0, n]
+and the inequality layer's envelopes.  So levels are built and stored up
+to the horizon only, the grid node just past u = n_max (the last node if
+none lies past it), which every u <= n_max is bracketed by or below.  A
+factor is transformed up to the horizon at most and a product written up
+to it.  Cell m of a convolution reads only cells <= m of its factors, so
+each stored cell is the whole-grid one up to transform rounding (2.2e-14
+of the level's peak at most, on the tested ladders).  For mixture(0.25)
+at N = 64 the horizon lies at 32% of the grid, and a family's entropy
+and production transform 0.48 million points where whole-grid levels
+took 1.17 million.
+
+A level is stored as (offset, cells), the cells its walk wrote; level 1
+holds the base cells up to the horizon, and the base runs to the last
+cell that can reach 1e-3 _TRIM of its peak, a superset of its window.
+No log table is kept: :meth:`log_density` reads the two nodes around
+each u.  The 11 levels of a 2^18-cell Gaussian ladder read up to level
+1024 take 4.5 MiB, where whole-grid arrays would take 22 MiB.  A read
+above the horizon, :meth:`level` or a :meth:`log_density` or
+:meth:`log_z` call with some u at or past the horizon node, walks the
+level's whole tree to the grid's end from the base, into a dict of its
+own, on every call (14 ms for level 64 of mixture(0.25)'s 64-ladder).  It
+stores nothing, so it returns the whole-grid value bit for bit whatever
+the ladder served before, and no later read depends on it.
 
 Everything Z-shaped is exposed in the log domain; the huge power/area
 prefactors are combined with log-gamma arithmetic and cancel analytically
@@ -81,6 +100,16 @@ def _fast_length(n: int) -> int:
     return best
 
 
+def _head(level: tuple[int, np.ndarray], stop: int) -> np.ndarray:
+    """A new array of the masses of level = (offset, cells) on cells
+    0..stop-1."""
+    offset, cells = level
+    out = np.zeros(stop)
+    part = cells[:max(stop - offset, 0)]
+    out[offset:offset + part.size] = part
+    return out
+
+
 def _window(m: np.ndarray) -> tuple[int, int]:
     """First and last index of the cells of m holding >= _TRIM of its peak."""
     keep = np.flatnonzero(m >= _TRIM * m.max())
@@ -92,7 +121,8 @@ class NormalizationLadder:
 
     The u-grid has n_grid cells up to
     u_max = n_max + 10 sqrt(max(n_max Sigma^2, 1)), ten standard deviations
-    of the level-n_max energy above its mean.
+    of the level-n_max energy above its mean; stored levels end at the
+    horizon, the node just past u = n_max.
     """
 
     def __init__(self, f: GridDensity1D, n_max: int, n_grid: int = 2**15):
@@ -116,11 +146,17 @@ class NormalizationLadder:
         self.n_grid = n_grid
         self.du = self.u_max / self.n_grid
         self.grid = self.du * np.arange(self.n_grid)
+        # the node just past u = n_max: every read at u <= n_max brackets
+        # u with nodes up to it, so stored levels end there
+        self._horizon = min(int(np.searchsorted(self.grid, n_max, "right")),
+                            self.n_grid - 1)
         base = self._base_masses()
         freeze(base)
-        # level n -> (offset, cells): its masses from grid index offset on;
-        # the grid's other cells hold zero
-        self._masses: dict[int, tuple[int, np.ndarray]] = {1: (0, base)}
+        self._base = base
+        # level n -> (offset, cells): its masses from grid index offset on,
+        # up to the horizon at most; the grid's other cells hold zero
+        self._masses: dict[int, tuple[int, np.ndarray]] = {
+            1: (0, base[:self._horizon + 1])}
         # leakage of the single-particle energy density past the grid
         if 1.0 - float(np.sum(base)) > 1e-4:
             raise ConfigurationError(
@@ -181,49 +217,57 @@ class NormalizationLadder:
         and floor(n/2)."""
         return (n - n // 2, n // 2)
 
-    def window(self, n: int, *also: int) -> tuple[int, np.ndarray]:
-        """(offset, cells): the stored cell masses of h^{(*n)}, which
-        start at grid index offset; every other cell of the grid holds
-        zero.  1 <= n <= n_max.  The levels among n and also that are not
-        stored yet are built together in one walk.  The cells are
-        read-only."""
-        wanted = {as_int(k, "level") for k in (n, *also)}
+    def _wanted(self, levels) -> set[int]:
+        """The levels as a set of ints, each checked to lie in 1..n_max."""
+        wanted = {as_int(k, "level") for k in levels}
         for k in wanted:
             if not 1 <= k <= self.n_max:
                 raise ValueError(f"level n={k} not in 1..n_max={self.n_max}")
+        return wanted
+
+    def window(self, n: int, *also: int) -> tuple[int, np.ndarray]:
+        """(offset, cells): the stored cell masses of h^{(*n)} up to the
+        horizon node, which start at grid index offset; every other cell
+        of the grid up to the horizon holds zero.  1 <= n <= n_max.  The
+        levels among n and also that are not stored yet are built together
+        in one walk.  The cells are read-only."""
+        wanted = self._wanted((n, *also))
         if not wanted.issubset(self._masses):
-            self._walk(wanted)
+            self._walk(self._masses, wanted, self._horizon)
         return self._masses[n]
 
-    def level(self, n: int, *also: int) -> np.ndarray:
-        """Cell-mass array of h^{(*n)} on the whole grid, assembled from
-        :meth:`window` on each call; n and also as there."""
-        self.window(n, *also)
-        return self._head(n, self.n_grid)
+    def _whole_grid(self, levels) -> dict[int, tuple[int, np.ndarray]]:
+        """level -> (offset, cells) on the whole grid, for the levels and
+        their tree, from one walk from the base into a dict of its own.
+        Nothing is stored, so each level is that of a fresh ladder's
+        whole-grid walk bit for bit, whatever the ladder served before."""
+        masses = {1: (0, self._base)}
+        self._walk(masses, self._wanted(levels), self.n_grid - 1)
+        return masses
 
-    def _head(self, n: int, stop: int) -> np.ndarray:
-        """A new array of the masses of stored level n on cells 0..stop-1."""
-        offset, cells = self._masses[n]
-        out = np.zeros(stop)
-        part = cells[:max(stop - offset, 0)]
-        out[offset:offset + part.size] = part
-        return out
+    def level(self, n: int, *also: int) -> np.ndarray:
+        """Cell-mass array of h^{(*n)} on the whole grid, from a walk of n
+        and also (as in :meth:`window`) that stores nothing."""
+        return _head(self._whole_grid((n, *also))[n], self.n_grid)
 
     @property
     def levels(self) -> list[int]:
-        """The levels stored so far, ascending."""
+        """The levels stored so far, up to the horizon, ascending."""
         return sorted(self._masses)
 
-    def _walk(self, wanted: set[int]) -> None:
-        """Build the wanted levels and the missing levels of their tree.
+    def _walk(self, masses: dict, wanted: set[int], last: int) -> None:
+        """Build into masses, which holds level 1, the wanted levels and
+        the missing levels of their tree, each up to grid node last.
 
         A level n >= 2 sits on tier ceil(log2 n) and its halves on lower
         tiers, so the tiers are built in ascending order.  Within a tier
         each factor is transformed once, over its window, which is found
-        among its stored cells; every new level is the inverse transform
-        of the product of its halves' spectra, stored from the sum of
-        their windows' first cells on, over the sum of the windows (cut at
-        the grid's end).  A tier's transforms share one length, the
+        among its cells; every new level is the inverse transform of the
+        product of its halves' spectra, stored from the sum of their
+        windows' first cells on, over the sum of the windows cut at node
+        last.  Cell m of a convolution reads only cells <= m of its
+        factors, so the cut moves no cell up to last by more than
+        transform rounding.  A tier's transforms share one length, the
         smallest 5-smooth one that holds the linear convolution of its
         widest pair of windows, and write into buffers that live for one
         walk.
@@ -232,7 +276,7 @@ class NormalizationLadder:
         stack = list(wanted)
         while stack:
             n = stack.pop()
-            if n not in self._masses and n not in missing:
+            if n not in masses and n not in missing:
                 missing.add(n)
                 stack.extend(self.halves(n))
         tiers: dict[int, list[int]] = {}
@@ -241,13 +285,13 @@ class NormalizationLadder:
         # sized for the longest transform a walk can need; a tier touches
         # only the pages it writes
         spectra: list[np.ndarray] = []
-        signal = np.empty(_fast_length(2 * self.n_grid))
+        signal = np.empty(_fast_length(2 * (last + 1)))
         product = np.empty(signal.size // 2 + 1, dtype=complex)
         for tier in sorted(tiers):
             levels = tiers[tier]
             win, factor = {}, {}
             for h in dict.fromkeys(h for n in levels for h in self.halves(n)):
-                offset, cells = self._masses[h]
+                offset, cells = masses[h]
                 lo, hi = _window(cells)
                 win[h] = (offset + lo, offset + hi)
                 factor[h] = cells[lo:hi + 1]
@@ -262,20 +306,21 @@ class NormalizationLadder:
             for n in levels:
                 a, b = self.halves(n)
                 lo = win[a][0] + win[b][0]
-                hi = min(win[a][1] + win[b][1], self.n_grid - 1)
+                hi = min(win[a][1] + win[b][1], last)
                 np.multiply(spectrum[a], spectrum[b], out=product[:size])
                 np.fft.irfft(product[:size], length, out=signal[:length])
                 cells = np.maximum(signal[:hi + 1 - lo], 0.0)
                 freeze(cells)
-                self._masses[n] = (lo, cells)
+                masses[n] = (lo, cells)
 
     # -- queries --------------------------------------------------------
 
-    def _log_nodes(self, n: int, k: np.ndarray) -> np.ndarray:
-        """log h^{(*n)} at the grid nodes k of stored level n, clipped at
-        the density floor 1e-300, which every node outside the level's
-        window holds."""
-        offset, cells = self._masses[n]
+    def _log_nodes(self, level: tuple[int, np.ndarray],
+                   k: np.ndarray) -> np.ndarray:
+        """log h^{(*n)} at the grid nodes k of level = (offset, cells),
+        clipped at the density floor 1e-300, which every node outside the
+        cells holds."""
+        offset, cells = level
         i = k - offset
         inside = (i >= 0) & (i < cells.size)
         dens = np.where(inside, cells[np.clip(i, 0, cells.size - 1)], 0.0)
@@ -286,15 +331,19 @@ class NormalizationLadder:
 
         Each u reads the two grid nodes that bracket it, with
         :func:`numpy.interp`'s formula, so the values are its values on a
-        whole-grid log table bit for bit; past the last node, u up to
-        u_max takes that node's value."""
+        log table of the level's cells bit for bit; past the last node, u
+        up to u_max takes that node's value.  When every u reads nodes up
+        to the horizon (every u below the horizon node, which lies past
+        n_max), the stored level is read; otherwise the whole call reads
+        the level of a whole-grid walk (:meth:`level`'s)."""
         u = np.asarray(u, dtype=float)
         if not np.all((u >= 0) & (u <= self.u_max)):
             raise ValueError("u outside the ladder grid")
-        self.window(n)
         last = self.n_grid - 1
         hi = np.clip(np.searchsorted(self.grid, u, side="right"), 1, last)
-        y0, y1 = self._log_nodes(n, hi - 1), self._log_nodes(n, hi)
+        level = (self.window(n) if np.all(hi <= self._horizon)
+                 else self._whole_grid((n,))[n])
+        y0, y1 = self._log_nodes(level, hi - 1), self._log_nodes(level, hi)
         x0 = self.grid[hi - 1]
         slope = (y1 - y0) / (self.grid[hi] - x0)
         return np.where(u < self.grid[last], slope * (u - x0) + y0, y1)
@@ -321,8 +370,7 @@ def lambda_profile(ladder: NormalizationLadder, n: int) -> tuple[np.ndarray, np.
     """
     sig2 = ladder.sigma2
     u = ladder.grid[ladder.grid <= n]
-    ladder.window(n)
-    dens = ladder._head(n, u.size) / ladder.du
+    dens = _head(ladder.window(n), u.size) / ladder.du
     scale = np.sqrt(n * sig2)
     gauss = np.exp(-((u - n) ** 2) / (2.0 * n * sig2)) / np.sqrt(2.0 * np.pi)
     return u, scale * dens - gauss

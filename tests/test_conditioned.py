@@ -12,6 +12,7 @@ from kaclab.densities import from_callable, gaussian, mixture, relative_entropy
 from kaclab.errors import AccuracyError, ConfigurationError
 from kaclab.normalization import NormalizationLadder
 from kaclab.quadrature import ANGLES, SHELLS, angle_midpoints
+from oracles import log_h
 
 N_GAUSS = 16
 
@@ -307,6 +308,29 @@ def test_split_table_sums_to_the_ladders_normaliser(n):
     _, _, log_t = conditioned._split_terms(gaussian(1.0), n)
     assert (log_t[0] + (0.5 * n - 1.0) * np.log(n) - 0.5 * n
             - gammaln(0.5 * n)) == pytest.approx(chi2.logpdf(n, n), abs=1e-12)
+
+
+# the ladder's marginal weights h^{*(N-k)}(N - s) / h^{*N}(N) of
+# mixture(0.25) at s = 0, 1, 4 and 9 read these relative errors (in size)
+# against the exact sums of oracles.log_h; bound: 1.5 times them
+WEIGHT_ERR = {(64, 1): (7.3e-6, 8.9e-9, 2.45e-5, 7.61e-5),
+              (64, 2): (1.42e-5, 7.29e-6, 1.59e-5, 6.46e-5),
+              (256, 1): (3.53e-5, 9.8e-9, 1.09e-4, 3.0e-4),
+              (256, 2): (7.02e-5, 3.53e-5, 7.21e-5, 2.61e-4),
+              (1024, 1): (1.85e-4, 6.46e-8, 5.58e-4, 1.5e-3),
+              (1024, 2): (3.69e-4, 1.85e-4, 3.72e-4, 1.31e-3)}
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_marginal_weights_match_the_exact_sums(n):
+    f = mixture(0.25)
+    fam = ConditionedFamily(f, n)
+    s = np.array([0.0, 1.0, 4.0, 9.0])
+    for k in (1, 2):
+        exact = (np.array([log_h(f, n - k, n - x) for x in s])
+                 - log_h(f, n, float(n)))
+        err = np.expm1(fam.log_marginal_weight(k, s) - exact)
+        assert np.all(np.abs(err) <= 1.5 * np.array(WEIGHT_ERR[n, k])), k
 
 
 def test_sampler_builds_no_levels_beyond_the_normalisation():

@@ -1,19 +1,22 @@
 """Convolution ladders, normalization-function queries, CLT envelopes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.special import erfc
 
+from kaclab.conditioned import ConditionedFamily
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.limit_eq import LimitSolver
 from kaclab.normalization import (_BASE_BLOCK, _BASE_RULE, _TRIM,
-                                  NormalizationLadder, _fast_length, _window,
-                                  clt_envelope, lambda_profile, lambda_sup,
-                                  schedule_delta)
-from kaclab.quadrature import gauss_legendre
+                                  NormalizationLadder, _fast_length, _head,
+                                  _window, clt_envelope, lambda_profile,
+                                  lambda_sup, schedule_delta)
+from kaclab.quadrature import ANGLES, SHELLS, gauss_legendre, polar_shells
 from kaclab.sphere import log_sphere_area
 
 
@@ -139,8 +142,10 @@ def _unblocked_base(ladder):
 def test_blocked_base_is_the_unblocked_rule(f, n_max, n_grid):
     # the bench's three ladders (32 768, 5 078 and 12 914 base cells):
     # the rule in blocks of _BASE_BLOCK cells gives every mass bit for bit
+    # (the whole base, which the whole-grid walk reads; stored level 1
+    # ends at the horizon)
     ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
-    _, base = ladder.window(1)
+    base = ladder._base
     assert base.size > _BASE_BLOCK
     assert np.array_equal(base, _unblocked_base(ladder))
 
@@ -158,8 +163,7 @@ def test_base_cut_changes_no_level_the_walk_reads(f, n_max, n_grid):
     # those of the uncut base bit for bit
     cut = NormalizationLadder(f, n_max, n_grid=n_grid)
     whole = _UncutBase(f, n_max, n_grid=n_grid)
-    _, base = cut.window(1)
-    _, ref = whole.window(1)
+    base, ref = cut._base, whole._base
     assert base.size <= ref.size
     assert np.array_equal(base, ref[:base.size])
     assert np.all(ref[base.size:] < 1e-3 * _TRIM * ref.max())
@@ -209,16 +213,19 @@ def test_levels_are_the_convolutions_of_their_halves(top):
     # every level on the tree of levels N, N - 1 and N - 2, built in one
     # walk, even and odd, is the direct FFT convolution of its halves
     # ceil(n/2) and floor(n/2) up to the cells each half leaves out of its
-    # window, and exactly zero outside the sum of the windows
+    # window, and exactly zero outside the sum of the windows.
+    # level(n, *walk) is level n of the one whole-grid walk of that tree
     ladder = NormalizationLadder(mixture(0.3), top)
-    ladder.level(top, top - 1, top - 2)
+    walk = (top, top - 1, top - 2)
+    ladder.window(*walk)
     assert {n % 2 for n in ladder.levels if n > 1} == {0, 1}
+    whole = {n: ladder.level(n, *walk) for n in ladder.levels}
     for n in ladder.levels:
         if n == 1:
             continue
-        got = ladder.level(n)
+        got = whole[n]
         a, b = ladder.halves(n)
-        m_a, m_b = ladder.level(a), ladder.level(b)
+        m_a, m_b = whole[a], whole[b]
         want = np.maximum(fftconvolve(m_a, m_b)[:ladder.n_grid], 0.0)
         bound = _TRIM * (m_a.max() * m_b.sum() + m_b.max() * m_a.sum())
         assert np.max(np.abs(got - want)) <= bound, n
@@ -238,12 +245,9 @@ def test_walk_on_grids_of_any_size(n_grid):
     assert np.allclose(ladder.level(16), want, rtol=0.0, atol=1e-12)
 
 
-def test_walk_transforms_only_the_windows(monkeypatch):
-    # the points numpy.fft transforms to walk a 2^18-cell Gaussian ladder
-    # to level 1024: 10 tiers of one forward and one inverse transform,
-    # 10.5 million points at the full length 2 n_grid; the windows need
-    # under a fifth of that
-    bound = 2_000_000
+def _transform_lengths(monkeypatch) -> list:
+    """The list to which every later numpy.fft.rfft and irfft call of
+    the test appends its length."""
     points = []
 
     def counted(transform):
@@ -254,6 +258,16 @@ def test_walk_transforms_only_the_windows(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
     monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    return points
+
+
+def test_walk_transforms_only_the_windows(monkeypatch):
+    # the points numpy.fft transforms to walk a 2^18-cell Gaussian ladder
+    # to level 1024: 10 tiers of one forward and one inverse transform,
+    # 10.5 million points at the full length 2 n_grid; the windows need
+    # under a fifth of that
+    bound = 2_000_000
+    points = _transform_lengths(monkeypatch)
     ladder = NormalizationLadder(gaussian(1.0), 1024, n_grid=2**18)
     ladder.level(1024)
     assert len(points) == 20
@@ -264,12 +278,28 @@ def test_walk_transforms_only_the_windows(monkeypatch):
     assert cells[-1] - cells[0] + 1 <= 0.2 * ladder.n_grid
 
 
+@pytest.mark.parametrize("n, bound", [(32, 400_000), (64, 550_000),
+                                      (1024, 472_425)])
+def test_family_walk_transforms_up_to_the_horizon(monkeypatch, n, bound):
+    # the points numpy.fft transforms for a mixture(0.25) family's entropy
+    # and production: 1 208 320, 1 167 544 and 472 425 at N = 32, 64 and
+    # 1024 when every level ran to u_max.  A level's right tail past the
+    # horizon is not built, so at small N, where each level's window runs
+    # to the grid's end, about two thirds of each transform goes
+    fam = ConditionedFamily(mixture(0.25), n)
+    points = _transform_lengths(monkeypatch)
+    fam.entropy()
+    fam.production(0.0)
+    assert sum(points) <= bound
+
+
 def test_ladder_stores_the_cells_the_walk_wrote():
     # the bench's 2^18-cell Gaussian oracle: its 11 levels took 22 MiB as
-    # whole-grid arrays; as windows they take 5.1 MiB, no log table is
-    # kept, and every value is the whole-grid one.  The three floor
-    # values (-845.59, -1316.61, -1784.84) are large-deviation tails below
-    # the 1e-300 density floor, which every node outside a window holds
+    # whole-grid arrays; as windows up to the horizon they take 4.5 MiB,
+    # no log table is kept, and every value is the whole-grid one.  The
+    # three floor values (-845.59, -1316.61, -1784.84) are large-deviation
+    # tails below the 1e-300 density floor, which every node outside a
+    # window holds
     ladder = NormalizationLadder(gaussian(1.0), 1024, n_grid=2**18)
     got = [float(ladder.log_z(n, r * n)) for n in (64, 256, 1024)
            for r in (0.2, 0.5, 1.0, 1.5) if (n, r) != (1024, 1.5)]
@@ -279,7 +309,7 @@ def test_ladder_stores_the_cells_the_walk_wrote():
                    -1784.838965846986, -1452.993089527898]
     assert ladder.levels == [2**j for j in range(11)]
     held = sum(ladder.window(n)[1].nbytes for n in ladder.levels)
-    assert held <= 5.5 * 2**20
+    assert held <= 4.75 * 2**20
     offset, cells = ladder.window(64)
     assert not cells.flags.writeable
     assert np.array_equal(ladder.level(64)[offset:offset + cells.size], cells)
@@ -288,20 +318,28 @@ def test_ladder_stores_the_cells_the_walk_wrote():
 
 
 def test_windowed_queries_are_the_whole_grid_values():
-    # lambda_n on [0, n] as recorded from the whole-grid levels, bit for
+    # lambda_n on [0, n] as recorded from the horizon levels, bit for
     # bit; a fresh ladder, since a walk's transform lengths depend on the
-    # levels it builds together
+    # levels it builds together.  Those of the whole-grid levels (level(n))
+    # lie within 1e-13 of the level's peak cell
     mix_ladder = NormalizationLadder(mixture(0.25), 64)
     for n, size, want in ((64, 10354, [-9.29898596407092e-06,
-                                       -0.01929920186575336,
-                                       -0.0003908878479642608,
-                                       83.5796773334557]),
-                          (5, 809, [-0.1732105258083954, 0.311172548325084,
-                                    0.00854115797260624,
-                                    137.83103092030836])):
+                                       -0.019299201865753367,
+                                       -0.00039088784796698084,
+                                       83.57967733344863]),
+                          (5, 809, [-0.17321052580839535,
+                                    0.3111725483250838,
+                                    0.008541157972606184,
+                                    137.83103092030828])):
         u, lam = lambda_profile(mix_ladder, n)
         assert u.size == size
         assert [lam[0], lam[size // 2], lam[-1], np.sum(lam)] == want
+        whole = mix_ladder.level(n)
+        scale = np.sqrt(n * mix_ladder.sigma2) / mix_ladder.du
+        gauss = (np.exp(-(u - n) ** 2 / (2.0 * n * mix_ladder.sigma2))
+                 / np.sqrt(2.0 * np.pi))
+        assert (np.max(np.abs(lam - (scale * whole[:size] - gauss)))
+                <= 1e-13 * scale * whole.max())
 
 
 @pytest.mark.parametrize("f, n_max, n_grid", [
@@ -321,14 +359,103 @@ def test_log_density_is_np_interp_on_the_log_table(f, n_max, n_grid):
                         [0.0, grid[-1]],
                         np.linspace(grid[-1], ladder.u_max, 5)])
     for n in ladder.levels:
-        table = np.log(np.maximum(ladder.level(n) / ladder.du, 1e-300))
-        offset, cells = ladder.window(n)
-        first = max(offset - 1, 0)
-        stop = min(offset + cells.size + 1, ladder.n_grid)
+        whole = ladder.level(n)
+        table = np.log(np.maximum(whole / ladder.du, 1e-300))
+        cells = np.flatnonzero(whole)
+        first = max(cells[0] - 1, 0)
+        stop = min(cells[-1] + 2, ladder.n_grid)
         got = ladder.log_density(n, u)
         assert np.array_equal(got, np.interp(u, grid, table)), n
         assert np.array_equal(got, np.interp(u, grid[first:stop],
                                              table[first:stop])), n
+
+
+# -- the horizon: stored levels end at the node just past u = n_max ------
+
+HORIZON_LADDERS = pytest.mark.parametrize("f, n_max, n_grid", [
+    (mixture(0.25), 32, 2**15), (mixture(0.25), 64, 2**15),
+    (mixture(0.25), 256, 2**15), (mixture(0.25), 1024, 2**15),
+    (mixture(0.1), 256, 2**15), (gaussian(1.0), 64, 2**15),
+    (gaussian(1.0), 1024, 2**18)],
+    ids=["mix0.25-32", "mix0.25-64", "mix0.25-256", "mix0.25-1024",
+         "mix0.1-256", "gauss-64", "gauss-1024-2^18"])
+
+
+@HORIZON_LADDERS
+def test_horizon_levels_are_the_whole_grid_levels_up_to_n_max(f, n_max,
+                                                               n_grid):
+    # every level of a family's walk ends at or before the horizon, the
+    # node just past n_max; on the nodes up to it, which every read at
+    # u <= n_max brackets u with, it equals level(n) within 1e-13 of the
+    # level's peak cell (2.2e-14 at most here) and is the convolution of
+    # its stored halves as in the whole-grid test above; a read at
+    # u <= n_max is np.interp on the stored cells' log table bit for bit
+    ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
+    ladder.window(n_max, n_max - 1, n_max - 2)
+    last, grid = ladder._horizon, ladder.grid
+    assert grid[last - 1] <= n_max < grid[last]
+    u = np.concatenate([np.linspace(0.0, n_max, 1001), grid[last - 9:last]])
+    for n in ladder.levels:
+        offset, cells = ladder.window(n)
+        assert offset + cells.size - 1 <= last, n
+        stored = _head((offset, cells), last + 1)
+        whole = ladder.level(n)
+        assert (np.max(np.abs(stored - whole[:last + 1]))
+                <= 1e-13 * whole.max()), n
+        table = np.log(np.maximum(stored / ladder.du, 1e-300))
+        assert np.array_equal(ladder.log_density(n, u),
+                              np.interp(u, grid[:last + 1], table)), n
+        if n == 1:
+            continue
+        (o_a, m_a), (o_b, m_b) = map(ladder.window, ladder.halves(n))
+        want = _head((o_a + o_b, np.maximum(fftconvolve(m_a, m_b), 0.0)),
+                     last + 1)
+        bound = _TRIM * (m_a.max() * m_b.sum() + m_b.max() * m_a.sum())
+        assert np.max(np.abs(stored - want)) <= bound, n
+
+
+@pytest.mark.parametrize("f, n", [(mixture(0.25), 64), (mixture(0.1), 256)],
+                         ids=["mix0.25-64", "mix0.1-256"])
+def test_reads_do_not_depend_on_earlier_whole_grid_reads(f, n):
+    # a read above the horizon (level(n), or log_z past n_max) walks into
+    # a dict of its own and stores nothing, so a family's and the CLT
+    # envelope's reads are those of a fresh ladder, bit for bit
+    def reads(ladder):
+        fam = ConditionedFamily(ladder, n)
+        v = fam._marginal_quadrature()[0]
+        s = polar_shells(f.v_max, n, SHELLS, ANGLES)[0]
+        return [fam._log_zn, fam.log_marginal_weight(1, v * v),
+                fam.log_marginal_weight(2, s), fam.entropy(),
+                fam.production(0.0, check=False), lambda_sup(ladder, n),
+                lambda_sup(ladder, n - 1)]
+
+    want = reads(NormalizationLadder(f, n))
+    served = NormalizationLadder(f, n)
+    served.level(n - 1)
+    served.level(n, n - 1, n - 2)
+    served.log_z(n, 1.5 * n)
+    served.log_density(n - 1, [1.0, 0.5 * served.u_max])
+    assert served.levels == [1]
+    got = reads(served)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_whole_grid_reads_are_unchanged():
+    # a read above the horizon returns what a fresh ladder's walk to u_max
+    # returned when every level was stored on the whole grid, bit for bit
+    # (recorded then), whatever the ladder holds
+    gauss = NormalizationLadder(gaussian(1.0), 64, n_grid=2**18)
+    mix = NormalizationLadder(mixture(0.25), 64)
+    for _ in range(2):
+        assert gauss.log_z(64, 96.0) == -106.81207412433392
+        level = mix.level(64)
+        assert (hashlib.sha256(level.tobytes()).hexdigest()
+                == "4e33368c7679b1fd1a90e0e71f777d6a"
+                   "a22c9d864a8f0afd028a21e0502d706d")
+        assert float(level.sum()) == 0.9999999994671597
+        for ladder in (gauss, mix):
+            ladder.window(64, 63, 62)
 
 
 def test_fast_length_is_scipys_real_fast_length():
