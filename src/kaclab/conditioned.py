@@ -22,7 +22,7 @@ import numpy as np
 
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
-from .normalization import NormalizationLadder, as_int
+from .normalization import NormalizationLadder, as_int, check_generator
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints, fold,
                          half_rule_checked, log_power_kernel, pair_kernel,
                          polar_integral, polar_shells, trapezoid_weights)
@@ -116,7 +116,10 @@ class ConditionedFamily:
 
     source is f itself, which gets its own ladder up to N, or a
     :class:`~kaclab.normalization.NormalizationLadder` with n_max >= N,
-    whose generator is f.
+    whose generator is f.  f's own ladder is built when Z_N or a marginal
+    is first read, so a family that only samples builds none; f's evenness
+    and unit energy are checked here, the truncation check of the ladder's
+    base fires on that first read.
     """
 
     def __init__(self, source: GridDensity1D | NormalizationLadder, n: int):
@@ -124,12 +127,20 @@ class ConditionedFamily:
         if n < 3:
             raise ValueError("need at least three particles")
         self.n = n
-        self.ladder = (source if isinstance(source, NormalizationLadder)
-                       else NormalizationLadder(source, n))
-        self.f = self.ladder.generator
-        if n > self.ladder.n_max:
-            raise ValueError(f"ladder built for N <= {self.ladder.n_max}, "
-                             f"not N={n}")
+        if isinstance(source, NormalizationLadder):
+            if n > source.n_max:
+                raise ValueError(f"ladder built for N <= {source.n_max}, "
+                                 f"not N={n}")
+            self.ladder = source
+            self.f = source.generator
+        else:
+            check_generator(source)
+            self.f = source
+
+    @functools.cached_property
+    def ladder(self) -> NormalizationLadder:
+        """f's ladder up to N, built on first read."""
+        return NormalizationLadder(self.f, self.n)
 
     @functools.cached_property
     def _levels(self) -> NormalizationLadder:

@@ -116,6 +116,19 @@ def _window(m: np.ndarray) -> tuple[int, int]:
     return int(keep[0]), int(keep[-1])
 
 
+def check_generator(f: GridDensity1D) -> None:
+    """Raise ConfigurationError unless f is even and has unit energy, as a
+    ladder of f needs."""
+    # the base masses integrate f(r) over r >= 0 for both signs of v
+    require_even(f)
+    # Sigma^2 = int v^4 f - 1, which u_max reads, is the variance of V^2
+    # only at unit energy
+    energy = moment(f, 2)
+    if abs(energy - 1.0) > 1e-6:
+        raise ConfigurationError(f"generator {f.tag!r} has int v^2 f = "
+                                 f"{energy:.6g}, not unit energy")
+
+
 class NormalizationLadder:
     """Log-domain tables of h^{(*n)} for a single unit-energy generator.
 
@@ -130,14 +143,7 @@ class NormalizationLadder:
         for name, value in (("n_max", n_max), ("n_grid", n_grid)):
             if value < 2:
                 raise ValueError(f"{name} must be >= 2, not {value}")
-        # the base masses integrate f(r) over r >= 0 for both signs of v
-        require_even(f)
-        # Sigma^2 = int v^4 f - 1, which u_max reads, is the variance of
-        # V^2 only at unit energy
-        energy = moment(f, 2)
-        if abs(energy - 1.0) > 1e-6:
-            raise ConfigurationError(f"generator {f.tag!r} has int v^2 f = "
-                                     f"{energy:.6g}, not unit energy")
+        check_generator(f)
         self.generator = f
         self.sigma2 = moment(f, 4) - 1.0
         self.n_max = n_max

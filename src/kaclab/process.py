@@ -2,16 +2,28 @@
 
 The master equation evolves a symmetric density on the energy sphere by
 random pair rotations at rate N (1 + v_i^2 + v_j^2)^gamma per clock tick,
-averaged over pairs.  Here we run the process by thinning against the
-dominating rate N (1 + N)^gamma, estimate spectral-gap quotients with a
-Rayleigh/Dirichlet Monte Carlo, and write the generator exactly on the
-power sums p_4 and p_6 at any N, where its lowest eigenvalue is the gap
-known in closed form: Delta_N = (N + 2) / (2 (N - 1)).
+averaged over pairs.  Here we run the process by thinning, estimate
+spectral-gap quotients with a Rayleigh/Dirichlet Monte Carlo, and write
+the generator exactly on the power sums p_4 and p_6 at any N, where its
+lowest eigenvalue is the gap known in closed form:
+Delta_N = (N + 2) / (2 (N - 1)).
+
+At gamma > 0 each block of candidates thins against N (1 + cap)^gamma,
+with cap = min(1.25 (e_1 + e_2), N) from the two largest energies at the
+block's start, and the block ends once the pair energies could exceed cap
+(see :func:`simulate`); at N = 512 and gamma = 0.5 about a quarter of the
+candidates are rotations, where the constant bound N (1 + N)^gamma kept
+7%.  At gamma = 0 every candidate is a rotation: an ensemble of at least
+_LOCKSTEP_MIN_ROWS replicas per chunk runs in lockstep, the k-th events of
+all replicas as one array operation, to the bits that one simulate per
+replica gives (see :func:`_lockstep`); smaller ensembles and gamma > 0
+run one simulate per replica.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +31,17 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateTestFunctionError
 from .quadrature import TWO_PI, angle_midpoints
-from .sphere import rotate_pair, uniform_sphere_batch
+from .sphere import uniform_sphere_batch
 
 # candidate events drawn per block; bounds memory on long runs
 _BLOCK = 2**16
+# entries of each (events x replicas) array of a lockstep chunk: at most
+# 128 KiB, under glibc's mmap threshold, like sphere._BLOCK
+_LOCKSTEP_ENTRIES = 2**14
+# fewest replicas per chunk for lockstep: a chunk breaks even with one
+# simulate per replica at about 10 replicas (N = 8, 64 and 512, gamma = 0),
+# and at 20 costs 10-30% less
+_LOCKSTEP_MIN_ROWS = 20
 # sphere entries per block of Rayleigh samples; one block draws the same
 # random stream as an unbatched estimate
 _RAYLEIGH_BLOCK = 2**20
@@ -61,65 +80,128 @@ class SimulationConfig:
 
 @dataclass
 class TrajectoryStats:
-    """Outcome of a run: final state plus acceptance bookkeeping."""
+    """Outcome of a run: final state plus acceptance bookkeeping.
+
+    proposed counts the candidates examined, accepted the rotations; the
+    candidates a cut block drops are not counted.
+    """
 
     velocities: np.ndarray
     proposed: int
     accepted: int
 
 
+def _start(n: int, initial, rng: np.random.Generator) -> np.ndarray:
+    """The run's first state: initial, checked to lie on the sphere, or a
+    uniform sphere point drawn from rng."""
+    if initial is None:
+        return uniform_sphere_batch(n, 1, rng)[0]
+    v = np.array(initial, dtype=float)
+    if v.shape != (n,):
+        raise ConfigurationError(f"initial state must have shape ({n},)")
+    if not abs(v @ v - n) <= 1e-9 * n:
+        raise ConfigurationError(
+            f"initial state has energy {v @ v}, not N={n}")
+    return v
+
+
+def _block_size(expect: float) -> int:
+    """Candidates per block when expect of them are expected before
+    t_final: five standard deviations more, at most _BLOCK."""
+    return min(_BLOCK, int(expect + 5.0 * math.sqrt(expect)) + 16)
+
+
+def _candidates(rng: np.random.Generator, n: int, lam: float, t: float,
+                t_final: float, thin: bool):
+    """One block of candidates from time t at rate lam: their times, pairs
+    (i, j), thinning uniforms (None unless thin) and angles, enough to
+    reach t_final with high probability."""
+    size = _block_size(lam * (t_final - t))
+    times = t + np.cumsum(rng.exponential(1.0 / lam, size))
+    first = rng.integers(n, size=size)
+    second = rng.integers(n - 1, size=size)
+    second += second >= first  # uniform over j != i
+    u = rng.random(size) if thin else None
+    theta = rng.uniform(0.0, TWO_PI, size)
+    return times, first, second, u, theta
+
+
 def simulate(config: SimulationConfig, initial: np.ndarray | None = None,
              rng: np.random.Generator | None = None) -> TrajectoryStats:
     """Run the jump process to t_final by thinning.
 
-    Candidate events arrive at the dominating rate N (1 + N)^gamma; a
-    uniformly chosen pair is rotated by a uniform angle with probability
-    ((1 + v_i^2 + v_j^2) / (1 + N))^gamma, which reproduces the
-    energy-dependent collision rates exactly.  The candidates' times,
+    Each candidate block starts from the current state with a bound cap on
+    every pair energy s = v_i^2 + v_j^2, draws candidates at rate
+    N (1 + cap)^gamma, and rotates a uniformly chosen pair by a uniform
+    angle with probability ((1 + s) / (1 + cap))^gamma, which reproduces
+    the energy-dependent collision rates exactly.  The candidates' times,
     pairs, thinning uniforms and angles are drawn as arrays, a block at a
     time; only the accept/rotate step runs per event.
+
+    At gamma > 0, cap = min(1.25 (e_1 + e_2), N) for the two largest
+    energies e_1 >= e_2 at the block's start.  The block keeps bounds
+    U_1 >= U_2 on the two largest energies, raised with the two new
+    energies of each accepted rotation: those are the only energies that
+    change, so the largest and second largest stay at most U_1 and U_2,
+    and every pair energy, a sum of two distinct energies, at most
+    U_1 + U_2.  When U_1 + U_2 exceeds cap, the block ends at that event
+    and its later candidates are dropped; the Poisson clock has no memory,
+    so the next block starts afresh from the state there.  A bound on the
+    largest energy alone would not do: s reaches 2 U_1, which exceeds cap
+    from the start when e_1 > 1.67 e_2.  No pair energy exceeds N, so at
+    cap = N no block is cut.  At gamma = 0 the rate is N, every candidate
+    is a rotation and no bound is kept.
     """
     n, gamma, t_final = config.n, config.gamma, config.t_final
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    if initial is None:
-        v = uniform_sphere_batch(n, 1, rng)[0]
-    else:
-        v = np.array(initial, dtype=float)
-        if v.shape != (n,):
-            raise ConfigurationError(f"initial state must have shape ({n},)")
-        if not abs(v @ v - n) <= 1e-9 * n:
-            raise ConfigurationError(
-                f"initial state has energy {v @ v}, not N={n}")
-    lam = n * (1.0 + n) ** gamma
+    v = _start(n, initial, rng)
+    thin = gamma > 0
     vel = v.tolist()
     t, proposed, accepted = 0.0, 0, 0
     while True:
-        # enough candidates to reach t_final with high probability
-        expect = lam * (t_final - t)
-        size = min(_BLOCK, int(expect + 5.0 * math.sqrt(expect)) + 16)
-        times = t + np.cumsum(rng.exponential(1.0 / lam, size))
-        first = rng.integers(n, size=size)
-        second = rng.integers(n - 1, size=size)
-        second += second >= first  # uniform over j != i
-        if gamma > 0:
-            # u < ((1 + s) / (1 + N))^gamma  <=>  s > (1 + N) u^(1/gamma) - 1
-            threshold = (1.0 + n) * rng.random(size) ** (1.0 / gamma) - 1.0
-        else:
-            threshold = np.full(size, -1.0)
-        theta = rng.uniform(0.0, TWO_PI, size)
+        cap = float(n)
+        if thin:
+            e2, e1 = np.partition(np.square(vel), n - 2)[-2:]
+            cap = min(1.25 * float(e1 + e2), cap)
+            u1, u2 = float(e1), float(e2)
+        lam = n * (1.0 + cap) ** gamma
+        times, first, second, u, theta = _candidates(rng, n, lam, t, t_final,
+                                                     thin)
         stop = int(np.searchsorted(times, t_final))
-        proposed += stop
+        if thin:
+            # u < ((1 + s) / (1 + cap))^gamma  <=>  s > (1 + cap) u^(1/gamma) - 1
+            threshold = ((1.0 + cap) * u[:stop] ** (1.0 / gamma) - 1.0).tolist()
+        else:
+            threshold = itertools.repeat(-1.0)
         events = zip(first[:stop].tolist(), second[:stop].tolist(),
-                     threshold[:stop].tolist(), theta[:stop].tolist())
-        for i, j, cut, th in events:
+                     threshold, theta[:stop].tolist())
+        bounded = cap < n
+        cut = None
+        for k, (i, j, low, th) in enumerate(events):
             vi, vj = vel[i], vel[j]
-            if vi * vi + vj * vj <= cut:
+            if vi * vi + vj * vj <= low:
                 continue
             c, s = math.cos(th), math.sin(th)
-            vel[i] = vi * c + vj * s
-            vel[j] = vj * c - vi * s
+            vi, vj = vi * c + vj * s, vj * c - vi * s
+            vel[i], vel[j] = vi, vj
             accepted += 1
-        if stop < size:
+            if bounded:
+                a, b = vi * vi, vj * vj
+                if a < b:
+                    a, b = b, a
+                if a > u1:
+                    u1, u2 = a, max(u1, b)
+                elif a > u2:
+                    u2 = a
+                if u1 + u2 > cap:
+                    cut = k
+                    break
+        if cut is not None:
+            proposed += cut + 1
+            t = float(times[cut])
+            continue
+        proposed += stop
+        if stop < times.size:
             break
         t = float(times[-1])
     # each rotation conserves v_i^2 + v_j^2, so the rescale only removes
@@ -135,17 +217,97 @@ def simulate_ensemble(config: SimulationConfig, replicas: int,
     """Final states of independent replicas, shape (replicas, N).
 
     initial is one state for every replica, or one row per replica.
+    Replica r runs :func:`simulate` on the generator default_rng((seed, r)),
+    with seed defaulting to config.seed.  At gamma = 0 a large enough
+    ensemble runs in lockstep (:func:`_lockstep`) to the same bits.
     """
-    if initial is not None and initial.ndim == 2 and len(initial) != replicas:
-        raise ConfigurationError(f"initial has {len(initial)} rows for "
-                                 f"{replicas} replicas")
+    n = config.n
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.ndim == 2 and len(initial) != replicas:
+            raise ConfigurationError(f"initial has {len(initial)} rows for "
+                                     f"{replicas} replicas")
+        if initial.shape not in ((n,), (replicas, n)):
+            raise ConfigurationError(
+                f"initial must have shape ({n},) or ({replicas}, {n}), "
+                f"not {initial.shape}")
     base = config.seed if seed is None else seed
-    out = np.empty((replicas, config.n))
-    for r in range(replicas):
+    starts = (iter(initial) if initial is not None and initial.ndim == 2
+              else itertools.repeat(initial))
+    out = np.empty((replicas, n))
+    if config.gamma == 0:
+        rows = min(replicas,
+                   _LOCKSTEP_ENTRIES // _block_size(n * config.t_final))
+        if rows >= _LOCKSTEP_MIN_ROWS:
+            for lo in range(0, replicas, rows):
+                _lockstep(config, out[lo:lo + rows], starts, base, lo)
+            return out
+    for r, init_r in zip(range(replicas), starts):
         rng = np.random.default_rng((base, r))
-        init_r = initial[r] if (initial is not None and initial.ndim == 2) else initial
         out[r] = simulate(config, initial=init_r, rng=rng).velocities
     return out
+
+
+def _lockstep(config: SimulationConfig, state: np.ndarray, starts,
+              base: int, lo: int) -> None:
+    """Fill state, one row per replica from replica lo on, with the final
+    states of simulate_ensemble at gamma = 0.
+
+    Each replica draws its start and its candidate block from
+    default_rng((base, r)) as :func:`simulate` does; at gamma = 0 every
+    candidate is a rotation, so the k-th events of all replicas are one
+    array operation on the state through flat indices.  The replicas are
+    ordered by their number of events, so the ones still running at step k
+    are a prefix: the others are left as they are, not rotated by the
+    identity, which would turn -0.0 into 0.0.  np.cos and np.sin equal
+    math.cos and math.sin on these angles, and the products and sums are
+    the scalar loop's, so every replica ends on the bits that simulate
+    gives it.  A replica whose events outrun one block is run by simulate
+    itself.
+    """
+    n, t_final = config.n, config.t_final
+    m, size = len(state), _block_size(n * t_final)
+    # event k of every replica on row k
+    first = np.empty((size, m), dtype=np.int64)
+    second = np.empty((size, m), dtype=np.int64)
+    theta = np.empty((size, m))
+    stops = np.empty(m, dtype=np.int64)
+    alone = {}
+    for row, init_r in zip(range(m), starts):
+        rng = np.random.default_rng((base, lo + row))
+        state[row] = _start(n, init_r, rng)
+        times, first[:, row], second[:, row], _, theta[:, row] = (
+            _candidates(rng, n, n, 0.0, t_final, False))
+        stops[row] = np.searchsorted(times, t_final)
+        if stops[row] == size:
+            alone[row] = simulate(config, init_r, np.random.default_rng(
+                (base, lo + row))).velocities
+            stops[row] = 0
+    order = np.argsort(-stops, kind="stable")
+    steps = int(stops[order[0]])
+    running = np.searchsorted(-stops[order], -np.arange(steps), "left")
+    # columns in order, pairs as flat indices into the state; each draw
+    # is freed once reordered, so at most four such arrays are live
+    at_i = first[:steps].take(order, axis=1)
+    del first
+    at_i += order * n
+    at_j = second[:steps].take(order, axis=1)
+    del second
+    at_j += order * n
+    sin = theta[:steps].take(order, axis=1)
+    del theta
+    cos = np.cos(sin)
+    np.sin(sin, out=sin)
+    flat = state.reshape(-1)
+    for k, live in enumerate(running.tolist()):
+        i, j = at_i[k, :live], at_j[k, :live]
+        c, s = cos[k, :live], sin[k, :live]
+        vi, vj = flat[i], flat[j]
+        flat[i] = vi * c + vj * s
+        flat[j] = vj * c - vi * s
+    state *= np.sqrt(n / np.sum(state * state, axis=1))[:, None]
+    for row, v in alone.items():
+        state[row] = v
 
 
 # -- Rayleigh quotient estimates ----------------------------------------
@@ -192,9 +354,22 @@ def _rayleigh_block(phi, n: int, gamma: float, size: int,
     theta = angle_midpoints(32)
     acc = np.zeros(size)
     s = vi * vi + vj * vj
+    # the rotated pair and the squared change of phi go to two buffers
+    # reused at every angle, with rotate_pair's arithmetic: fresh
+    # batch-sized temporaries would be trimmed from the heap and faulted
+    # back in at every angle or not, depending on what ran before
+    w, d = np.empty(size), np.empty(size)
     for th in theta:
-        v[rows, idx], v[rows, jdx] = rotate_pair(vi, vj, th)
-        acc += (phi(v) - base) ** 2
+        c, sn = np.cos(th), np.sin(th)
+        np.multiply(vi, c, out=w)
+        w += np.multiply(vj, sn, out=d)
+        v[rows, idx] = w
+        np.multiply(vj, c, out=w)
+        w -= np.multiply(vi, sn, out=d)
+        v[rows, jdx] = w
+        np.subtract(phi(v), base, out=d)
+        d *= d
+        acc += d
     return base, np.sum((1.0 + s) ** gamma * acc / theta.size)
 
 

@@ -18,15 +18,20 @@ def rotate_pair(vi, vj, theta):
     return vi * c + vj * s, -vi * s + vj * c
 
 
-# entries per block of rows whose squares are summed at once
-_BLOCK = 2**18
+# entries per block of rows whose squares are summed at once.  The block's
+# 64 KiB of squares stay under glibc's default 128 KiB mmap threshold, so
+# they come from and return to the heap; a larger block, freed next to the
+# batch-sized result, pushes the heap top past the trim threshold, and the
+# pages are returned and faulted in again on every call
+_BLOCK = 2**13
 
 
 def uniform_sphere_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, n) array of independent uniform points on S^{n-1}(sqrt(n)).
 
     The squares for the row norms are taken a block of rows at a time, so
-    the only array of the batch's size is the result.
+    the only array of the batch's size is the result; a row longer than
+    the block is squared on its own.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -1,13 +1,18 @@
 """Jump-process simulation and the exact spectral gap on power sums."""
 
+import hashlib
+import math
 import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import gammaln
+from scipy.stats import ks_2samp
 
+from kaclab import process
 from kaclab.errors import ConfigurationError, DegenerateTestFunctionError
 from kaclab.process import (SimulationConfig, dirichlet_rayleigh,
                             exact_gap_smalln, generator_matrix_smalln,
@@ -152,16 +157,28 @@ def test_simulate_thinning_accepts_partially():
     assert 0.05 < stats.accepted / stats.proposed < 0.9
 
 
-@pytest.mark.parametrize("gamma, t_final", [(0.0, 1100.0), (0.5, 140.0)])
+def _stationary_rate(n, gamma):
+    """N E[(1 + s)^gamma] for the energy s of a uniform pair at a uniform
+    sphere point: s / N ~ Beta(1, (N - 2) / 2)."""
+    b = 0.5 * (n - 2)
+    mean = quad(lambda x: (1.0 + n * x) ** gamma * b * (1.0 - x) ** (b - 1.0),
+                0.0, 1.0)[0]
+    return n * mean
+
+
+@pytest.mark.parametrize("gamma, t_final", [(0.0, 1100.0), (0.5, 250.0)])
 def test_simulate_across_candidate_blocks(gamma, t_final):
-    # about 70 000 expected candidates: the run continues past one block
+    # more than one block of candidates: at gamma = 0, about 70 000 in one
+    # run of full blocks; at gamma = 0.5, about 80 000 in many cut blocks.
+    # The start is uniform on the sphere, so the run is stationary and
+    # makes N E[(1 + s)^gamma] rotations per unit time
     n = 64
     stats = simulate(SimulationConfig(n=n, gamma=gamma, t_final=t_final,
                                       seed=4))
     assert stats.proposed > 2**16
     assert np.sum(stats.velocities**2) == pytest.approx(n, abs=1e-9)
-    expect = n * (1.0 + n) ** gamma * t_final
-    assert abs(stats.proposed - expect) < 5.0 * np.sqrt(expect)
+    expect = _stationary_rate(n, gamma) * t_final
+    assert abs(stats.accepted - expect) < 5.0 * np.sqrt(expect)
     if gamma == 0.0:
         assert stats.accepted == stats.proposed
 
@@ -314,3 +331,214 @@ def test_rayleigh_rejects_constant():
     with pytest.raises(DegenerateTestFunctionError):
         dirichlet_rayleigh(lambda v: np.ones(v.shape[0]), 6, 0.0, 100, rng)
 
+
+
+# -- gamma > 0 oracles ----------------------------------------------------
+
+
+def _s4(v):
+    return np.sum(v**4, axis=-1)
+
+
+def _generator_s4(v, gamma):
+    """(L_gamma S4)(v) = (2 / (N - 1)) sum_{i<j} (1 + s_ij)^gamma
+    (3/4 s_ij^2 - v_i^4 - v_j^4), for the rows of v."""
+    i, j = np.triu_indices(v.shape[-1], 1)
+    vi, vj = v[..., i], v[..., j]
+    s = vi * vi + vj * vj
+    return 2.0 / (v.shape[-1] - 1) * np.sum(
+        (1.0 + s) ** gamma * (0.75 * s * s - vi**4 - vj**4), axis=-1)
+
+
+def _generator(g, v, gamma, angles=64):
+    """(L_gamma g)(v) for a function g of rows: the rate-weighted pair sum
+    of the angle mean of g(R_ij v) - g(v), on midpoint angles."""
+    n = v.size
+    c, s = np.cos(angle_midpoints(angles)), np.sin(angle_midpoints(angles))
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = np.tile(v, (angles, 1))
+            w[:, i], w[:, j] = v[i] * c + v[j] * s, v[j] * c - v[i] * s
+            total += ((1.0 + v[i] ** 2 + v[j] ** 2) ** gamma
+                      * np.mean(g(w) - g(v)))
+    return 2.0 / (n - 1) * total
+
+
+def test_short_time_law_at_positive_gamma():
+    # Dynkin: E[S4(t) | v0] = S4(v0) + t (L S4)(v0) + t^2/2 (L^2 S4)(v0) + ...
+    # At v0 the three largest energies are equal, so cap = 1.25 (e1 + e2)
+    # < N and a rotation of two of them can end a block.
+    n, gamma, t, replicas = 6, 0.5, 0.02, 10_000
+    v0 = np.array([1.0, 1.0, 1.0, 0.2, 0.1, 0.1])
+    v0 *= np.sqrt(n / np.sum(v0**2))
+    drift = _generator_s4(v0, gamma)
+    assert drift == pytest.approx(_generator(_s4, v0, gamma), rel=1e-12)
+    second = _generator(lambda w: _generator_s4(w, gamma), v0, gamma)
+    cfg = SimulationConfig(n=n, gamma=gamma, t_final=t, seed=31)
+    s4 = _s4(simulate_ensemble(cfg, replicas, initial=v0))
+    se = np.std(s4, ddof=1) / np.sqrt(replicas)
+    # the t^2 term is below the standard error, and the drift far above it
+    assert 0.5 * t * t * abs(second) < 0.5 * se
+    assert t * abs(drift) > 5.0 * se
+    assert abs(np.mean(s4) - _s4(v0) - t * drift) < 4.0 * se
+
+
+def _constant_bound_simulate(n, gamma, t_final, v0, rng):
+    """Thinning against the constant rate N (1 + N)^gamma, one candidate
+    at a time: reference for the law of simulate at gamma > 0."""
+    v = v0.copy()
+    t = rng.exponential(1.0 / (n * (1.0 + n) ** gamma))
+    while t < t_final:
+        i = rng.integers(n)
+        j = rng.integers(n - 1)
+        j += j >= i
+        s = v[i] ** 2 + v[j] ** 2
+        if rng.random() < ((1.0 + s) / (1.0 + n)) ** gamma:
+            th = rng.uniform(0.0, 2.0 * np.pi)
+            v[i], v[j] = rotate_pair(v[i], v[j], th)
+        t += rng.exponential(1.0 / (n * (1.0 + n) ** gamma))
+    return v
+
+
+class _BlockCounter:
+    """A generator that counts the candidate blocks drawn from it (one
+    exponential draw each)."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, 0
+
+    def exponential(self, *args, **kwargs):
+        self.blocks += 1
+        return self.rng.exponential(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_thinning_bound_keeps_the_law_of_s4(n):
+    # one dominant energy: the top two energies move with each rotation of
+    # the dominant particle, and below cap = N blocks get cut
+    gamma, t, replicas = 1.0, 0.4, 2000
+    v0 = np.full(n, np.sqrt(0.4 / (n - 1)))
+    v0[0] = np.sqrt(0.6)
+    v0 *= np.sqrt(n)
+    e = np.sort(v0**2)
+    cap = min(1.25 * (e[-1] + e[-2]), n)
+    cfg = SimulationConfig(n=n, gamma=gamma, t_final=t, seed=n)
+    got, blocks = np.empty(replicas), 0
+    for r in range(replicas):
+        rng = _BlockCounter(np.random.default_rng((n, r)))
+        got[r] = _s4(simulate(cfg, initial=v0, rng=rng).velocities)
+        blocks += rng.blocks
+    ref_rng = np.random.default_rng((n, 10**6))
+    want = np.array([_s4(_constant_bound_simulate(n, gamma, t, v0, ref_rng))
+                     for _ in range(replicas)])
+    assert (blocks > replicas) == (cap < n)
+    assert ks_2samp(got, want).pvalue > 1e-3
+    se = np.sqrt((np.var(got) + np.var(want)) / replicas)
+    assert abs(np.mean(got) - np.mean(want)) < 4.0 * se
+
+
+# -- gamma = 0 bits -------------------------------------------------------
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, t_final, digest", [
+    (5, 3.0, "81f002f177244bbe"), (64, 1.0, "91b1c0ba39d30492"),
+    (64, 1100.0, "5f917786d7e5024e"), (512, 1.0, "15f4f609238c7f24")])
+def test_simulate_at_gamma_zero_keeps_its_bits(n, t_final, digest):
+    # recorded before the thinning bound and the lockstep path
+    stats = simulate(SimulationConfig(n=n, gamma=0.0, t_final=t_final,
+                                      seed=7))
+    assert _digest(stats.velocities) == digest
+
+
+@pytest.mark.parametrize("n, replicas, digest", [
+    (8, 3, "0a86d627de53032b"), (64, 800, "cbf7d3ea7cdd206f"),
+    (512, 40, "b1f038a4a2a19887")])
+def test_ensemble_at_gamma_zero_keeps_its_bits(n, replicas, digest):
+    cfg = SimulationConfig(n=n, gamma=0.0, t_final=1.0, seed=7)
+    assert _digest(simulate_ensemble(cfg, replicas)) == digest
+
+
+def _one_by_one(cfg, replicas, initial, seed):
+    """simulate per replica with simulate_ensemble's seeding: reference."""
+    rows = [initial] * replicas if np.ndim(initial) < 2 else initial
+    return np.array([simulate(cfg, initial=rows[r],
+                              rng=np.random.default_rng((seed, r))).velocities
+                     for r in range(replicas)])
+
+
+def _zero_start(n):
+    # exact zeros of both signs, which a rotation by the identity would
+    # turn into +0.0
+    v = np.zeros(n)
+    v[:2] = np.sqrt(n / 2.0)
+    v[2::2] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("gamma, replicas", [(0.0, 300), (0.0, 5),
+                                             (0.5, 30)])
+@pytest.mark.parametrize("kind", ["none", "one", "rows", "zeros"])
+def test_ensemble_equals_one_simulate_per_replica(gamma, replicas, kind):
+    # (0.0, 300) runs in lockstep, the others one replica at a time
+    n = 16
+    cfg = SimulationConfig(n=n, gamma=gamma, t_final=0.3, seed=12)
+    rng = np.random.default_rng(17)
+    initial = {"none": None,
+               "one": uniform_sphere_batch(n, 1, rng)[0],
+               "rows": uniform_sphere_batch(n, replicas, rng),
+               "zeros": _zero_start(n)}[kind]
+    got = simulate_ensemble(cfg, replicas, initial=initial, seed=5)
+    want = _one_by_one(cfg, replicas, initial, 5)
+    assert got.tobytes() == want.tobytes()
+    if kind == "zeros":
+        assert np.any(np.signbit(got) & (got == 0.0))
+
+
+def test_lockstep_runs_a_replica_past_one_block_on_its_own(monkeypatch):
+    # 48 events expected and 52 candidates per block: about a quarter of
+    # the replicas need a second block
+    monkeypatch.setattr(process, "_BLOCK", 52)
+    cfg = SimulationConfig(n=8, gamma=0.0, t_final=6.0, seed=2)
+    stats = [simulate(cfg, rng=np.random.default_rng((2, r)))
+             for r in range(100)]
+    assert 5 < sum(s.proposed > 52 for s in stats) < 95
+    got = simulate_ensemble(cfg, 100)
+    assert got.tobytes() == np.array([s.velocities for s in stats]).tobytes()
+
+
+def test_numpy_trig_equals_math_on_the_drawn_angles():
+    # the lockstep path takes np.cos and np.sin where simulate takes math's
+    theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 200_000)
+    assert np.cos(theta).tolist() == [math.cos(x) for x in theta.tolist()]
+    assert np.sin(theta).tolist() == [math.sin(x) for x in theta.tolist()]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_ensemble_takes_array_likes_and_checks_shapes(gamma):
+    n, replicas = 6, 25
+    cfg = SimulationConfig(n=n, gamma=gamma, t_final=0.2, seed=3)
+    starts = uniform_sphere_batch(n, replicas, np.random.default_rng(4))
+    want = simulate_ensemble(cfg, replicas, initial=starts)
+    assert np.array_equal(simulate_ensemble(cfg, replicas,
+                                            initial=starts.tolist()), want)
+    assert np.array_equal(
+        simulate_ensemble(cfg, replicas, initial=starts[0].tolist()),
+        simulate_ensemble(cfg, replicas, initial=starts[0]))
+    for bad in (starts[:, :4], starts[None], starts[0, :4], 1.0):
+        with pytest.raises(ConfigurationError, match="initial must have"):
+            simulate_ensemble(cfg, replicas, initial=bad)
+    # off the sphere: the error of simulate, on either path
+    far = starts.copy()
+    far[7] *= 2.0
+    with pytest.raises(ConfigurationError, match="energy .* not N=6"):
+        simulate(cfg, initial=far[7])
+    with pytest.raises(ConfigurationError, match="energy .* not N=6"):
+        simulate_ensemble(cfg, replicas, initial=far)

@@ -77,6 +77,20 @@ def test_uniform_sphere_batch_is_the_one_shot_formula():
     assert peak < 1.3 * got.nbytes
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 513, 4096])
+def test_uniform_sphere_batch_temporaries_stay_under_the_mmap_threshold(n):
+    # glibc serves blocks of 128 KiB and more by mmap, which faults their
+    # pages in afresh on every call; the batch's temporaries stay below
+    size = 2000
+    tracemalloc.start()
+    try:
+        got = uniform_sphere_batch(n, size, np.random.default_rng(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes < 128 * 1024
+
+
 def test_log_sphere_area_matches_gamma_formula():
     for n in (2, 5, 17, 100):
         direct = np.log(2.0) + 0.5 * n * np.log(np.pi) - gammaln(0.5 * n)

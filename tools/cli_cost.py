@@ -9,6 +9,8 @@ and prints per subcommand:
           included;
 - rss:    the largest of the K children's peak resident set sizes in MB
           (ru_maxrss of os.wait4, in KiB on Linux);
+- minflt: the median over the K runs of the child's minor page faults
+          (ru_minflt of os.wait4), start-up and imports included;
 - exit:   the subcommand's exit code;
 - scipy:  the public top-level scipy submodules loaded when it ends
           (scipy.sparse, scipy.linalg, ...).
@@ -53,8 +55,8 @@ print(json.dumps({"exit": rc, "scipy": mods}))
 
 
 def run_once(command: str, src: Path, out: str) -> dict:
-    """Wall seconds, peak RSS in MB, exit code and scipy submodules of one
-    fresh-process run of command."""
+    """Wall seconds, peak RSS in MB, minor page faults, exit code and scipy
+    submodules of one fresh-process run of command."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     start = time.perf_counter()
@@ -70,7 +72,7 @@ def run_once(command: str, src: Path, out: str) -> dict:
     if child.returncode != 0 or not report.strip():
         raise RuntimeError(f"{command} failed with status {child.returncode}")
     return {"wall": wall, "rss": usage.ru_maxrss / 1024.0,
-            **json.loads(report)}
+            "minflt": usage.ru_minflt, **json.loads(report)}
 
 
 def main(argv: list[str]) -> int:
@@ -82,16 +84,18 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error(f"--repeat must be >= 1, not {args.repeat}")
-    print(f"{'command':<13} {'wall_s':>7} {'rss_mb':>7} {'exit':>4}  scipy")
+    print(f"{'command':<13} {'wall_s':>7} {'rss_mb':>7} {'minflt':>7} "
+          f"{'exit':>4}  scipy")
     with tempfile.TemporaryDirectory() as tmp:
         for c in COMMANDS:
             runs = [run_once(c, args.src.resolve(), os.path.join(tmp, c))
                     for _ in range(args.repeat)]
             wall = statistics.median(r["wall"] for r in runs)
             rss = max(r["rss"] for r in runs)
+            minflt = statistics.median(r["minflt"] for r in runs)
             r = runs[-1]
-            print(f"{c:<13} {wall:7.2f} {rss:7.1f} {r['exit']:>4}  "
-                  f"{' '.join(r['scipy']) or '-'}", flush=True)
+            print(f"{c:<13} {wall:7.2f} {rss:7.1f} {minflt:7.0f} "
+                  f"{r['exit']:>4}  {' '.join(r['scipy']) or '-'}", flush=True)
     return 0
 
 
