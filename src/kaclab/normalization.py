@@ -26,27 +26,22 @@ Every reader reads level n <= n_max at u <= n_max only: a family's Z_N
 and marginal weights h^{*(N-k)}(N - s) / h^{*N}(N), lambda_n on [0, n]
 and the inequality layer's envelopes.  So levels are built and stored up
 to the horizon only, the grid node just past u = n_max (the last node if
-none lies past it), which every u <= n_max is bracketed by or below.  A
-factor is transformed up to the horizon at most and a product written up
-to it.  Cell m of a convolution reads only cells <= m of its factors, so
-each stored cell is the whole-grid one up to transform rounding (2.2e-14
-of the level's peak at most, on the tested ladders).  For mixture(0.25)
-at N = 64 the horizon lies at 32% of the grid, and a family's entropy
-and production transform 0.48 million points where whole-grid levels
-took 1.17 million.
+none lies past it), which every u <= n_max is bracketed by or below, and
+a ladder serves u in [0, grid[horizon]]: a read past the horizon node
+raises ValueError before any walk.  A factor is transformed up to the
+horizon at most and a product written up to it.  Cell m of a convolution
+reads only cells <= m of its factors, so each stored cell is that of a
+walk to the grid's end up to transform rounding (2.2e-14 of the level's
+peak at most, on the tested ladders).  For mixture(0.25) at N = 64 the
+horizon lies at 32% of the grid, and a family's entropy and production
+transform 0.48 million points where whole-grid levels took 1.17 million.
 
 A level is stored as (offset, cells), the cells its walk wrote; level 1
-holds the base cells up to the horizon, and the base runs to the last
-cell that can reach 1e-3 _TRIM of its peak, a superset of its window.
-No log table is kept: :meth:`log_density` reads the two nodes around
-each u.  The 11 levels of a 2^18-cell Gaussian ladder read up to level
-1024 take 4.5 MiB, where whole-grid arrays would take 22 MiB.  A read
-above the horizon, :meth:`level` or a :meth:`log_density` or
-:meth:`log_z` call with some u at or past the horizon node, walks the
-level's whole tree to the grid's end from the base, into a dict of its
-own, on every call (14 ms for level 64 of mixture(0.25)'s 64-ladder).  It
-stores nothing, so it returns the whole-grid value bit for bit whatever
-the ladder served before, and no later read depends on it.
+holds the base cells up to the horizon, integrated up to the last cell
+that can reach 1e-3 _TRIM of its peak, a superset of its window.  No log
+table is kept: :meth:`log_density` reads the two nodes around each u.
+The 11 levels of a 2^18-cell Gaussian ladder read up to level 1024 take
+4.5 MiB, where whole-grid arrays would take 22 MiB.
 
 Everything Z-shaped is exposed in the log domain; the huge power/area
 prefactors are combined with log-gamma arithmetic and cancel analytically
@@ -100,16 +95,6 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _head(level: tuple[int, np.ndarray], stop: int) -> np.ndarray:
-    """A new array of the masses of level = (offset, cells) on cells
-    0..stop-1."""
-    offset, cells = level
-    out = np.zeros(stop)
-    part = cells[:max(stop - offset, 0)]
-    out[offset:offset + part.size] = part
-    return out
-
-
 def _window(m: np.ndarray) -> tuple[int, int]:
     """First and last index of the cells of m holding >= _TRIM of its peak."""
     keep = np.flatnonzero(m >= _TRIM * m.max())
@@ -157,18 +142,17 @@ class NormalizationLadder:
         self._horizon = min(int(np.searchsorted(self.grid, n_max, "right")),
                             self.n_grid - 1)
         base = self._base_masses()
-        freeze(base)
-        self._base = base
-        # level n -> (offset, cells): its masses from grid index offset on,
-        # up to the horizon at most; the grid's other cells hold zero
-        self._masses: dict[int, tuple[int, np.ndarray]] = {
-            1: (0, base[:self._horizon + 1])}
         # leakage of the single-particle energy density past the grid
         if 1.0 - float(np.sum(base)) > 1e-4:
             raise ConfigurationError(
                 f"u_max={self.u_max:.3g} truncates the energy density "
                 f"(mass {np.sum(base):.6f})"
             )
+        level1 = base[:self._horizon + 1].copy()
+        freeze(level1)
+        # level n -> (offset, cells): its masses from grid index offset on,
+        # up to the horizon at most; the grid's other cells hold zero
+        self._masses: dict[int, tuple[int, np.ndarray]] = {1: (0, level1)}
 
     # -- construction ---------------------------------------------------
 
@@ -239,45 +223,35 @@ class NormalizationLadder:
         in one walk.  The cells are read-only."""
         wanted = self._wanted((n, *also))
         if not wanted.issubset(self._masses):
-            self._walk(self._masses, wanted, self._horizon)
+            self._walk(wanted)
         return self._masses[n]
 
-    def _whole_grid(self, levels) -> dict[int, tuple[int, np.ndarray]]:
-        """level -> (offset, cells) on the whole grid, for the levels and
-        their tree, from one walk from the base into a dict of its own.
-        Nothing is stored, so each level is that of a fresh ladder's
-        whole-grid walk bit for bit, whatever the ladder served before."""
-        masses = {1: (0, self._base)}
-        self._walk(masses, self._wanted(levels), self.n_grid - 1)
-        return masses
+    def level(self, n: int) -> np.ndarray:
+        """Cell-mass array of h^{(*n)} on the grid nodes up to the horizon,
+        from the stored level (:meth:`window`)."""
+        offset, cells = self.window(n)
+        out = np.zeros(self._horizon + 1)
+        out[offset:offset + cells.size] = cells
+        return out
 
-    def level(self, n: int, *also: int) -> np.ndarray:
-        """Cell-mass array of h^{(*n)} on the whole grid, from a walk of n
-        and also (as in :meth:`window`) that stores nothing."""
-        return _head(self._whole_grid((n, *also))[n], self.n_grid)
-
-    @property
-    def levels(self) -> list[int]:
-        """The levels stored so far, up to the horizon, ascending."""
-        return sorted(self._masses)
-
-    def _walk(self, masses: dict, wanted: set[int], last: int) -> None:
-        """Build into masses, which holds level 1, the wanted levels and
-        the missing levels of their tree, each up to grid node last.
+    def _walk(self, wanted: set[int]) -> None:
+        """Store the wanted levels and the missing levels of their tree,
+        each up to the horizon node.
 
         A level n >= 2 sits on tier ceil(log2 n) and its halves on lower
         tiers, so the tiers are built in ascending order.  Within a tier
         each factor is transformed once, over its window, which is found
         among its cells; every new level is the inverse transform of the
         product of its halves' spectra, stored from the sum of their
-        windows' first cells on, over the sum of the windows cut at node
-        last.  Cell m of a convolution reads only cells <= m of its
-        factors, so the cut moves no cell up to last by more than
+        windows' first cells on, over the sum of the windows cut at the
+        horizon.  Cell m of a convolution reads only cells <= m of its
+        factors, so the cut moves no cell up to the horizon by more than
         transform rounding.  A tier's transforms share one length, the
         smallest 5-smooth one that holds the linear convolution of its
         widest pair of windows, and write into buffers that live for one
         walk.
         """
+        masses, last = self._masses, self._horizon
         missing: set[int] = set()
         stack = list(wanted)
         while stack:
@@ -333,22 +307,22 @@ class NormalizationLadder:
         return np.log(np.maximum(dens / self.du, 1e-300))
 
     def log_density(self, n: int, u) -> np.ndarray:
-        """Log-linear interpolation of log h^{(*n)} between u-nodes.
+        """Log-linear interpolation of log h^{(*n)} between u-nodes, for u
+        in [0, grid[horizon]]; any other u (NaN too) raises ValueError
+        before a level is built.
 
         Each u reads the two grid nodes that bracket it, with
         :func:`numpy.interp`'s formula, so the values are its values on a
-        log table of the level's cells bit for bit; past the last node, u
-        up to u_max takes that node's value.  When every u reads nodes up
-        to the horizon (every u below the horizon node, which lies past
-        n_max), the stored level is read; otherwise the whole call reads
-        the level of a whole-grid walk (:meth:`level`'s)."""
+        log table of the stored level's cells bit for bit."""
         u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0) & (u <= self.u_max)):
-            raise ValueError("u outside the ladder grid")
+        top = self.grid[self._horizon]
+        if not np.all((u >= 0) & (u <= top)):
+            raise ValueError(f"u outside the ladder grid's served range "
+                             f"[0, {top:.6g}], up to the node just past "
+                             f"n_max={self.n_max}")
         last = self.n_grid - 1
         hi = np.clip(np.searchsorted(self.grid, u, side="right"), 1, last)
-        level = (self.window(n) if np.all(hi <= self._horizon)
-                 else self._whole_grid((n,))[n])
+        level = self.window(n)
         y0, y1 = self._log_nodes(level, hi - 1), self._log_nodes(level, hi)
         x0 = self.grid[hi - 1]
         slope = (y1 - y0) / (self.grid[hi] - x0)
@@ -376,7 +350,7 @@ def lambda_profile(ladder: NormalizationLadder, n: int) -> tuple[np.ndarray, np.
     """
     sig2 = ladder.sigma2
     u = ladder.grid[ladder.grid <= n]
-    dens = _head(ladder.window(n), u.size) / ladder.du
+    dens = ladder.level(n)[:u.size] / ladder.du
     scale = np.sqrt(n * sig2)
     gauss = np.exp(-((u - n) ** 2) / (2.0 * n * sig2)) / np.sqrt(2.0 * np.pi)
     return u, scale * dens - gauss

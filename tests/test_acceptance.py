@@ -52,7 +52,9 @@ def test_02_local_clt(mix):
     sups = [row[2] for row in clt_envelope(mix, N_SWEEP)]
     decreasing = bool(np.all(np.diff(sups) < 0))
     small = sups[-1] < 0.05
-    gauss = NormalizationLadder(gaussian(1.0), 64, n_grid=2**18)
+    # n_max = 96 puts u = 1.5 * 64 below the horizon; 3 * 2^17 cells give
+    # du = 5.97e-4, finer than 2^18 cells up to n_max = 64 (6.76e-4)
+    gauss = NormalizationLadder(gaussian(1.0), 96, n_grid=3 * 2**17)
     worst = 0.0
     for n in (2, 3, 4, 8, 16, 32, 64):
         for u in (0.5 * n, 1.0 * n, 1.5 * n):

@@ -270,6 +270,31 @@ def test_unresolved_config_exit_code(tmp_path, capsys):
         assert not list(out.glob("*.csv")), (command, text)
 
 
+# (subcommand, config text, message, table): valid configs whose numbers
+# fail the subcommand's own final check; each writes its table, then exits
+# 3 with a JSON tolerance error
+FAILED_CHECK_CONFIGS = [
+    # the rescaled inequality's constant c1 is far too large at every N
+    ("inequality", '{"c1": 1e6}',
+     "inequality failed at N = [32, 64, 128, 256]", "rescaled.csv"),
+    # the W1 bridge at N = 512 reads 0.0083
+    ("chaos", '{"w1_tolerance": 1e-6}', "W1 bridge too wide: 0.0083",
+     "chaos.csv"),
+]
+
+
+def test_failed_check_exit_code(tmp_path, capsys):
+    for k, (command, text, message, table) in enumerate(FAILED_CHECK_CONFIGS):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(text)
+        out = tmp_path / f"o{k}"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 3, (command, text)
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": message, "kind": "tolerance"}, (command, text)
+        assert (out / table).is_file(), (command, text)
+
+
 def test_unknown_generator_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"generator": {"kind": "cauchy"}}))

@@ -9,7 +9,7 @@ from kaclab.densities import (from_callable, gaussian, mixture, moment,
                               relative_entropy)
 from kaclab.errors import AccuracyError
 from kaclab.quadrature import (ANGLES, SHELLS, fold, log_power_kernel,
-                               pair_kernel, polar_shells)
+                               pair_kernel, polar_shells, trapezoid_weights)
 
 
 def psi(x, y):
@@ -152,3 +152,8 @@ def test_callable_evaluation_interpolates():
     v = np.array([0.123, 1.456, -2.3])
     assert np.all(f(v) > 0)
     assert np.allclose(f(v), f(-v), rtol=1e-10)
+
+
+def test_trapezoid_rule_needs_two_nodes():
+    with pytest.raises(ValueError, match="needs 2 nodes, got 1"):
+        trapezoid_weights(np.array([0.0]))

@@ -9,15 +9,17 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 from scipy.linalg import lapack
 
-from kaclab.densities import gaussian, mixture
+from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import AccuracyError, ConfigurationError
 import kaclab.limit_eq as limit_eq
 from kaclab.limit_eq import (LimitSolver, _CubicFit, _operator_geometry,
-                             _production_geometry, cercignani_ratio,
-                             collision_operator, limit_production)
+                             _production_geometry, _QuadrantFold,
+                             cercignani_ratio, collision_operator,
+                             limit_production)
 from kaclab.process import _half_integer_moment
-from kaclab.quadrature import (fold, gauss_legendre, half_grid_weights,
-                               quadrant_points)
+from kaclab.quadrature import (ANGLES, fold, gauss_legendre,
+                               half_grid_weights, pair_kernel,
+                               polar_integral, polar_shells, quadrant_points)
 
 
 def maxwellian(v):
@@ -381,6 +383,32 @@ def test_limit_production_grid_refinement():
     a = limit_production(f(v1), v1, 0.5)
     b = reference_production(f(v2), v2, 0.5, 512)
     assert a == pytest.approx(b, rel=1e-3)
+
+
+# relative bounds per (delta, gamma), each under twice the error measured
+# when they were set: 8.1e-10, 1.1e-8, 6.9e-6, 1.6e-4 at gamma = 0 and
+# 1.3e-9, 7.0e-9, 2.7e-6, 2.3e-5 at gamma = 0.5
+@pytest.mark.parametrize("delta, gamma, bound", [
+    (0.1, 0.0, 1.5e-9), (0.03, 0.0, 2e-8), (0.01, 0.0, 1.3e-5),
+    (0.003, 0.0, 3e-4), (0.1, 0.5, 2.5e-9), (0.03, 0.5, 1.3e-8),
+    (0.01, 0.5, 5e-6), (0.003, 0.5, 4.4e-5)])
+def test_limit_production_against_2048_shells(delta, gamma, bound):
+    # cercignani's grid (513 nodes on [0, v_max]): the 256-shell,
+    # 256-angle rule against 2048 shells on the same spline and angles
+    f = mixture(delta)
+    v = np.linspace(0.0, f.v_max, 513)
+    f_vals = f(v)
+    s, ws, _ = polar_shells(v[-1], np.inf, 2048, ANGLES)
+    pair = pair_kernel(_QuadrantFold(v, np.sqrt(s)).products(f_vals), ANGLES)
+    ref = polar_integral(ws, (1.0 + s) ** gamma, pair, ANGLES)
+    assert abs(limit_production(f_vals, v, gamma) / ref - 1.0) <= bound
+
+
+def test_solver_rejects_a_profile_with_no_mass_on_its_grid():
+    # a ring at |v| = 14 lies past the default v_max = 8
+    ring = from_callable(lambda v: np.exp(-50 * (np.abs(v) - 14) ** 2), 16.0)
+    with pytest.raises(AccuracyError, match="profile mass 0.0"):
+        LimitSolver(ring, 0.0)
 
 
 def test_cercignani_ratio_guard_at_equilibrium():

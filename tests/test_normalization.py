@@ -1,7 +1,5 @@
 """Convolution ladders, normalization-function queries, CLT envelopes."""
 
-import hashlib
-
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -13,16 +11,18 @@ from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import ConfigurationError
 from kaclab.limit_eq import LimitSolver
 from kaclab.normalization import (_BASE_BLOCK, _BASE_RULE, _TRIM,
-                                  NormalizationLadder, _fast_length, _head,
-                                  _window, clt_envelope, lambda_profile,
-                                  lambda_sup, schedule_delta)
-from kaclab.quadrature import ANGLES, SHELLS, gauss_legendre, polar_shells
+                                  NormalizationLadder, _fast_length, _window,
+                                  clt_envelope, lambda_profile, lambda_sup,
+                                  schedule_delta)
+from kaclab.quadrature import gauss_legendre
 from kaclab.sphere import log_sphere_area
 
 
 @pytest.fixture(scope="module")
 def gauss_ladder():
-    return NormalizationLadder(gaussian(1.0), 32, n_grid=2**15)
+    # n_max = 48 serves u = 1.5 * 32; 3 * 2^14 cells keep du (2.97e-3)
+    # finer than 2^15 cells up to n_max = 32 (3.42e-3)
+    return NormalizationLadder(gaussian(1.0), 48, n_grid=3 * 2**14)
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +67,15 @@ def test_level_density_is_chi_square(gauss_ladder):
     assert np.allclose(got, chi2.pdf(u, n), rtol=5e-4)
 
 
-def test_levels_conserve_mass_and_mean(mix_ladder):
+def test_levels_conserve_mass_and_mean():
+    # a 256-ladder's horizon lies past 64 + 14 standard deviations of
+    # level 64, so every level's mass is stored; 2^17 cells keep du
+    # (4.07e-3) finer than 2^15 cells up to n_max = 64 (6.18e-3)
+    ladder = NormalizationLadder(mixture(0.25), 256, n_grid=2**17)
     for n in (1, 2, 16, 64):
-        w = mix_ladder.level(n)
+        w = ladder.level(n)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-6)
-        assert np.sum(mix_ladder.grid * w) / np.sum(w) == pytest.approx(
+        assert np.sum(ladder.grid[:w.size] * w) / np.sum(w) == pytest.approx(
             float(n), rel=1e-4)
 
 
@@ -108,8 +112,11 @@ def test_base_masses_match_erfc_differences(delta, n_max):
                                             np.arange(ladder.n_grid) + 0.5]))
     want = sum(w * -np.diff(erfc(r / np.sqrt(2.0 * a))) for w, a in parts)
     keep = want >= _TRIM * want.max()
-    got = ladder.level(1)
+    base = ladder._base_masses()
+    got = np.pad(base, (0, ladder.n_grid - base.size))
     assert np.max(np.abs(got[keep] / want[keep] - 1.0)) <= 1e-10
+    # stored level 1 is the base up to the horizon
+    assert np.array_equal(ladder.level(1), got[:ladder._horizon + 1])
 
 
 class _UncutBase(NormalizationLadder):
@@ -142,10 +149,10 @@ def _unblocked_base(ladder):
 def test_blocked_base_is_the_unblocked_rule(f, n_max, n_grid):
     # the bench's three ladders (32 768, 5 078 and 12 914 base cells):
     # the rule in blocks of _BASE_BLOCK cells gives every mass bit for bit
-    # (the whole base, which the whole-grid walk reads; stored level 1
-    # ends at the horizon)
+    # (the whole base, whose mass the truncation check reads; stored level
+    # 1 ends at the horizon)
     ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
-    base = ladder._base
+    base = ladder._base_masses()
     assert base.size > _BASE_BLOCK
     assert np.array_equal(base, _unblocked_base(ladder))
 
@@ -163,7 +170,7 @@ def test_base_cut_changes_no_level_the_walk_reads(f, n_max, n_grid):
     # those of the uncut base bit for bit
     cut = NormalizationLadder(f, n_max, n_grid=n_grid)
     whole = _UncutBase(f, n_max, n_grid=n_grid)
-    base, ref = cut._base, whole._base
+    base, ref = cut._base_masses(), whole._base_masses()
     assert base.size <= ref.size
     assert np.array_equal(base, ref[:base.size])
     assert np.all(ref[base.size:] < 1e-3 * _TRIM * ref.max())
@@ -171,8 +178,8 @@ def test_base_cut_changes_no_level_the_walk_reads(f, n_max, n_grid):
     walk = (n_max, n_max - 1, n_max - 2)
     for ladder in (cut, whole):
         ladder.window(*walk)
-    assert cut.levels == whole.levels
-    for n in cut.levels[1:]:
+    assert sorted(cut._masses) == sorted(whole._masses)
+    for n in sorted(cut._masses)[1:]:
         (offset, cells), (want_offset, want) = cut.window(n), whole.window(n)
         assert offset == want_offset and np.array_equal(cells, want), n
 
@@ -181,13 +188,13 @@ def test_levels_above_n_max_are_rejected(mix_ladder):
     # a 64-ladder's grid is too short for level 200, which would hold
     # mass 0.56 on it
     for query in (lambda: mix_ladder.level(200),
-                  lambda: mix_ladder.level(64, 200),
+                  lambda: mix_ladder.window(64, 200),
                   lambda: mix_ladder.log_z(200, 150.0)):
         with pytest.raises(ValueError, match=r"n=200 .*n_max=64"):
             query()
     with pytest.raises(ValueError, match="n=65"):
         mix_ladder.log_z(65, 65.0)
-    assert 200 not in mix_ladder.levels
+    assert 200 not in mix_ladder._masses
 
 
 def test_ladder_needs_a_unit_energy_generator():
@@ -203,7 +210,7 @@ def test_binary_decomposition_matches_sequential():
     base = ladder.level(1)
     seq = base
     for _ in range(11):
-        seq = np.maximum(fftconvolve(seq, base)[:ladder.n_grid], 0.0)
+        seq = np.maximum(fftconvolve(seq, base)[:base.size], 0.0)
     la = ladder.level(12)
     assert np.allclose(la, seq, rtol=1e-9, atol=1e-12 * la.max())
 
@@ -211,37 +218,34 @@ def test_binary_decomposition_matches_sequential():
 @pytest.mark.parametrize("top", [12, 513, 1024])
 def test_levels_are_the_convolutions_of_their_halves(top):
     # every level on the tree of levels N, N - 1 and N - 2, built in one
-    # walk, even and odd, is the direct FFT convolution of its halves
-    # ceil(n/2) and floor(n/2) up to the cells each half leaves out of its
-    # window, and exactly zero outside the sum of the windows.
-    # level(n, *walk) is level n of the one whole-grid walk of that tree
+    # walk, even and odd, is the direct FFT convolution of its stored
+    # halves ceil(n/2) and floor(n/2) up to the cells each half leaves out
+    # of its window, and exactly zero outside the sum of the windows, on
+    # the nodes up to the horizon
     ladder = NormalizationLadder(mixture(0.3), top)
-    walk = (top, top - 1, top - 2)
-    ladder.window(*walk)
-    assert {n % 2 for n in ladder.levels if n > 1} == {0, 1}
-    whole = {n: ladder.level(n, *walk) for n in ladder.levels}
-    for n in ladder.levels:
-        if n == 1:
-            continue
-        got = whole[n]
-        a, b = ladder.halves(n)
-        m_a, m_b = whole[a], whole[b]
-        want = np.maximum(fftconvolve(m_a, m_b)[:ladder.n_grid], 0.0)
+    ladder.window(top, top - 1, top - 2)
+    stored = sorted(ladder._masses)
+    assert {n % 2 for n in stored if n > 1} == {0, 1}
+    size = ladder._horizon + 1
+    for n in stored[1:]:
+        got = ladder.level(n)
+        m_a, m_b = map(ladder.level, ladder.halves(n))
+        want = np.maximum(fftconvolve(m_a, m_b)[:size], 0.0)
         bound = _TRIM * (m_a.max() * m_b.sum() + m_b.max() * m_a.sum())
         assert np.max(np.abs(got - want)) <= bound, n
         (lo_a, hi_a), (lo_b, hi_b) = _window(m_a), _window(m_b)
-        outside = np.ones(ladder.n_grid, dtype=bool)
+        outside = np.ones(size, dtype=bool)
         outside[lo_a + lo_b:hi_a + hi_b + 1] = False
         assert not np.any(got[outside]), n
 
 
 @pytest.mark.parametrize("n_grid", [7, 1001])
 def test_walk_on_grids_of_any_size(n_grid):
-    # neither 14 nor 2002 is 5-smooth, so a tier's transform can be longer
-    # than 2 n_grid
+    # horizons of 3 and 189 nodes: 378 is not 5-smooth, so a tier's
+    # transform can be longer than twice the horizon
     ladder = NormalizationLadder(mixture(0.25), 16, n_grid=n_grid)
     m_8 = ladder.level(8)
-    want = np.maximum(fftconvolve(m_8, m_8)[:n_grid], 0.0)
+    want = np.maximum(fftconvolve(m_8, m_8)[:m_8.size], 0.0)
     assert np.allclose(ladder.level(16), want, rtol=0.0, atol=1e-12)
 
 
@@ -264,12 +268,12 @@ def _transform_lengths(monkeypatch) -> list:
 def test_walk_transforms_only_the_windows(monkeypatch):
     # the points numpy.fft transforms to walk a 2^18-cell Gaussian ladder
     # to level 1024: 10 tiers of one forward and one inverse transform,
-    # 10.5 million points at the full length 2 n_grid; the windows need
-    # under a fifth of that
+    # 10.5 million points at the full length 2 n_grid; the windows up to
+    # the horizon need under a fifth of that
     bound = 2_000_000
     points = _transform_lengths(monkeypatch)
     ladder = NormalizationLadder(gaussian(1.0), 1024, n_grid=2**18)
-    ladder.level(1024)
+    ladder.window(1024)
     assert len(points) == 20
     assert sum(points) < bound
     # level 64 (mean 64, standard deviation 11) spans at most a fifth of
@@ -296,10 +300,10 @@ def test_family_walk_transforms_up_to_the_horizon(monkeypatch, n, bound):
 def test_ladder_stores_the_cells_the_walk_wrote():
     # the bench's 2^18-cell Gaussian oracle: its 11 levels took 22 MiB as
     # whole-grid arrays; as windows up to the horizon they take 4.5 MiB,
-    # no log table is kept, and every value is the whole-grid one.  The
-    # three floor values (-845.59, -1316.61, -1784.84) are large-deviation
-    # tails below the 1e-300 density floor, which every node outside a
-    # window holds
+    # no log table is kept, and every value is the one recorded from the
+    # whole-grid levels.  The three floor values (-845.59, -1316.61,
+    # -1784.84) are large-deviation tails below the 1e-300 density floor,
+    # which every node outside a window holds
     ladder = NormalizationLadder(gaussian(1.0), 1024, n_grid=2**18)
     got = [float(ladder.log_z(n, r * n)) for n in (64, 256, 1024)
            for r in (0.2, 0.5, 1.0, 1.5) if (n, r) != (1024, 1.5)]
@@ -307,8 +311,8 @@ def test_ladder_stores_the_cells_the_walk_wrote():
                    -106.81225709656348, -845.5864256334127, -299.2445692924508,
                    -363.2482958734498, -427.2489851934679, -1316.6144018592927,
                    -1784.838965846986, -1452.993089527898]
-    assert ladder.levels == [2**j for j in range(11)]
-    held = sum(ladder.window(n)[1].nbytes for n in ladder.levels)
+    assert sorted(ladder._masses) == [2**j for j in range(11)]
+    held = sum(cells.nbytes for _, cells in ladder._masses.values())
     assert held <= 4.75 * 2**20
     offset, cells = ladder.window(64)
     assert not cells.flags.writeable
@@ -319,9 +323,9 @@ def test_ladder_stores_the_cells_the_walk_wrote():
 
 def test_windowed_queries_are_the_whole_grid_values():
     # lambda_n on [0, n] as recorded from the horizon levels, bit for
-    # bit; a fresh ladder, since a walk's transform lengths depend on the
-    # levels it builds together.  Those of the whole-grid levels (level(n))
-    # lie within 1e-13 of the level's peak cell
+    # bit, which lay within 1e-13 of the level's peak cell of the
+    # whole-grid levels; a fresh ladder, since a walk's transform lengths
+    # depend on the levels it builds together
     mix_ladder = NormalizationLadder(mixture(0.25), 64)
     for n, size, want in ((64, 10354, [-9.29898596407092e-06,
                                        -0.019299201865753367,
@@ -334,12 +338,6 @@ def test_windowed_queries_are_the_whole_grid_values():
         u, lam = lambda_profile(mix_ladder, n)
         assert u.size == size
         assert [lam[0], lam[size // 2], lam[-1], np.sum(lam)] == want
-        whole = mix_ladder.level(n)
-        scale = np.sqrt(n * mix_ladder.sigma2) / mix_ladder.du
-        gauss = (np.exp(-(u - n) ** 2 / (2.0 * n * mix_ladder.sigma2))
-                 / np.sqrt(2.0 * np.pi))
-        assert (np.max(np.abs(lam - (scale * whole[:size] - gauss)))
-                <= 1e-13 * scale * whole.max())
 
 
 @pytest.mark.parametrize("f, n_max, n_grid", [
@@ -347,23 +345,22 @@ def test_windowed_queries_are_the_whole_grid_values():
     ids=["mix0.25-64", "gauss-1024-2^18"])
 def test_log_density_is_np_interp_on_the_log_table(f, n_max, n_grid):
     # log_density reads the two nodes around each u; it must equal
-    # np.interp on the log table of the whole grid and on the table of a
-    # level's cells plus one floor node on either side, bit for bit, at
-    # random u, every node, 0, the last node and past it up to u_max,
-    # where np.interp clamps to the last node's value
+    # np.interp on the log table of the stored level on the nodes up to
+    # the horizon and on the table of its cells plus one floor node on
+    # either side, bit for bit, at random u, every node up to the
+    # horizon, 0 and the horizon node
     ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
     ladder.window(n_max, n_max - 1, n_max - 2)
     rng = np.random.default_rng(11)
-    grid = ladder.grid
-    u = np.concatenate([rng.random(10**4) * ladder.u_max, grid,
-                        [0.0, grid[-1]],
-                        np.linspace(grid[-1], ladder.u_max, 5)])
-    for n in ladder.levels:
-        whole = ladder.level(n)
-        table = np.log(np.maximum(whole / ladder.du, 1e-300))
-        cells = np.flatnonzero(whole)
+    grid = ladder.grid[:ladder._horizon + 1]
+    u = np.concatenate([rng.random(10**4) * grid[-1], grid,
+                        [0.0, grid[-1]]])
+    for n in sorted(ladder._masses):
+        stored = ladder.level(n)
+        table = np.log(np.maximum(stored / ladder.du, 1e-300))
+        cells = np.flatnonzero(stored)
         first = max(cells[0] - 1, 0)
-        stop = min(cells[-1] + 2, ladder.n_grid)
+        stop = min(cells[-1] + 2, grid.size)
         got = ladder.log_density(n, u)
         assert np.array_equal(got, np.interp(u, grid, table)), n
         assert np.array_equal(got, np.interp(u, grid[first:stop],
@@ -385,77 +382,55 @@ HORIZON_LADDERS = pytest.mark.parametrize("f, n_max, n_grid", [
 def test_horizon_levels_are_the_whole_grid_levels_up_to_n_max(f, n_max,
                                                                n_grid):
     # every level of a family's walk ends at or before the horizon, the
-    # node just past n_max; on the nodes up to it, which every read at
-    # u <= n_max brackets u with, it equals level(n) within 1e-13 of the
-    # level's peak cell (2.2e-14 at most here) and is the convolution of
-    # its stored halves as in the whole-grid test above; a read at
-    # u <= n_max is np.interp on the stored cells' log table bit for bit
+    # node just past n_max.  On the nodes up to it, which every read at
+    # u <= n_max brackets u with, it is the convolution of its stored
+    # halves up to the cells each leaves out of its window; within 1.5e-11
+    # of the peak cell it is the level of an uncut walk from stored level
+    # 1 (7.8e-12 at most here, at gauss-1024-2^18; the cut cells add up
+    # over the tiers); and a read at u <= n_max is np.interp on the stored
+    # cells' log table bit for bit
     ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
     ladder.window(n_max, n_max - 1, n_max - 2)
     last, grid = ladder._horizon, ladder.grid
     assert grid[last - 1] <= n_max < grid[last]
     u = np.concatenate([np.linspace(0.0, n_max, 1001), grid[last - 9:last]])
-    for n in ladder.levels:
+    uncut = {1: ladder.level(1)}
+    for n in sorted(ladder._masses):
         offset, cells = ladder.window(n)
         assert offset + cells.size - 1 <= last, n
-        stored = _head((offset, cells), last + 1)
-        whole = ladder.level(n)
-        assert (np.max(np.abs(stored - whole[:last + 1]))
-                <= 1e-13 * whole.max()), n
+        stored = ladder.level(n)
         table = np.log(np.maximum(stored / ladder.du, 1e-300))
         assert np.array_equal(ladder.log_density(n, u),
                               np.interp(u, grid[:last + 1], table)), n
         if n == 1:
             continue
-        (o_a, m_a), (o_b, m_b) = map(ladder.window, ladder.halves(n))
-        want = _head((o_a + o_b, np.maximum(fftconvolve(m_a, m_b), 0.0)),
-                     last + 1)
+        a, b = ladder.halves(n)
+        m_a, m_b = ladder.level(a), ladder.level(b)
+        want = np.maximum(fftconvolve(m_a, m_b)[:last + 1], 0.0)
         bound = _TRIM * (m_a.max() * m_b.sum() + m_b.max() * m_a.sum())
         assert np.max(np.abs(stored - want)) <= bound, n
+        uncut[n] = np.maximum(fftconvolve(uncut[a], uncut[b])[:last + 1],
+                              0.0)
+        assert (np.max(np.abs(stored - uncut[n]))
+                <= 1.5e-11 * uncut[n].max()), n
 
 
-@pytest.mark.parametrize("f, n", [(mixture(0.25), 64), (mixture(0.1), 256)],
-                         ids=["mix0.25-64", "mix0.1-256"])
-def test_reads_do_not_depend_on_earlier_whole_grid_reads(f, n):
-    # a read above the horizon (level(n), or log_z past n_max) walks into
-    # a dict of its own and stores nothing, so a family's and the CLT
-    # envelope's reads are those of a fresh ladder, bit for bit
-    def reads(ladder):
-        fam = ConditionedFamily(ladder, n)
-        v = fam._marginal_quadrature()[0]
-        s = polar_shells(f.v_max, n, SHELLS, ANGLES)[0]
-        return [fam._log_zn, fam.log_marginal_weight(1, v * v),
-                fam.log_marginal_weight(2, s), fam.entropy(),
-                fam.production(0.0, check=False), lambda_sup(ladder, n),
-                lambda_sup(ladder, n - 1)]
-
-    want = reads(NormalizationLadder(f, n))
-    served = NormalizationLadder(f, n)
-    served.level(n - 1)
-    served.level(n, n - 1, n - 2)
-    served.log_z(n, 1.5 * n)
-    served.log_density(n - 1, [1.0, 0.5 * served.u_max])
-    assert served.levels == [1]
-    got = reads(served)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-
-
-def test_whole_grid_reads_are_unchanged():
-    # a read above the horizon returns what a fresh ladder's walk to u_max
-    # returned when every level was stored on the whole grid, bit for bit
-    # (recorded then), whatever the ladder holds
-    gauss = NormalizationLadder(gaussian(1.0), 64, n_grid=2**18)
-    mix = NormalizationLadder(mixture(0.25), 64)
-    for _ in range(2):
-        assert gauss.log_z(64, 96.0) == -106.81207412433392
-        level = mix.level(64)
-        assert (hashlib.sha256(level.tobytes()).hexdigest()
-                == "4e33368c7679b1fd1a90e0e71f777d6a"
-                   "a22c9d864a8f0afd028a21e0502d706d")
-        assert float(level.sum()) == 0.9999999994671597
-        for ladder in (gauss, mix):
-            ladder.window(64, 63, 62)
+def test_reads_past_the_horizon_raise_before_any_walk():
+    # a ladder serves u in [0, grid[horizon]]; any other u, NaN too,
+    # raises ValueError naming that range, and no level is built
+    ladder = NormalizationLadder(mixture(0.25), 64)
+    top = ladder.grid[ladder._horizon]
+    for u in (np.nextafter(top, np.inf), 1.5 * 64, ladder.u_max, np.nan):
+        for query in (ladder.log_density, ladder.log_z):
+            with pytest.raises(ValueError, match=rf"\[0, {top:.6g}\]"):
+                query(64, [1.0, u])
+    assert sorted(ladder._masses) == [1]
+    # the horizon node itself is served, with the value of a ladder that
+    # saw none of those reads
+    assert (ladder.log_density(64, top)
+            == np.log(ladder.level(64)[-1] / ladder.du))
+    fresh = NormalizationLadder(mixture(0.25), 64)
+    assert np.array_equal(ladder.level(64), fresh.level(64))
 
 
 def test_fast_length_is_scipys_real_fast_length():

@@ -31,6 +31,11 @@ def test_spectral_gap_closed_form():
     assert gaps[-1] > 0.5
 
 
+def test_spectral_gap_needs_two_particles():
+    with pytest.raises(ValueError, match="at least two particles"):
+        spectral_gap(1)
+
+
 def test_exact_gap_matches_formula():
     for n in range(3, 1025):
         assert exact_gap_smalln(n) == pytest.approx(spectral_gap(n), rel=1e-12)
@@ -211,6 +216,11 @@ def test_simulate_rejects_a_start_off_the_sphere():
     # a start on the sphere to rounding runs as before
     assert np.array_equal(simulate(cfg, initial=v).velocities,
                           simulate(cfg, initial=v.copy()).velocities)
+
+
+def test_simulate_rejects_a_start_of_the_wrong_length():
+    with pytest.raises(ConfigurationError, match=r"shape \(4,\)"):
+        simulate(SimulationConfig(4), initial=np.ones(5))
 
 
 def test_ensemble_rejects_a_wrong_number_of_starts():

@@ -47,6 +47,13 @@ def test_sphere_area_small_dims():
     assert log_sphere_area(4) == pytest.approx(np.log(2 * np.pi**2))
 
 
+def test_sphere_sizes_are_checked():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        uniform_sphere_batch(1, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n must be positive"):
+        log_sphere_area(0)
+
+
 def test_uniform_sphere_batch_statistics():
     rng = np.random.default_rng(2)
     n = 12

@@ -1,5 +1,5 @@
 """Which statements of kaclab's functions the runs reach, and which only
-the unit tests reach.
+the tests reach.
 
 A line tracer (``sys.settrace``, limited to frames of ``src/kaclab``)
 records the lines executed in four phases, all in this process:
@@ -13,8 +13,10 @@ records the lines executed in four phases, all in this process:
 
 Pytest runs with ``-p no:cacheprovider`` and from a temporary working
 directory, so nothing is written into the repository.  For each module the
-report lists the statements inside functions that no phase reached, then
-those that only the unit phase reached.  A statement counts as reached
+report lists the statements inside functions that no phase reached, those
+that only the unit phase reached, and those that the acceptance phase
+reached but neither the CLI nor the bench, with or without the unit
+phase.  A statement counts as reached
 when a line of it ran; for a compound statement (if, for, while, with, an
 except clause) only its header lines count.  A full run takes two to three
 minutes on a 2-core machine.
@@ -128,7 +130,7 @@ def _statements(path: Path) -> list:
 def report(hits: dict) -> None:
     for path in sorted(SRC.glob("*.py")):
         lines = path.read_text().splitlines()
-        never, unit_only = [], []
+        never, unit_only, tests_only = [], [], []
         for first, last in _statements(path):
             span = {(str(path), k) for k in range(first, last + 1)}
             reached = {p for p in PHASES if span & hits[p]}
@@ -137,10 +139,14 @@ def report(hits: dict) -> None:
                 never.append(entry)
             elif reached == {"unit"}:
                 unit_only.append(entry)
+            elif reached <= {"acceptance", "unit"}:
+                tests_only.append(entry)
         print(f"\n{path.relative_to(ROOT)}: {len(never)} statements never "
-              f"reached, {len(unit_only)} reached only by unit tests")
+              f"reached, {len(unit_only)} reached only by unit tests, "
+              f"{len(tests_only)} only by the gate and unit tests")
         for title, rows in (("never reached", never),
-                            ("unit tests only", unit_only)):
+                            ("unit tests only", unit_only),
+                            ("gate and unit tests only", tests_only)):
             if rows:
                 print(f"  {title}:")
                 print("\n".join(rows))
