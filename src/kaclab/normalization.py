@@ -22,19 +22,25 @@ least _TRIM of its peak, and each level is exactly zero outside the sum of
 its halves' windows.  Dropping the cells below the cut moves a level by at
 most _TRIM (max m_a sum m_b + max m_b sum m_a).
 
-Every reader reads level n <= n_max at u <= n_max only: a family's Z_N
-and marginal weights h^{*(N-k)}(N - s) / h^{*N}(N), lambda_n on [0, n]
-and the inequality layer's envelopes.  So levels are built and stored up
-to the horizon only, the grid node just past u = n_max (the last node if
-none lies past it), which every u <= n_max is bracketed by or below, and
-a ladder serves u in [0, grid[horizon]]: a read past the horizon node
-raises ValueError before any walk.  A factor is transformed up to the
-horizon at most and a product written up to it.  Cell m of a convolution
-reads only cells <= m of its factors, so each stored cell is that of a
-walk to the grid's end up to transform rounding (2.2e-14 of the level's
-peak at most, on the tested ladders).  For mixture(0.25) at N = 64 the
-horizon lies at 32% of the grid, and a family's entropy and production
-transform 0.48 million points where whole-grid levels took 1.17 million.
+Every reader in the package reads level n <= n_max at u <= n_max only: a
+family's Z_N and marginal weights h^{*(N-k)}(N - s) / h^{*N}(N), lambda_n
+on [0, n] and the inequality layer's envelopes.  So levels are built and
+stored up to the horizon only, the grid node just past u = n_max (the
+last node if none lies past it), which every u <= n_max is bracketed by
+or below.  A factor is transformed up to the horizon at most and a
+product written up to it.  Cell m of a convolution reads only cells <= m
+of its factors, so each stored cell is the whole-grid one up to transform
+rounding (2.2e-14 of the level's peak at most, on the tested ladders).
+For mixture(0.25) at N = 64 the horizon lies at 32% of the grid, and a
+family's entropy and production transform 0.48 million points where
+whole-grid levels took 1.17 million.
+
+A read past the horizon (:meth:`level`, or a u past the horizon node, as
+the bench's smoke-sized Gaussian oracle reads at u = 1.5 n_max) first
+moves the horizon to the grid's last node, once: the stored levels are
+dropped, and from then on the ladder stores whole-grid levels.  So every
+read is of stored levels; a read below the old horizon after the move
+may differ from the same read before it by transform rounding.
 
 A level is stored as (offset, cells), the cells its walk wrote; level 1
 holds the base cells up to the horizon, integrated up to the last cell
@@ -120,7 +126,7 @@ class NormalizationLadder:
     The u-grid has n_grid cells up to
     u_max = n_max + 10 sqrt(max(n_max Sigma^2, 1)), ten standard deviations
     of the level-n_max energy above its mean; stored levels end at the
-    horizon, the node just past u = n_max.
+    horizon, the node just past u = n_max until a read needs more.
     """
 
     def __init__(self, f: GridDensity1D, n_max: int, n_grid: int = 2**15):
@@ -139,22 +145,26 @@ class NormalizationLadder:
         self.grid = self.du * np.arange(self.n_grid)
         # the node just past u = n_max: every read at u <= n_max brackets
         # u with nodes up to it, so stored levels end there
-        self._horizon = min(int(np.searchsorted(self.grid, n_max, "right")),
-                            self.n_grid - 1)
+        self._rebase(min(int(np.searchsorted(self.grid, n_max, "right")),
+                         self.n_grid - 1))
+
+    # -- construction ---------------------------------------------------
+
+    def _rebase(self, horizon: int) -> None:
+        """Set the horizon node and drop every stored level but level 1,
+        the base cells up to it."""
         base = self._base_masses()
         # leakage of the single-particle energy density past the grid
         if 1.0 - float(np.sum(base)) > 1e-4:
             raise ConfigurationError(
                 f"u_max={self.u_max:.3g} truncates the energy density "
-                f"(mass {np.sum(base):.6f})"
-            )
-        level1 = base[:self._horizon + 1].copy()
+                f"(mass {np.sum(base):.6f})")
+        self._horizon = horizon
+        level1 = base[:horizon + 1].copy()
         freeze(level1)
         # level n -> (offset, cells): its masses from grid index offset on,
         # up to the horizon at most; the grid's other cells hold zero
         self._masses: dict[int, tuple[int, np.ndarray]] = {1: (0, level1)}
-
-    # -- construction ---------------------------------------------------
 
     def _edges(self) -> np.ndarray:
         """|v| at the cell edges u = du (k -+ 1/2), the lowest clipped at
@@ -227,10 +237,14 @@ class NormalizationLadder:
         return self._masses[n]
 
     def level(self, n: int) -> np.ndarray:
-        """Cell-mass array of h^{(*n)} on the grid nodes up to the horizon,
-        from the stored level (:meth:`window`)."""
+        """Cell-mass array of h^{(*n)} on the whole grid, from the stored
+        level; the horizon moves to the grid's last node first.
+        1 <= n <= n_max."""
+        self._wanted((n,))
+        if self._horizon < self.n_grid - 1:
+            self._rebase(self.n_grid - 1)
         offset, cells = self.window(n)
-        out = np.zeros(self._horizon + 1)
+        out = np.zeros(self.n_grid)
         out[offset:offset + cells.size] = cells
         return out
 
@@ -308,20 +322,22 @@ class NormalizationLadder:
 
     def log_density(self, n: int, u) -> np.ndarray:
         """Log-linear interpolation of log h^{(*n)} between u-nodes, for u
-        in [0, grid[horizon]]; any other u (NaN too) raises ValueError
-        before a level is built.
+        in [0, u_max]; any other u (NaN too) raises ValueError before a
+        level is built.
 
         Each u reads the two grid nodes that bracket it, with
         :func:`numpy.interp`'s formula, so the values are its values on a
-        log table of the stored level's cells bit for bit."""
+        log table of the stored level's cells bit for bit; past the last
+        node, u takes that node's value.  A u past the horizon node moves
+        the horizon to the grid's last node first."""
         u = np.asarray(u, dtype=float)
-        top = self.grid[self._horizon]
-        if not np.all((u >= 0) & (u <= top)):
-            raise ValueError(f"u outside the ladder grid's served range "
-                             f"[0, {top:.6g}], up to the node just past "
-                             f"n_max={self.n_max}")
+        if not np.all((u >= 0) & (u <= self.u_max)):
+            raise ValueError(f"u outside the ladder grid [0, "
+                             f"{self.u_max:.6g}]")
         last = self.n_grid - 1
         hi = np.clip(np.searchsorted(self.grid, u, side="right"), 1, last)
+        if self._horizon < last and np.any(u > self.grid[self._horizon]):
+            self._rebase(last)
         level = self.window(n)
         y0, y1 = self._log_nodes(level, hi - 1), self._log_nodes(level, hi)
         x0 = self.grid[hi - 1]
@@ -350,7 +366,10 @@ def lambda_profile(ladder: NormalizationLadder, n: int) -> tuple[np.ndarray, np.
     """
     sig2 = ladder.sigma2
     u = ladder.grid[ladder.grid <= n]
-    dens = ladder.level(n)[:u.size] / ladder.du
+    offset, cells = ladder.window(n)
+    dens = np.zeros(u.size)
+    part = cells[:max(u.size - offset, 0)]
+    dens[offset:offset + part.size] = part / ladder.du
     scale = np.sqrt(n * sig2)
     gauss = np.exp(-((u - n) ** 2) / (2.0 * n * sig2)) / np.sqrt(2.0 * np.pi)
     return u, scale * dens - gauss

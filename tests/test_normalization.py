@@ -1,5 +1,7 @@
 """Convolution ladders, normalization-function queries, CLT envelopes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -14,7 +16,7 @@ from kaclab.normalization import (_BASE_BLOCK, _BASE_RULE, _TRIM,
                                   NormalizationLadder, _fast_length, _window,
                                   clt_envelope, lambda_profile, lambda_sup,
                                   schedule_delta)
-from kaclab.quadrature import gauss_legendre
+from kaclab.quadrature import ANGLES, SHELLS, gauss_legendre, polar_shells
 from kaclab.sphere import log_sphere_area
 
 
@@ -28,6 +30,22 @@ def gauss_ladder():
 @pytest.fixture(scope="module")
 def mix_ladder():
     return NormalizationLadder(mixture(0.25), 64, n_grid=2**15)
+
+
+def _stored(ladder, n):
+    """Stored level n of ladder as one array on the nodes 0 ... horizon."""
+    offset, cells = ladder.window(n)
+    out = np.zeros(ladder._horizon + 1)
+    out[offset:offset + cells.size] = cells
+    return out
+
+
+def _whole_grid(f, n_max, n_grid=2**15):
+    """A ladder whose horizon is the grid's last node from the start, as a
+    read past the horizon leaves it: its levels are the whole-grid ones."""
+    ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
+    ladder._rebase(ladder.n_grid - 1)
+    return ladder
 
 
 def test_sigma_squared_closed_forms():
@@ -73,7 +91,7 @@ def test_levels_conserve_mass_and_mean():
     # (4.07e-3) finer than 2^15 cells up to n_max = 64 (6.18e-3)
     ladder = NormalizationLadder(mixture(0.25), 256, n_grid=2**17)
     for n in (1, 2, 16, 64):
-        w = ladder.level(n)
+        w = _stored(ladder, n)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-6)
         assert np.sum(ladder.grid[:w.size] * w) / np.sum(w) == pytest.approx(
             float(n), rel=1e-4)
@@ -116,7 +134,7 @@ def test_base_masses_match_erfc_differences(delta, n_max):
     got = np.pad(base, (0, ladder.n_grid - base.size))
     assert np.max(np.abs(got[keep] / want[keep] - 1.0)) <= 1e-10
     # stored level 1 is the base up to the horizon
-    assert np.array_equal(ladder.level(1), got[:ladder._horizon + 1])
+    assert np.array_equal(_stored(ladder, 1), got[:ladder._horizon + 1])
 
 
 class _UncutBase(NormalizationLadder):
@@ -195,6 +213,8 @@ def test_levels_above_n_max_are_rejected(mix_ladder):
     with pytest.raises(ValueError, match="n=65"):
         mix_ladder.log_z(65, 65.0)
     assert 200 not in mix_ladder._masses
+    # level(200) raised before it moved the horizon
+    assert mix_ladder._horizon < mix_ladder.n_grid - 1
 
 
 def test_ladder_needs_a_unit_energy_generator():
@@ -207,11 +227,11 @@ def test_ladder_needs_a_unit_energy_generator():
 def test_binary_decomposition_matches_sequential():
     f = mixture(0.3)
     ladder = NormalizationLadder(f, 12)
-    base = ladder.level(1)
+    base = _stored(ladder, 1)
     seq = base
     for _ in range(11):
         seq = np.maximum(fftconvolve(seq, base)[:base.size], 0.0)
-    la = ladder.level(12)
+    la = _stored(ladder, 12)
     assert np.allclose(la, seq, rtol=1e-9, atol=1e-12 * la.max())
 
 
@@ -228,8 +248,8 @@ def test_levels_are_the_convolutions_of_their_halves(top):
     assert {n % 2 for n in stored if n > 1} == {0, 1}
     size = ladder._horizon + 1
     for n in stored[1:]:
-        got = ladder.level(n)
-        m_a, m_b = map(ladder.level, ladder.halves(n))
+        got = _stored(ladder, n)
+        m_a, m_b = (_stored(ladder, h) for h in ladder.halves(n))
         want = np.maximum(fftconvolve(m_a, m_b)[:size], 0.0)
         bound = _TRIM * (m_a.max() * m_b.sum() + m_b.max() * m_a.sum())
         assert np.max(np.abs(got - want)) <= bound, n
@@ -244,9 +264,9 @@ def test_walk_on_grids_of_any_size(n_grid):
     # horizons of 3 and 189 nodes: 378 is not 5-smooth, so a tier's
     # transform can be longer than twice the horizon
     ladder = NormalizationLadder(mixture(0.25), 16, n_grid=n_grid)
-    m_8 = ladder.level(8)
+    m_8 = _stored(ladder, 8)
     want = np.maximum(fftconvolve(m_8, m_8)[:m_8.size], 0.0)
-    assert np.allclose(ladder.level(16), want, rtol=0.0, atol=1e-12)
+    assert np.allclose(_stored(ladder, 16), want, rtol=0.0, atol=1e-12)
 
 
 def _transform_lengths(monkeypatch) -> list:
@@ -278,7 +298,7 @@ def test_walk_transforms_only_the_windows(monkeypatch):
     assert sum(points) < bound
     # level 64 (mean 64, standard deviation 11) spans at most a fifth of
     # the grid (u_max = 1476)
-    cells = np.flatnonzero(ladder.level(64))
+    cells = np.flatnonzero(_stored(ladder, 64))
     assert cells[-1] - cells[0] + 1 <= 0.2 * ladder.n_grid
 
 
@@ -316,17 +336,18 @@ def test_ladder_stores_the_cells_the_walk_wrote():
     assert held <= 4.75 * 2**20
     offset, cells = ladder.window(64)
     assert not cells.flags.writeable
-    assert np.array_equal(ladder.level(64)[offset:offset + cells.size], cells)
-    assert not np.any(np.delete(ladder.level(64),
-                                np.s_[offset:offset + cells.size]))
+    stored = _stored(ladder, 64)
+    assert np.array_equal(stored[offset:offset + cells.size], cells)
+    assert not np.any(np.delete(stored, np.s_[offset:offset + cells.size]))
 
 
 def test_windowed_queries_are_the_whole_grid_values():
     # lambda_n on [0, n] as recorded from the horizon levels, bit for
-    # bit, which lay within 1e-13 of the level's peak cell of the
-    # whole-grid levels; a fresh ladder, since a walk's transform lengths
-    # depend on the levels it builds together
+    # bit; a fresh ladder, since a walk's transform lengths depend on the
+    # levels it builds together.  Those of the whole-grid levels lie
+    # within 1e-13 of the level's peak cell
     mix_ladder = NormalizationLadder(mixture(0.25), 64)
+    whole_grid = _whole_grid(mixture(0.25), 64)
     for n, size, want in ((64, 10354, [-9.29898596407092e-06,
                                        -0.019299201865753367,
                                        -0.00039088784796698084,
@@ -338,6 +359,12 @@ def test_windowed_queries_are_the_whole_grid_values():
         u, lam = lambda_profile(mix_ladder, n)
         assert u.size == size
         assert [lam[0], lam[size // 2], lam[-1], np.sum(lam)] == want
+        whole = whole_grid.level(n)
+        scale = np.sqrt(n * mix_ladder.sigma2) / mix_ladder.du
+        gauss = (np.exp(-(u - n) ** 2 / (2.0 * n * mix_ladder.sigma2))
+                 / np.sqrt(2.0 * np.pi))
+        assert (np.max(np.abs(lam - (scale * whole[:size] - gauss)))
+                <= 1e-13 * scale * whole.max())
 
 
 @pytest.mark.parametrize("f, n_max, n_grid", [
@@ -348,23 +375,29 @@ def test_log_density_is_np_interp_on_the_log_table(f, n_max, n_grid):
     # np.interp on the log table of the stored level on the nodes up to
     # the horizon and on the table of its cells plus one floor node on
     # either side, bit for bit, at random u, every node up to the
-    # horizon, 0 and the horizon node
-    ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
-    ladder.window(n_max, n_max - 1, n_max - 2)
-    rng = np.random.default_rng(11)
-    grid = ladder.grid[:ladder._horizon + 1]
-    u = np.concatenate([rng.random(10**4) * grid[-1], grid,
-                        [0.0, grid[-1]]])
-    for n in sorted(ladder._masses):
-        stored = ladder.level(n)
-        table = np.log(np.maximum(stored / ladder.du, 1e-300))
-        cells = np.flatnonzero(stored)
-        first = max(cells[0] - 1, 0)
-        stop = min(cells[-1] + 2, grid.size)
-        got = ladder.log_density(n, u)
-        assert np.array_equal(got, np.interp(u, grid, table)), n
-        assert np.array_equal(got, np.interp(u, grid[first:stop],
-                                             table[first:stop])), n
+    # horizon, 0 and the horizon node; with the horizon at the grid's end
+    # also past the last node up to u_max, where np.interp clamps to that
+    # node's value
+    for ladder in (NormalizationLadder(f, n_max, n_grid=n_grid),
+                   _whole_grid(f, n_max, n_grid)):
+        ladder.window(n_max, n_max - 1, n_max - 2)
+        horizon = ladder._horizon
+        rng = np.random.default_rng(11)
+        grid = ladder.grid[:horizon + 1]
+        top = ladder.u_max if horizon == ladder.n_grid - 1 else grid[-1]
+        u = np.concatenate([rng.random(10**4) * grid[-1], grid,
+                            [0.0, grid[-1]], np.linspace(grid[-1], top, 5)])
+        for n in sorted(ladder._masses):
+            stored = _stored(ladder, n)
+            table = np.log(np.maximum(stored / ladder.du, 1e-300))
+            cells = np.flatnonzero(stored)
+            first = max(cells[0] - 1, 0)
+            stop = min(cells[-1] + 2, grid.size)
+            got = ladder.log_density(n, u)
+            assert np.array_equal(got, np.interp(u, grid, table)), n
+            assert np.array_equal(got, np.interp(u, grid[first:stop],
+                                                 table[first:stop])), n
+        assert ladder._horizon == horizon
 
 
 # -- the horizon: stored levels end at the node just past u = n_max ------
@@ -382,55 +415,105 @@ HORIZON_LADDERS = pytest.mark.parametrize("f, n_max, n_grid", [
 def test_horizon_levels_are_the_whole_grid_levels_up_to_n_max(f, n_max,
                                                                n_grid):
     # every level of a family's walk ends at or before the horizon, the
-    # node just past n_max.  On the nodes up to it, which every read at
-    # u <= n_max brackets u with, it is the convolution of its stored
-    # halves up to the cells each leaves out of its window; within 1.5e-11
-    # of the peak cell it is the level of an uncut walk from stored level
-    # 1 (7.8e-12 at most here, at gauss-1024-2^18; the cut cells add up
-    # over the tiers); and a read at u <= n_max is np.interp on the stored
-    # cells' log table bit for bit
+    # node just past n_max; on the nodes up to it, which every read at
+    # u <= n_max brackets u with, it equals the level of the whole-grid
+    # walk within 1e-13 of the level's peak cell (2.2e-14 at most here)
+    # and is the convolution of its stored halves up to the cells each
+    # leaves out of its window; a read at u <= n_max is np.interp on the
+    # stored cells' log table bit for bit
+    walk = (n_max, n_max - 1, n_max - 2)
     ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
-    ladder.window(n_max, n_max - 1, n_max - 2)
+    ladder.window(*walk)
+    whole_grid = _whole_grid(f, n_max, n_grid)
+    whole_grid.window(*walk)
     last, grid = ladder._horizon, ladder.grid
     assert grid[last - 1] <= n_max < grid[last]
     u = np.concatenate([np.linspace(0.0, n_max, 1001), grid[last - 9:last]])
-    uncut = {1: ladder.level(1)}
+    assert sorted(ladder._masses) == sorted(whole_grid._masses)
     for n in sorted(ladder._masses):
         offset, cells = ladder.window(n)
         assert offset + cells.size - 1 <= last, n
-        stored = ladder.level(n)
+        stored = _stored(ladder, n)
+        whole = whole_grid.level(n)
+        assert (np.max(np.abs(stored - whole[:last + 1]))
+                <= 1e-13 * whole.max()), n
         table = np.log(np.maximum(stored / ladder.du, 1e-300))
         assert np.array_equal(ladder.log_density(n, u),
                               np.interp(u, grid[:last + 1], table)), n
         if n == 1:
             continue
-        a, b = ladder.halves(n)
-        m_a, m_b = ladder.level(a), ladder.level(b)
+        m_a, m_b = (_stored(ladder, h) for h in ladder.halves(n))
         want = np.maximum(fftconvolve(m_a, m_b)[:last + 1], 0.0)
         bound = _TRIM * (m_a.max() * m_b.sum() + m_b.max() * m_a.sum())
         assert np.max(np.abs(stored - want)) <= bound, n
-        uncut[n] = np.maximum(fftconvolve(uncut[a], uncut[b])[:last + 1],
-                              0.0)
-        assert (np.max(np.abs(stored - uncut[n]))
-                <= 1.5e-11 * uncut[n].max()), n
 
 
-def test_reads_past_the_horizon_raise_before_any_walk():
-    # a ladder serves u in [0, grid[horizon]]; any other u, NaN too,
-    # raises ValueError naming that range, and no level is built
-    ladder = NormalizationLadder(mixture(0.25), 64)
+def test_a_read_past_the_horizon_moves_it_to_the_grid_end():
+    # a read at some u past the horizon node drops the stored levels and
+    # moves the horizon to the grid's last node, once; it and every later
+    # read are those of a ladder that held whole-grid levels from the
+    # start, bit for bit.  The horizon node itself is served as it is
+    f = mixture(0.25)
+    ladder = NormalizationLadder(f, 64)
+    ladder.window(64, 63, 62)
     top = ladder.grid[ladder._horizon]
-    for u in (np.nextafter(top, np.inf), 1.5 * 64, ladder.u_max, np.nan):
-        for query in (ladder.log_density, ladder.log_z):
-            with pytest.raises(ValueError, match=rf"\[0, {top:.6g}\]"):
+    whole_grid = _whole_grid(f, 64)
+    assert ladder.log_z(64, top) == pytest.approx(whole_grid.log_z(64, top),
+                                                  rel=1e-13, abs=0.0)
+    assert ladder._horizon < ladder.n_grid - 1
+    for u in ([1.0, np.nextafter(top, np.inf)], [1.5 * 64, ladder.u_max]):
+        assert np.array_equal(ladder.log_z(64, u), whole_grid.log_z(64, u))
+    assert ladder._horizon == ladder.n_grid - 1
+    assert sorted(ladder._masses) == [1, 2, 4, 8, 16, 32, 64]
+    cells = ladder.window(64)[1]
+    assert np.array_equal(ladder.level(64), whole_grid.level(64))
+    assert ladder.window(64)[1] is cells
+    # u outside [0, u_max], NaN too, raises before any walk
+    fresh = NormalizationLadder(f, 64)
+    horizon = fresh._horizon
+    for u in (np.nextafter(fresh.u_max, np.inf), -1e-9, np.nan):
+        for query in (fresh.log_density, fresh.log_z):
+            with pytest.raises(ValueError, match="outside the ladder grid"):
                 query(64, [1.0, u])
-    assert sorted(ladder._masses) == [1]
-    # the horizon node itself is served, with the value of a ladder that
-    # saw none of those reads
-    assert (ladder.log_density(64, top)
-            == np.log(ladder.level(64)[-1] / ladder.du))
-    fresh = NormalizationLadder(mixture(0.25), 64)
-    assert np.array_equal(ladder.level(64), fresh.level(64))
+    assert fresh._horizon == horizon and sorted(fresh._masses) == [1]
+
+
+@pytest.mark.parametrize("f, n", [(mixture(0.25), 64), (mixture(0.1), 256)],
+                         ids=["mix0.25-64", "mix0.1-256"])
+def test_reads_after_a_read_past_the_horizon_are_whole_grid_reads(f, n):
+    # a read past the horizon that builds no level (level 1 is stored)
+    # moves the horizon to the grid's end, after which a family's and the
+    # CLT envelope's reads are those of a ladder that held whole-grid
+    # levels from the start, bit for bit
+    def reads(ladder):
+        fam = ConditionedFamily(ladder, n)
+        v = fam._marginal_quadrature()[0]
+        s = polar_shells(f.v_max, n, SHELLS, ANGLES)[0]
+        return [fam._log_zn, fam.log_marginal_weight(1, v * v),
+                fam.log_marginal_weight(2, s), fam.entropy(),
+                fam.production(0.0, check=False), lambda_sup(ladder, n),
+                lambda_sup(ladder, n - 1)]
+
+    want = reads(_whole_grid(f, n))
+    served = NormalizationLadder(f, n)
+    served.log_density(1, [1.0, 0.5 * served.u_max])
+    assert served._horizon == served.n_grid - 1
+    assert sorted(served._masses) == [1]
+    for a, b in zip(reads(served), want):
+        assert np.array_equal(a, b)
+
+
+def test_whole_grid_reads_are_unchanged():
+    # a read past the horizon returns what a fresh ladder's walk to u_max
+    # returned when every level was stored on the whole grid, bit for bit
+    # (recorded then)
+    gauss = NormalizationLadder(gaussian(1.0), 64, n_grid=2**18)
+    assert gauss.log_z(64, 96.0) == -106.81207412433392
+    level = NormalizationLadder(mixture(0.25), 64).level(64)
+    assert (hashlib.sha256(level.tobytes()).hexdigest()
+            == "4e33368c7679b1fd1a90e0e71f777d6a"
+               "a22c9d864a8f0afd028a21e0502d706d")
+    assert float(level.sum()) == 0.9999999994671597
 
 
 def test_fast_length_is_scipys_real_fast_length():
