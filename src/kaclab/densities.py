@@ -1,8 +1,7 @@
 """One-dimensional density toolkit.
 
 Gridded probability densities on a truncation window, the two-Gaussian
-mixture family used as generators of conditioned states, moments and
-relative entropy.
+mixture family used as generators of conditioned states, and moments.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyError, ConfigurationError
-from .quadrature import gaussian_relative_entropy, trapezoid_weights
+from .quadrature import trapezoid_weights
 
 DEFAULT_V_MAX = 16.0
 DEFAULT_NODES = 4096
@@ -113,11 +112,3 @@ def moment(f: GridDensity1D, p: int) -> float:
             f"moment p={p}: estimated tail contribution {tail:.2e} exceeds tolerance"
         )
     return result
-
-
-def relative_entropy(f: GridDensity1D) -> float:
-    """H(f|M), M the unit Gaussian; needs unit second moment."""
-    m2 = moment(f, 2)
-    if abs(m2 - 1.0) > 1e-6:
-        raise ValueError(f"second moment {m2} != 1; H(f|M) needs unit energy")
-    return gaussian_relative_entropy(f.values, f.nodes, f.quadrature_weights)

@@ -13,8 +13,8 @@ Quadrant fold.  f is even, so the radial table and the polar production
 integral use the first-quadrant fold of :mod:`kaclab.quadrature`, on a
 quarter of the angles and with a single spline evaluation per point.
 The folded products are symmetric in the quadrant, so A(r) sums half of
-them.  The gain is even in w and symmetric in (v, w), so it is evaluated
-at the half-grid pairs v_i <= v_j only.
+them.  The gain is even in w and symmetric in (v, w), so the half grid
+carries it, and the clamp correction keeps the pairs v_i <= v_j only.
 
 Cached geometry.  A not-a-knot cubic spline is linear in its knot
 values twice over: its B-spline coefficients solve a banded collocation
@@ -27,15 +27,24 @@ scipy's bit for bit without importing scipy's interpolation package
 is LU-factored once with LAPACK's dgbtrf, the factorization
 make_interp_spline runs on every call, so a fit is one banded solve and
 gives make_interp_spline's coefficients bit for bit.
-The factorizations, the design matrices and a sparse map from the pairs
-v_i <= v_j to the grid, rates[i, pair(i, j)] = (1 + v_i^2 + v_j^2)^gamma
-times the weight of v_j, are built once per grid (and gamma) and held in
-small caches.  The profile fit serves the radial and the production
-folds; the radial fold and the fit of A(r) serve every gamma.  A
-right-hand side call is then two banded solves, two sparse products, the
-pairwise loss and one sparse row sum.  scipy's sparse and LAPACK modules
-load with the first geometry, not with this module, so runs that never
-reach the limit equation do not pay for them.
+The factorizations and the design matrices are built once per grid and
+held in small caches; the profile fit serves the radial and the
+production folds.
+
+Dense gain map.  The operator is linear in A(r) but for the clamp
+max(gain, 0) of the pair gains, so the spline of A(r) at every grid cell,
+weighted by 2 (1 + v_i^2 + v_j^2)^gamma w_j and summed over j, is composed
+with the fit of A(r) once per grid and gamma into a dense n x 4n map from
+the knot values of A(r) to the rows.  The loss is the n x n kernel times
+f, times f.  The B-splines are >= 0, so a pair gain can be negative only
+on a knot interval with a negative coefficient of A(r); the clamp is
+taken out exactly at the pairs on such intervals, which lie near
+r = sqrt(2) v_max when there are any.  A right-hand side call is then
+the profile fit, one sparse product for the fold, two dense products,
+the fit of A(r) for the signs of its coefficients and the correction at
+those few pairs.  scipy's sparse and LAPACK modules load with the first
+geometry, not with this module, so runs that never reach the limit
+equation do not pay for them.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ import numpy as np
 
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
-from .quadrature import (ANGLES, fold, freeze, gaussian_relative_entropy,
+from .quadrature import (ANGLES, freeze, gaussian_relative_entropy,
                          half_grid_weights, pair_kernel, polar_integral,
                          polar_shells, quadrant_points, trapezoid_weights)
 
@@ -136,6 +145,13 @@ class _CubicFit:
     def __call__(self, vals: np.ndarray) -> np.ndarray:
         return self._solve(self.lu, 3, 3, vals, self.pivots)[0]
 
+    def compose(self, rows: np.ndarray) -> np.ndarray:
+        """rows C^-1, C the collocation matrix: rows of a linear map on the
+        coefficients, as a map on the knot values.  One transposed banded
+        solve, C^T X = rows^T, that overwrites rows (C order)."""
+        return self._solve(self.lu, 3, 3, rows.T, self.pivots, trans=1,
+                           overwrite_b=1)[0].T
+
     def design(self, points: np.ndarray):
         """Sparse map from the coefficients to the spline's values at
         points; beyond the knots the end pieces extend.  Its int32 indices
@@ -157,37 +173,58 @@ class _QuadrantFold:
 
     f is max(0, S) with S the cubic spline of max(f_vals, 0) on the half
     grid, and vanishes beyond the last knot.  Rows are radii, columns the
-    q first-quadrant angle midpoints of the ANGLES-point rule.
+    q first-quadrant angle midpoints of the ANGLES-point rule.  The design
+    holds the angles k < q/2 of every radius, then their mirror partners
+    q-1-k in the same order, so the two factors of the folded products
+    are two contiguous halves.
     """
 
     def __init__(self, v: np.ndarray, radii: np.ndarray):
         from scipy.sparse import diags_array
 
         points = quadrant_points(radii)
-        x = points.ravel()
+        half = points.shape[1] // 2
+        # x = r cos th_k >= y = r sin th_k = r cos th_{q-1-k} for k < q/2
+        x, y = points[:, :half], points[:, ::-1][:, :half]
         self.fit = _fit(v)
         self.radii = radii
         freeze(radii)
-        self.shape = points.shape
-        # points beyond v_max get zero rows
-        self.design = diags_array((x <= v[-1]) * 1.0) @ self.fit.design(x)
+        self.shape = (2, len(radii), half)
+        # f vanishes beyond v_max, so a product with x there is 0: both
+        # of its rows are zero rows
+        live = np.tile((x <= v[-1]).ravel(), 2) * 1.0
+        self.design = (diags_array(live)
+                       @ self.fit.design(np.stack([x, y]).ravel()))
         freeze(self.design.data, self.design.indices, self.design.indptr)
 
-    def _cosine_values(self, f_vals: np.ndarray) -> np.ndarray:
-        """E[r, k] = f(r cos th_k)."""
-        c = self.fit(np.maximum(f_vals, 0.0))
-        return np.maximum(self.design @ c, 0.0).reshape(self.shape)
+    def _halves(self, f_vals: np.ndarray) -> np.ndarray:
+        """E[r, k] = f(r cos th_k) and E[r, q-1-k], k < q/2, stacked."""
+        e = self.design @ self.fit(np.maximum(f_vals, 0.0))
+        return np.maximum(e, 0.0, out=e).reshape(self.shape)
 
     def products(self, f_vals: np.ndarray) -> np.ndarray:
-        return fold(self._cosine_values(f_vals))
+        """fold(E), E[r, k] = f(r cos th_k), bit for bit: P[r, q-1-k] is
+        E[r, q-1-k] E[r, k] = P[r, k]."""
+        ex, ey = self._halves(f_vals)
+        p = ex * ey
+        return np.concatenate([p, p[:, ::-1]], axis=1)
 
     def angle_mean(self, f_vals: np.ndarray) -> np.ndarray:
         """products(f_vals).mean(axis=1), from the half k < q/2 of each
         row: E[k] E[q-1-k] takes each value twice."""
-        e = self._cosine_values(f_vals)
-        half = self.shape[1] // 2
-        return (2.0 / self.shape[1]) * np.einsum(
-            "ij,ij->i", e[:, :half], e[:, ::-1][:, :half])
+        ex, ey = self._halves(f_vals)
+        return (1.0 / ex.shape[1]) * np.einsum("ij,ij->i", ex, ey)
+
+
+@dataclass(frozen=True)
+class _GainPairs:
+    """The grid pairs v_i <= v_j ordered by the first of the four A-spline
+    coefficients on the knot interval of r = sqrt(v_i^2 + v_j^2)."""
+
+    first: np.ndarray          # that coefficient's index, ascending
+    basis: np.ndarray          # the four B-splines at r, each >= 0
+    i: np.ndarray              # grid indices i <= j of each pair
+    j: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -196,10 +233,9 @@ class _OperatorGeometry:
 
     fold: _QuadrantFold        # angle table on the knots of A(r)
     radial_fit: _CubicFit      # A(r) on those knots -> spline coefficients
-    gain: csr_array            # A-spline design at sqrt(v_i^2 + v_j^2), i <= j
-    pair_i: np.ndarray         # grid indices i <= j of each pair
-    pair_j: np.ndarray
-    rates: csr_array           # [i, pair(i, j)] = (1 + v_i^2 + v_j^2)^gamma w_j
+    gain: np.ndarray           # A(r) on its knots -> unclamped gain of row i
+    kernel: np.ndarray         # [i, j] = 2 (1 + v_i^2 + v_j^2)^gamma w_j
+    pairs: _GainPairs          # the pairs the gain clamp can reach
 
 
 @_grid_cache
@@ -208,27 +244,76 @@ def _radial_fold(v: np.ndarray) -> _QuadrantFold:
 
 
 @_grid_cache
-def _operator_geometry(v: np.ndarray, gamma: float) -> _OperatorGeometry:
-    from scipy.sparse import csr_array
+def _gain_pairs(v: np.ndarray) -> _GainPairs:
+    radii = _radial_fold(v).radii
+    i, j = np.triu_indices(len(v))
+    # r is capped at the last knot of A(r), where the B-splines are still
+    # >= 0; past it the end piece's extension can make one negative
+    sq = v * v
+    r = np.minimum(np.sqrt(sq[i] + sq[j]), radii[-1])
+    basis, first = _cubic_basis(_fit(radii).t, r)
+    order = np.argsort(first, kind="stable")
+    pairs = _GainPairs(first[order].astype(np.int32), basis[order],
+                       i[order].astype(np.int32), j[order].astype(np.int32))
+    freeze(pairs.first, pairs.basis, pairs.i, pairs.j)
+    return pairs
 
-    n = len(v)
+
+@_grid_cache
+def _operator_geometry(v: np.ndarray, gamma: float) -> _OperatorGeometry:
     fold = _radial_fold(v)
     radial_fit = _fit(fold.radii)
+    pairs = _gain_pairs(v)
     sq = v * v
-    # r(v, w) = r(w, v) exactly, so the gain is evaluated on i <= j only
-    pair_i, pair_j = np.triu_indices(n)
-    gain = radial_fit.design(np.sqrt(sq[pair_i] + sq[pair_j]))
-    # row i of rates holds the grid cells (i, j), j = 0..n-1, each at the
-    # column of its pair
-    pair_of = np.empty((n, n), dtype=np.intp)
-    pair_of[pair_i, pair_j] = pair_of[pair_j, pair_i] = np.arange(len(pair_i))
-    rate_weights = ((1.0 + sq[:, None] + sq[None, :]) ** gamma
-                    * half_grid_weights(v))
-    rates = csr_array((rate_weights.ravel(), pair_of.ravel(),
-                       np.arange(0, n * n + 1, n)), shape=(n, len(pair_i)))
-    freeze(gain.data, gain.indices, gain.indptr, pair_i, pair_j,
-           rates.data, rates.indices, rates.indptr)
-    return _OperatorGeometry(fold, radial_fit, gain, pair_i, pair_j, rates)
+    kernel = (2.0 * (1.0 + sq[:, None] + sq[None, :]) ** gamma
+              * half_grid_weights(v))
+    # row i of the unclamped gain sums kernel[i, j] times the A-spline at
+    # r_ij over every j; a pair i <= j serves the cells (i, j) and (j, i).
+    # Composed with the fit, the rows act on the knot values of A(r).
+    upper = kernel[pairs.i, pairs.j]
+    lower = np.where(pairs.i < pairs.j, kernel[pairs.j, pairs.i], 0.0)
+    rows = np.zeros((len(v), len(fold.radii)))
+    for k in range(4):
+        cols = pairs.first + k
+        np.add.at(rows, (pairs.i, cols), upper * pairs.basis[:, k])
+        np.add.at(rows, (pairs.j, cols), lower * pairs.basis[:, k])
+    gain = radial_fit.compose(rows)
+    freeze(gain, kernel)
+    return _OperatorGeometry(fold, radial_fit, gain, kernel, pairs)
+
+
+def _clamp_suffix(pairs: _GainPairs, c: np.ndarray) -> int:
+    """Where the pairs whose gain can be negative start, given the
+    coefficients c of A(r); len(pairs.first) when no gain can be.
+
+    The B-splines are >= 0 on the knots, so a pair's gain, four of them
+    times the coefficients of its knot interval, is negative only if one
+    of those coefficients is, in floating point too.  With the pairs by
+    first coefficient, every such pair lies in the suffix that starts 3
+    before the first negative coefficient.
+    """
+    negative = np.flatnonzero(c < 0.0)
+    if not negative.size:
+        return len(pairs.first)
+    return int(np.searchsorted(pairs.first, negative[0] - 3))
+
+
+def _clamp_correction(geo: _OperatorGeometry, c: np.ndarray,
+                      out: np.ndarray) -> None:
+    """Apply the clamp max(gain, 0) of the pair gains to out, the rows of
+    the unclamped gain minus the loss: each negative gain among the pairs
+    of :func:`_clamp_suffix` is taken out of both of its rows."""
+    pairs = geo.pairs
+    start = _clamp_suffix(pairs, c)
+    if start == len(pairs.first):
+        return
+    first = pairs.first[start:, None] + np.arange(4)
+    g = np.einsum("pk,pk->p", pairs.basis[start:], c[first])
+    hit = np.flatnonzero(g < 0.0)
+    g = g[hit]
+    i, j = pairs.i[start:][hit], pairs.j[start:][hit]
+    np.subtract.at(out, i, geo.kernel[i, j] * g)
+    np.subtract.at(out, j, np.where(i < j, geo.kernel[j, i], 0.0) * g)
 
 
 def collision_operator(f_vals: np.ndarray, v: np.ndarray,
@@ -238,12 +323,13 @@ def collision_operator(f_vals: np.ndarray, v: np.ndarray,
     Assumes f is even; f_vals are values on the v >= 0 half-grid.
     """
     geo = _operator_geometry(v, gamma)
-    c = geo.radial_fit(geo.fold.angle_mean(f_vals))
-    gain = np.maximum(geo.gain @ c, 0.0)
-    # loss subtracted pair by pair: 2 (sum R gain - f (R f)) would cancel
-    # two O(1) sums and lose about 1e-14 of the result
-    gain -= np.take(f_vals, geo.pair_i) * np.take(f_vals, geo.pair_j)
-    return 2.0 * (geo.rates @ gain)
+    a = geo.fold.angle_mean(f_vals)
+    # gain and loss are two O(1) sums that nearly cancel; on 257 nodes the
+    # result stays within 1.5e-15 of subtracting the loss pair by pair
+    out = geo.gain @ a
+    out -= f_vals * (geo.kernel @ f_vals)
+    _clamp_correction(geo, geo.radial_fit(a), out)
+    return out
 
 
 @dataclass

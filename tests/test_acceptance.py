@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import wasserstein_distance
 
 from kaclab.conditioned import ConditionedFamily
-from kaclab.densities import gaussian, mixture, relative_entropy
+from kaclab.densities import gaussian, mixture
 from kaclab.inequalities import (LogPowerWitness, fit_loglog_slope,
                                  gamma_ratio_sweep, logpower_envelope,
                                  rescaled_inequality_check, villani_floor)
@@ -17,6 +17,7 @@ from kaclab.limit_eq import LimitSolver, cercignani_ratio, limit_production
 from kaclab.normalization import NormalizationLadder, clt_envelope
 from kaclab.process import (SimulationConfig, exact_gap_smalln,
                             simulate_ensemble, spectral_gap)
+from kaclab.quadrature import gaussian_relative_entropy
 
 DELTA = 0.25
 N_SWEEP = [32, 64, 128, 256]
@@ -67,7 +68,8 @@ def test_02_local_clt(mix):
 
 
 def test_03_entropic_chaoticity(mix, families):
-    h_lim = relative_entropy(mix)
+    h_lim = gaussian_relative_entropy(mix.values, mix.nodes,
+                                      mix.quadrature_weights)
     v = np.linspace(0.0, mix.v_max, 513)
     d_lim = limit_production(mix(v), v, 0.0)
     h_gaps, d_gaps = [], []

@@ -8,14 +8,15 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 from scipy.linalg import lapack
+from scipy.sparse import diags_array
 
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import AccuracyError, ConfigurationError
 import kaclab.limit_eq as limit_eq
-from kaclab.limit_eq import (LimitSolver, _CubicFit, _operator_geometry,
-                             _production_geometry, _QuadrantFold,
-                             cercignani_ratio, collision_operator,
-                             limit_production)
+from kaclab.limit_eq import (LimitSolver, _CubicFit, _gain_pairs,
+                             _operator_geometry, _production_geometry,
+                             _QuadrantFold, _radial_fold, cercignani_ratio,
+                             collision_operator, limit_production)
 from kaclab.process import _half_integer_moment
 from kaclab.quadrature import (ANGLES, fold, gauss_legendre,
                                half_grid_weights, pair_kernel,
@@ -99,8 +100,8 @@ def test_production_matches_unfolded_reference(gamma, delta):
 
 
 # -- the operator as computed with per-call spline fits: the full quadrant
-# row mean, the n^2 gather of the pair gains, the outer-product loss and an
-# einsum; the cached maps must reproduce it to rounding --
+# row mean, the n^2 gather of the clamped pair gains, the outer-product loss
+# and an einsum; the cached maps must reproduce it to rounding --
 
 
 def _spline_at(knots, vals, points):
@@ -125,13 +126,75 @@ def gather_operator(f_vals, v, gamma):
     return 2.0 * np.einsum("ij,ij->i", rate_weights, gain)
 
 
+# the dense gain map sums the gain in another order than the gather, and
+# gain and loss as two sums; the largest error measured is 1.44e-15
+PER_CALL_PIN = 5e-15
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("delta", [0.25, 0.1])
+@pytest.mark.parametrize("delta", [0.25, 0.1, 0.003])
 def test_operator_matches_per_call_fits(gamma, delta):
     v = np.linspace(0.0, 8.0, 257)
     f_vals = mixture(delta)(v)
     q = collision_operator(f_vals, v, gamma)
-    assert np.max(np.abs(q - gather_operator(f_vals, v, gamma))) <= 1e-15
+    assert (np.max(np.abs(q - gather_operator(f_vals, v, gamma)))
+            <= PER_CALL_PIN)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("delta", [0.25, 0.1, 0.003])
+def test_clamp_correction_reaches_every_negative_gain(gamma, delta):
+    # the A-spline by scipy at every pair v_i <= v_j: each negative value
+    # lies in the suffix of pairs the correction evaluates
+    v = np.linspace(0.0, 8.0, 257)
+    f_vals = mixture(delta)(v)
+    geo = _operator_geometry(v, gamma)
+    a_of_r = geo.fold.angle_mean(f_vals)
+    c = geo.radial_fit(a_of_r)
+    upper_i, upper_j = np.triu_indices(len(v))
+    sq = v * v
+    gains = _spline_at(geo.fold.radii, a_of_r,
+                       np.sqrt(sq[upper_i] + sq[upper_j]))
+    negative = gains < 0.0
+    assert 0 < negative.sum() <= 4
+    pairs = geo.pairs
+    start = limit_eq._clamp_suffix(pairs, c)
+    suffix = set(zip(pairs.i[start:].tolist(), pairs.j[start:].tolist()))
+    assert set(zip(upper_i[negative].tolist(),
+                   upper_j[negative].tolist())) <= suffix
+    assert len(suffix) < 100
+
+
+def test_operator_misses_the_pin_without_the_clamp_correction(monkeypatch):
+    v = np.linspace(0.0, 8.0, 257)
+    f_vals = mixture(0.1)(v)
+    want = gather_operator(f_vals, v, 1.0)
+    assert (np.max(np.abs(collision_operator(f_vals, v, 1.0) - want))
+            <= PER_CALL_PIN)
+    monkeypatch.setattr(limit_eq, "_clamp_correction", lambda *args: None)
+    assert (np.max(np.abs(collision_operator(f_vals, v, 1.0) - want))
+            > PER_CALL_PIN)
+
+
+@pytest.mark.parametrize("nodes", [257, 513])
+def test_fold_products_are_the_row_order_fold_bit_for_bit(nodes):
+    # the designs in the layout radius by radius, angle by angle, as fold()
+    # reads them; the halves' layout gives the same bits, and so the same
+    # limit production
+    v = np.linspace(0.0, 8.0, nodes)
+    f_vals = mixture(0.1)(v)
+    for quadrant in (_radial_fold(v), _production_geometry(v)[0]):
+        points = quadrant_points(quadrant.radii)
+        x = points.ravel()
+        design = diags_array((x <= v[-1]) * 1.0) @ quadrant.fit.design(x)
+        e = np.maximum(design @ quadrant.fit(np.maximum(f_vals, 0.0)), 0.0)
+        want = fold(e.reshape(points.shape))
+        got = quadrant.products(f_vals)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    _, s, ws = _production_geometry(v)
+    want = polar_integral(ws, (1.0 + s) ** 0.5, pair_kernel(want, ANGLES),
+                          ANGLES)
+    assert limit_production(f_vals, v, 0.5) == want
 
 
 def test_cached_fits_are_make_interp_spline_bit_for_bit():
@@ -194,10 +257,14 @@ def test_geometry_cache_keys():
     assert _operator_geometry(v.copy(), 0.5) is geo
     assert _operator_geometry(v, 0.0) is not geo
     assert _operator_geometry(2.0 * v, 0.5) is not geo
-    # the radial fold, its fit and A(r)'s fit depend on the grid alone, and
-    # the production fold shares the profile fit
+    # the radial fold, its fit, A(r)'s fit and the correction's pair table
+    # depend on the grid alone, and the production fold shares the profile
+    # fit
     assert _operator_geometry(v, 0.0).fold is geo.fold
     assert _operator_geometry(v, 0.0).radial_fit is geo.radial_fit
+    assert _operator_geometry(v, 0.0).pairs is geo.pairs
+    assert geo.pairs is _gain_pairs(v.copy())
+    assert _operator_geometry(v, 0.0).gain is not geo.gain
     production_fold = _production_geometry(v)[0]
     assert production_fold.fit is geo.fold.fit
     assert _production_geometry(v.copy()) is _production_geometry(v)
@@ -205,10 +272,18 @@ def test_geometry_cache_keys():
     for fit in (geo.fold.fit, geo.radial_fit):
         for part in (fit.t, fit.lu, fit.pivots):
             assert not part.flags.writeable
-    assert not geo.pair_i.flags.writeable
-    assert not geo.pair_j.flags.writeable
-    for design in (geo.gain, geo.rates, geo.fold.design,
-                   production_fold.design):
+    # the dense maps and the pair table: n x 4n, n x n, and per pair i <= j
+    # its four B-spline values and their first index, int32
+    n, pairs = len(v), geo.pairs
+    assert geo.gain.shape == (n, 4 * n) and geo.kernel.shape == (n, n)
+    assert pairs.basis.shape == (n * (n + 1) // 2, 4)
+    assert np.all(pairs.basis >= 0.0) and np.all(np.diff(pairs.first) >= 0)
+    for part in (geo.gain, geo.kernel, pairs.first, pairs.basis, pairs.i,
+                 pairs.j):
+        assert not part.flags.writeable
+    assert {part.dtype for part in (pairs.first, pairs.i, pairs.j)} == {
+        np.dtype(np.int32)}
+    for design in (geo.fold.design, production_fold.design):
         for part in (design.data, design.indices, design.indptr):
             assert not part.flags.writeable
     assert gauss_legendre(160) is gauss_legendre(160)
