@@ -24,8 +24,9 @@ from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
 from .normalization import NormalizationLadder, as_int, check_generator
 from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints, fold,
-                         half_rule_checked, log_power_kernel, pair_kernel,
-                         polar_integral, polar_shells, trapezoid_weights)
+                         freeze, half_rule_checked, log_power_kernel,
+                         pair_kernel, polar_integral, polar_shells,
+                         trapezoid_weights)
 from .sphere import rotate_pair
 
 # Monte Carlo states per batch
@@ -118,8 +119,8 @@ class ConditionedFamily:
     :class:`~kaclab.normalization.NormalizationLadder` with n_max >= N,
     whose generator is f.  f's own ladder is built when Z_N or a marginal
     is first read, so a family that only samples builds none; f's evenness
-    and unit energy are checked here, the truncation check of the ladder's
-    base fires on that first read.
+    and unit energy are checked here, the ladder's truncation check fires
+    on that first read.
     """
 
     def __init__(self, source: GridDensity1D | NormalizationLadder, n: int):
@@ -136,6 +137,10 @@ class ConditionedFamily:
         else:
             check_generator(source)
             self.f = source
+        # quadrature tables, built on first read and kept on the family:
+        # a class-level cache would keep every family alive
+        self._marginal = None
+        self._shell_tables: dict[tuple[int, int], tuple] = {}
 
     @functools.cached_property
     def ladder(self) -> NormalizationLadder:
@@ -181,15 +186,21 @@ class ConditionedFamily:
         return np.exp(logf + self.log_marginal_weight(1, v * v))
 
     def _marginal_quadrature(self):
-        """Velocity nodes, weights and unit-mass marginal values."""
-        vmax = min(self.f.v_max, np.sqrt(self.n))
-        v = np.linspace(-vmax, vmax, 4097)
-        dens = self.marginal1(v)
-        w = trapezoid_weights(v)
-        mass = float(np.sum(dens * w))
-        if not 0.9 < mass < 1.1:
-            raise AccuracyError(f"first marginal mass {mass:.4f} far from 1")
-        return v, w, dens / mass
+        """Velocity nodes, weights and unit-mass marginal values, read-only
+        and built once per family."""
+        if self._marginal is None:
+            vmax = min(self.f.v_max, np.sqrt(self.n))
+            v = np.linspace(-vmax, vmax, 4097)
+            dens = self.marginal1(v)
+            w = trapezoid_weights(v)
+            mass = float(np.sum(dens * w))
+            if not 0.9 < mass < 1.1:
+                raise AccuracyError(
+                    f"first marginal mass {mass:.4f} far from 1")
+            dens = dens / mass
+            freeze(v, w, dens)
+            self._marginal = (v, w, dens)
+        return self._marginal
 
     def marginal_moment(self, p: float) -> float:
         """int |v|^p F_{N,1}(v) dv, by the trapezoid rule of the entropy."""
@@ -219,10 +230,17 @@ class ConditionedFamily:
     def _shells(self, n_s: int, angle_nodes: int):
         """Energy shells on the support of f(v1) f(v2) within s <= N, their
         weights, the conditioning weight of the second marginal and the
-        folded f(r cos) f(r sin)."""
-        s, ws, x = polar_shells(self.f.v_max, self.n, n_s, angle_nodes)
-        return (s, ws, np.exp(self.log_marginal_weight(2, s)),
-                fold(np.maximum(self.f(x), 0.0)))
+        folded f(r cos) f(r sin): read-only, built once per family and
+        rule, as the entropy production at each gamma and the log-power
+        integral all read them."""
+        key = (n_s, angle_nodes)
+        if key not in self._shell_tables:
+            s, ws, x = polar_shells(self.f.v_max, self.n, n_s, angle_nodes)
+            table = (s, ws, np.exp(self.log_marginal_weight(2, s)),
+                     fold(np.maximum(self.f(x), 0.0)))
+            freeze(*table)
+            self._shell_tables[key] = table
+        return self._shell_tables[key]
 
     def _checked(self, what: str, value, check: bool) -> float:
         """value(SHELLS, ANGLES); with check, it must pass the half rule

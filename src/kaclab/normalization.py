@@ -43,8 +43,10 @@ read is of stored levels; a read below the old horizon after the move
 may differ from the same read before it by transform rounding.
 
 A level is stored as (offset, cells), the cells its walk wrote; level 1
-holds the base cells up to the horizon, integrated up to the last cell
-that can reach 1e-3 _TRIM of its peak, a superset of its window.  No log
+holds the base cells up to the horizon, integrated only there and up to
+the last cell that can reach 1e-3 _TRIM of its peak, a superset of its
+window.  The truncation check reads the mass of f's table past
+|v| = sqrt(u_max), so it needs no base cell past the horizon.  No log
 table is kept: :meth:`log_density` reads the two nodes around each u.
 The 11 levels of a 2^18-cell Gaussian ladder read up to level 1024 take
 4.5 MiB, where whole-grid arrays would take 22 MiB.
@@ -143,6 +145,11 @@ class NormalizationLadder:
         self.n_grid = n_grid
         self.du = self.u_max / self.n_grid
         self.grid = self.du * np.arange(self.n_grid)
+        leak = self._leakage()
+        if leak > 1e-4:
+            raise ConfigurationError(
+                f"u_max={self.u_max:.3g} truncates the energy density "
+                f"(mass {1.0 - leak:.6f})")
         # the node just past u = n_max: every read at u <= n_max brackets
         # u with nodes up to it, so stored levels end there
         self._rebase(min(int(np.searchsorted(self.grid, n_max, "right")),
@@ -150,17 +157,18 @@ class NormalizationLadder:
 
     # -- construction ---------------------------------------------------
 
+    def _leakage(self) -> float:
+        """Mass of the single-particle energy density past u_max: the mass
+        of f's table at |v| > sqrt(u_max)."""
+        f = self.generator
+        return float(np.sum(f.values * f.quadrature_weights,
+                            where=np.abs(f.nodes) > np.sqrt(self.u_max)))
+
     def _rebase(self, horizon: int) -> None:
         """Set the horizon node and drop every stored level but level 1,
         the base cells up to it."""
-        base = self._base_masses()
-        # leakage of the single-particle energy density past the grid
-        if 1.0 - float(np.sum(base)) > 1e-4:
-            raise ConfigurationError(
-                f"u_max={self.u_max:.3g} truncates the energy density "
-                f"(mass {np.sum(base):.6f})")
         self._horizon = horizon
-        level1 = base[:horizon + 1].copy()
+        level1 = self._base_masses(horizon + 1)
         freeze(level1)
         # level n -> (offset, cells): its masses from grid index offset on,
         # up to the horizon at most; the grid's other cells hold zero
@@ -172,19 +180,19 @@ class NormalizationLadder:
         return np.sqrt(np.maximum(np.arange(self.n_grid + 1) - 0.5, 0.0)
                        * self.du)
 
-    def _base_masses(self) -> np.ndarray:
-        """Cell masses of h around each node: 2 f(r) integrated between
-        the cell's edges r = sqrt(du (k -+ 1/2)) by _BASE_RULE-point
-        Gauss-Legendre.
+    def _base_masses(self, count: int) -> np.ndarray:
+        """Cell masses of h around the first count nodes: 2 f(r)
+        integrated between the cell's edges r = sqrt(du (k -+ 1/2)) by
+        _BASE_RULE-point Gauss-Legendre.
 
-        Only the first :meth:`_base_reach` cells are integrated and
+        Only the cells below :meth:`_base_reach` are integrated and
         returned; the rest are 0.  The rule runs on _BASE_BLOCK cells at a
         time, which bounds its temporaries and leaves every mass as the
         rule on all cells at once gives it, bit for bit.
         """
         f, edges = self.generator, self._edges()
         x, w = gauss_legendre(_BASE_RULE)
-        out = np.empty(self._base_reach(edges))
+        out = np.empty(min(self._base_reach(edges), count))
         for start in range(0, out.size, _BASE_BLOCK):
             stop = min(start + _BASE_BLOCK, out.size)
             lo, hi = edges[start:stop], edges[start + 1:stop + 1]

@@ -13,11 +13,12 @@ with cap = min(1.25 (e_1 + e_2), N) from the two largest energies at the
 block's start, and the block ends once the pair energies could exceed cap
 (see :func:`simulate`); at N = 512 and gamma = 0.5 about a quarter of the
 candidates are rotations, where the constant bound N (1 + N)^gamma kept
-7%.  At gamma = 0 every candidate is a rotation: an ensemble of at least
-_LOCKSTEP_MIN_ROWS replicas per chunk runs in lockstep, the k-th events of
-all replicas as one array operation, to the bits that one simulate per
-replica gives (see :func:`_lockstep`); smaller ensembles and gamma > 0
-run one simulate per replica.
+7%.  An ensemble at gamma > 0 runs one simulate per replica.  At
+gamma = 0 every candidate is a rotation, so a state at time t is a
+Poisson(N t) number of independent uniform rotations of its start: an
+ensemble draws each replica's event count and then runs all replicas in
+lockstep from one generator, the k-th events of all replicas as one array
+operation (see :func:`_poisson_walk`).
 """
 
 from __future__ import annotations
@@ -35,13 +36,9 @@ from .sphere import uniform_sphere_batch
 
 # candidate events drawn per block; bounds memory on long runs
 _BLOCK = 2**16
-# entries of each (events x replicas) array of a lockstep chunk: at most
+# entries of each array of a block of gamma = 0 ensemble events: at most
 # 128 KiB, under glibc's mmap threshold, like sphere._BLOCK
 _LOCKSTEP_ENTRIES = 2**14
-# fewest replicas per chunk for lockstep: a chunk breaks even with one
-# simulate per replica at about 10 replicas (N = 8, 64 and 512, gamma = 0),
-# and at 20 costs 10-30% less
-_LOCKSTEP_MIN_ROWS = 20
 # sphere entries per block of Rayleigh samples; one block draws the same
 # random stream as an unbatched estimate
 _RAYLEIGH_BLOCK = 2**20
@@ -99,16 +96,32 @@ def _start(n: int, initial, rng: np.random.Generator) -> np.ndarray:
     v = np.array(initial, dtype=float)
     if v.shape != (n,):
         raise ConfigurationError(f"initial state must have shape ({n},)")
-    if not abs(v @ v - n) <= 1e-9 * n:
-        raise ConfigurationError(
-            f"initial state has energy {v @ v}, not N={n}")
+    _check_energy(v, n)
     return v
+
+
+def _check_energy(v: np.ndarray, n: int) -> None:
+    """Raise ConfigurationError unless the state v, or each row of v, has
+    energy N to 1e-9 relative."""
+    energy = np.einsum("...i,...i->...", v, v)
+    bad = np.flatnonzero(~(np.abs(energy - n) <= 1e-9 * n))
+    if bad.size:
+        raise ConfigurationError(
+            f"initial state has energy {energy.flat[bad[0]]}, not N={n}")
 
 
 def _block_size(expect: float) -> int:
     """Candidates per block when expect of them are expected before
     t_final: five standard deviations more, at most _BLOCK."""
     return min(_BLOCK, int(expect + 5.0 * math.sqrt(expect)) + 16)
+
+
+def _pairs(rng: np.random.Generator, n: int, size: int):
+    """size uniform pairs (i, j) of distinct particles, as two arrays."""
+    first = rng.integers(n, size=size)
+    second = rng.integers(n - 1, size=size)
+    second += second >= first  # uniform over j != i
+    return first, second
 
 
 def _candidates(rng: np.random.Generator, n: int, lam: float, t: float,
@@ -118,9 +131,7 @@ def _candidates(rng: np.random.Generator, n: int, lam: float, t: float,
     reach t_final with high probability."""
     size = _block_size(lam * (t_final - t))
     times = t + np.cumsum(rng.exponential(1.0 / lam, size))
-    first = rng.integers(n, size=size)
-    second = rng.integers(n - 1, size=size)
-    second += second >= first  # uniform over j != i
+    first, second = _pairs(rng, n, size)
     u = rng.random(size) if thin else None
     theta = rng.uniform(0.0, TWO_PI, size)
     return times, first, second, u, theta
@@ -216,10 +227,12 @@ def simulate_ensemble(config: SimulationConfig, replicas: int,
                       seed: int | None = None) -> np.ndarray:
     """Final states of independent replicas, shape (replicas, N).
 
-    initial is one state for every replica, or one row per replica.
-    Replica r runs :func:`simulate` on the generator default_rng((seed, r)),
-    with seed defaulting to config.seed.  At gamma = 0 a large enough
-    ensemble runs in lockstep (:func:`_lockstep`) to the same bits.
+    initial is one state for every replica, or one row per replica; seed
+    defaults to config.seed.  At gamma > 0 replica r runs :func:`simulate`
+    on the generator default_rng((seed, r)).  At gamma = 0 the whole
+    ensemble is drawn from default_rng(seed) by :func:`_poisson_walk`: a
+    deterministic function of (config, replicas, initial, seed) with the
+    law of the walk, but not replica r's simulate.
     """
     n = config.n
     if initial is not None:
@@ -232,82 +245,77 @@ def simulate_ensemble(config: SimulationConfig, replicas: int,
                 f"initial must have shape ({n},) or ({replicas}, {n}), "
                 f"not {initial.shape}")
     base = config.seed if seed is None else seed
-    starts = (iter(initial) if initial is not None and initial.ndim == 2
-              else itertools.repeat(initial))
-    out = np.empty((replicas, n))
     if config.gamma == 0:
-        rows = min(replicas,
-                   _LOCKSTEP_ENTRIES // _block_size(n * config.t_final))
-        if rows >= _LOCKSTEP_MIN_ROWS:
-            for lo in range(0, replicas, rows):
-                _lockstep(config, out[lo:lo + rows], starts, base, lo)
-            return out
-    for r, init_r in zip(range(replicas), starts):
+        return _poisson_walk(config, replicas, initial,
+                             np.random.default_rng(base))
+    rows = (initial if initial is not None and initial.ndim == 2
+            else [initial] * replicas)
+    out = np.empty((replicas, n))
+    for r in range(replicas):
         rng = np.random.default_rng((base, r))
-        out[r] = simulate(config, initial=init_r, rng=rng).velocities
+        out[r] = simulate(config, rows[r], rng).velocities
     return out
 
 
-def _lockstep(config: SimulationConfig, state: np.ndarray, starts,
-              base: int, lo: int) -> None:
-    """Fill state, one row per replica from replica lo on, with the final
-    states of simulate_ensemble at gamma = 0.
+def _poisson_walk(config: SimulationConfig, replicas: int,
+                  initial: np.ndarray | None,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Final states of the gamma = 0 walk for replicas rows, from rng.
 
-    Each replica draws its start and its candidate block from
-    default_rng((base, r)) as :func:`simulate` does; at gamma = 0 every
-    candidate is a rotation, so the k-th events of all replicas are one
-    array operation on the state through flat indices.  The replicas are
-    ordered by their number of events, so the ones still running at step k
-    are a prefix: the others are left as they are, not rotated by the
-    identity, which would turn -0.0 into 0.0.  np.cos and np.sin equal
-    math.cos and math.sin on these angles, and the products and sums are
-    the scalar loop's, so every replica ends on the bits that simulate
-    gives it.  A replica whose events outrun one block is run by simulate
-    itself.
+    At gamma = 0 the clock ticks at rate N and every tick rotates a
+    uniform pair by a uniform angle, so a replica's state at t_final is a
+    Poisson(N t_final) number of independent rotations of its start.  The
+    starts (initial, or uniform sphere points) and the event counts are
+    drawn first.  The replicas are ordered by count, so the ones still
+    running at step k are a prefix, and the k-th events of all of them
+    are one array operation on the state through flat indices.  Pairs and
+    angles are drawn step-major, in blocks of at most _LOCKSTEP_ENTRIES
+    entries per array.  A row with no events left is not touched, not
+    rotated by the identity, which would turn -0.0 into 0.0.
     """
-    n, t_final = config.n, config.t_final
-    m, size = len(state), _block_size(n * t_final)
-    # event k of every replica on row k
-    first = np.empty((size, m), dtype=np.int64)
-    second = np.empty((size, m), dtype=np.int64)
-    theta = np.empty((size, m))
-    stops = np.empty(m, dtype=np.int64)
-    alone = {}
-    for row, init_r in zip(range(m), starts):
-        rng = np.random.default_rng((base, lo + row))
-        state[row] = _start(n, init_r, rng)
-        times, first[:, row], second[:, row], _, theta[:, row] = (
-            _candidates(rng, n, n, 0.0, t_final, False))
-        stops[row] = np.searchsorted(times, t_final)
-        if stops[row] == size:
-            alone[row] = simulate(config, init_r, np.random.default_rng(
-                (base, lo + row))).velocities
-            stops[row] = 0
-    order = np.argsort(-stops, kind="stable")
-    steps = int(stops[order[0]])
-    running = np.searchsorted(-stops[order], -np.arange(steps), "left")
-    # columns in order, pairs as flat indices into the state; each draw
-    # is freed once reordered, so at most four such arrays are live
-    at_i = first[:steps].take(order, axis=1)
-    del first
-    at_i += order * n
-    at_j = second[:steps].take(order, axis=1)
-    del second
-    at_j += order * n
-    sin = theta[:steps].take(order, axis=1)
-    del theta
-    cos = np.cos(sin)
-    np.sin(sin, out=sin)
+    n = config.n
+    if initial is None:
+        state = uniform_sphere_batch(n, replicas, rng)
+    else:
+        state = np.empty((replicas, n))
+        state[...] = initial
+        _check_energy(state, n)
+    counts = rng.poisson(n * config.t_final, replicas)
+    order = np.argsort(-counts, kind="stable")
+    # running[k] replicas make a k-th event: entries off[k]:off[k + 1] of
+    # the step-major stream
+    running = np.searchsorted(-counts[order],
+                              -np.arange(counts.max(initial=0)), "left")
+    off = np.concatenate(([0], np.cumsum(running)))
+    rows = order * n
     flat = state.reshape(-1)
-    for k, live in enumerate(running.tolist()):
-        i, j = at_i[k, :live], at_j[k, :live]
-        c, s = cos[k, :live], sin[k, :live]
-        vi, vj = flat[i], flat[j]
-        flat[i] = vi * c + vj * s
-        flat[j] = vj * c - vi * s
+    for lo in range(0, int(off[-1]), _LOCKSTEP_ENTRIES):
+        size = min(_LOCKSTEP_ENTRIES, int(off[-1]) - lo)
+        at_i, at_j = _pairs(rng, n, size)
+        sin = rng.uniform(0.0, TWO_PI, size)
+        cos = np.cos(sin)
+        np.sin(sin, out=sin)
+        # entries bounds[m]:bounds[m + 1] of the block are events of step
+        # first + m; entry e of the stream is replica order[e - off[k]]
+        # at step k
+        first = int(np.searchsorted(off, lo, "right")) - 1
+        last = int(np.searchsorted(off, lo + size, "left"))
+        bounds = np.clip(off[first:last + 1] - lo, 0, size).tolist()
+        starts = (off[first:last] - lo).tolist()
+        at = np.concatenate([rows[a - s:b - s] for a, b, s in
+                             zip(bounds, bounds[1:], starts)])
+        at_i += at
+        at_j += at
+        for a, b in zip(bounds, bounds[1:]):
+            i, j = at_i[a:b], at_j[a:b]
+            c, s = cos[a:b], sin[a:b]
+            vi, vj = flat[i], flat[j]
+            flat[i] = vi * c + vj * s
+            flat[j] = vj * c - vi * s
+    # each rotation conserves v_i^2 + v_j^2, so the rescale only removes
+    # rounding drift
     state *= np.sqrt(n / np.sum(state * state, axis=1))[:, None]
-    for row, v in alone.items():
-        state[row] = v
+    return state
 
 
 # -- Rayleigh quotient estimates ----------------------------------------
@@ -346,11 +354,11 @@ def _rayleigh_block(phi, n: int, gamma: float, size: int,
     # the pair's columns of v are rotated in place below, so base is a
     # copy (phi may return a view of v); vi and vj are copies too
     base = np.array(phi(v))
-    idx = rng.integers(n, size=size)
-    jdx = rng.integers(n - 1, size=size)
-    jdx = np.where(jdx >= idx, jdx + 1, jdx)
-    rows = np.arange(size)
-    vi, vj = v[rows, idx], v[rows, jdx]
+    # the pair's entries as flat indices into v: one 1-D scatter per write
+    at = np.arange(0, size * n, n)
+    idx, jdx = (k + at for k in _pairs(rng, n, size))
+    flat = v.reshape(-1)
+    vi, vj = flat[idx], flat[jdx]
     theta = angle_midpoints(32)
     acc = np.zeros(size)
     s = vi * vi + vj * vj
@@ -363,10 +371,10 @@ def _rayleigh_block(phi, n: int, gamma: float, size: int,
         c, sn = np.cos(th), np.sin(th)
         np.multiply(vi, c, out=w)
         w += np.multiply(vj, sn, out=d)
-        v[rows, idx] = w
+        flat[idx] = w
         np.multiply(vj, c, out=w)
         w -= np.multiply(vi, sn, out=d)
-        v[rows, jdx] = w
+        flat[jdx] = w
         np.subtract(phi(v), base, out=d)
         d *= d
         acc += d

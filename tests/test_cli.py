@@ -277,8 +277,8 @@ FAILED_CHECK_CONFIGS = [
     # the rescaled inequality's constant c1 is far too large at every N
     ("inequality", '{"c1": 1e6}',
      "inequality failed at N = [32, 64, 128, 256]", "rescaled.csv"),
-    # the W1 bridge at N = 512 reads 0.0083
-    ("chaos", '{"w1_tolerance": 1e-6}', "W1 bridge too wide: 0.0083",
+    # the W1 bridge at N = 512 reads 0.0090
+    ("chaos", '{"w1_tolerance": 1e-6}', "W1 bridge too wide: 0.0090",
      "chaos.csv"),
 ]
 

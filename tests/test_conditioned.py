@@ -1,5 +1,7 @@
 """Conditioned tensorisation states: marginals, entropy, production."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
@@ -118,14 +120,19 @@ def test_shells_on_the_support_converge_at_large_n():
                                     (4096, 1e-7)])
 def test_shells_on_the_support_match_shells_to_n(monkeypatch, n, rel):
     # at N <= 2 v_max^2 = 512 the support is [0, N]; above it the shells
-    # to N only add ones where f(v1) f(v2) is below 1e-50
+    # to N only add ones where f(v1) f(v2) is below 1e-50.  A family keeps
+    # its shells, so the shells to N go to a second family on its ladder
     fam = ConditionedFamily(mixture(0.25), n)
     got = _checked_values(fam)
     shells = conditioned.polar_shells
     monkeypatch.setattr(conditioned, "polar_shells",
                         lambda v_max, s_max, *rule:
                         shells(np.inf, s_max, *rule))
-    assert got == pytest.approx(_checked_values(fam), rel=rel, abs=0.0)
+    to_n = ConditionedFamily(fam.ladder, n)
+    assert got == pytest.approx(_checked_values(to_n), rel=rel, abs=0.0)
+    if n > 512:
+        assert not np.array_equal(to_n._shells(SHELLS, ANGLES)[0],
+                                  fam._shells(SHELLS, ANGLES)[0])
 
 
 def test_marginal_mass(mix_family):
@@ -435,6 +442,36 @@ def test_angle_grid():
     assert np.allclose(np.diff(th), 2 * np.pi / 8)
     # symmetric about both axes, as the quadrant fold needs
     assert np.allclose(np.cos(th[:2]), np.sin(th[:2][::-1]))
+
+
+def test_shell_and_marginal_tables_are_built_once_per_family():
+    # the inequality layer reads H_N, D_{N,gamma}, D_{N,1}, a log-power
+    # integral and a marginal moment of one family: the generator is
+    # evaluated on each rule's shells once, and the marginal table once
+    f, n = mixture(0.25), 64
+    shapes = []
+
+    def pdf(v):
+        shapes.append(np.shape(v))
+        return f(v)
+
+    fam = ConditionedFamily(dataclasses.replace(f, pdf=pdf), n)
+    got = [fam.entropy(), fam.production(0.5), fam.production(1.0),
+           fam.log_power_integral(1.0), fam.marginal_moment(4.0),
+           fam.entropy()]
+    rules = [(SHELLS, ANGLES // 4), (SHELLS // 2, ANGLES // 8)]
+    assert sorted(c for c in shapes if c in rules) == sorted(rules)
+    # one marginal table, plus the generator's values in each entropy
+    assert shapes.count((4097,)) == 1 + 2
+    for table in (*fam._shells(SHELLS, ANGLES), *fam._marginal_quadrature()):
+        assert not table.flags.writeable
+    # each value as a fresh family gives it, bit for bit
+    want = [ConditionedFamily(f, n).entropy(),
+            ConditionedFamily(f, n).production(0.5),
+            ConditionedFamily(f, n).production(1.0),
+            ConditionedFamily(f, n).log_power_integral(1.0),
+            ConditionedFamily(f, n).marginal_moment(4.0)]
+    assert got == want + want[:1]
 
 
 def test_rejects_tiny_n():

@@ -130,20 +130,21 @@ def test_base_masses_match_erfc_differences(delta, n_max):
                                             np.arange(ladder.n_grid) + 0.5]))
     want = sum(w * -np.diff(erfc(r / np.sqrt(2.0 * a))) for w, a in parts)
     keep = want >= _TRIM * want.max()
-    base = ladder._base_masses()
+    base = ladder._base_masses(ladder.n_grid)
     got = np.pad(base, (0, ladder.n_grid - base.size))
     assert np.max(np.abs(got[keep] / want[keep] - 1.0)) <= 1e-10
-    # stored level 1 is the base up to the horizon
+    # stored level 1 is the base up to the horizon, integrated only there
     assert np.array_equal(_stored(ladder, 1), got[:ladder._horizon + 1])
+    assert ladder.window(1)[1].size == min(base.size, ladder._horizon + 1)
 
 
 class _UncutBase(NormalizationLadder):
     """A ladder whose base integrates every cell that starts below the
     generator's v_max."""
 
-    def _base_masses(self):
+    def _base_masses(self, count):
         f, edges = self.generator, self._edges()
-        cells = int(np.searchsorted(edges[:-1], f.v_max))
+        cells = min(int(np.searchsorted(edges[:-1], f.v_max)), count)
         lo, hi = edges[:cells], edges[1:cells + 1]
         x, w = gauss_legendre(_BASE_RULE)
         r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x
@@ -166,13 +167,30 @@ def _unblocked_base(ladder):
     ids=["mix0.3-8", "mix0.25-512", "gauss-1024-2^18"])
 def test_blocked_base_is_the_unblocked_rule(f, n_max, n_grid):
     # the bench's three ladders (32 768, 5 078 and 12 914 base cells):
-    # the rule in blocks of _BASE_BLOCK cells gives every mass bit for bit
-    # (the whole base, whose mass the truncation check reads; stored level
-    # 1 ends at the horizon)
+    # the rule in blocks of _BASE_BLOCK cells gives every mass bit for bit,
+    # on the whole base, which a ladder integrates once its horizon moves
+    # to the grid's end, and on the cells up to the first horizon
     ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
-    base = ladder._base_masses()
+    base = ladder._base_masses(ladder.n_grid)
     assert base.size > _BASE_BLOCK
     assert np.array_equal(base, _unblocked_base(ladder))
+    head = ladder._base_masses(ladder._horizon + 1)
+    assert head.size == min(base.size, ladder._horizon + 1)
+    assert np.array_equal(head, base[:head.size])
+
+
+@pytest.mark.parametrize("f, n_max, n_grid, leak", [
+    (mixture(0.3), 8, 2**15, 4.6e-9), (mixture(0.25), 512, 2**15, 0.0),
+    (gaussian(1.0), 1024, 2**18, 0.0)],
+    ids=["mix0.3-8", "mix0.25-512", "gauss-1024-2^18"])
+def test_leakage_is_the_whole_base_deficit(f, n_max, n_grid, leak):
+    # the bench's three ladders: the truncation check reads the mass of
+    # f's table past |v| = sqrt(u_max) in place of 1 - (sum of the whole
+    # base), which would integrate every base cell
+    ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
+    deficit = 1.0 - float(np.sum(ladder._base_masses(ladder.n_grid)))
+    assert abs(ladder._leakage() - deficit) <= 1e-9
+    assert ladder._leakage() == pytest.approx(leak, abs=1e-10)
 
 
 @pytest.mark.parametrize("f, n_max, n_grid", [
@@ -188,7 +206,8 @@ def test_base_cut_changes_no_level_the_walk_reads(f, n_max, n_grid):
     # those of the uncut base bit for bit
     cut = NormalizationLadder(f, n_max, n_grid=n_grid)
     whole = _UncutBase(f, n_max, n_grid=n_grid)
-    base, ref = cut._base_masses(), whole._base_masses()
+    base = cut._base_masses(cut.n_grid)
+    ref = whole._base_masses(whole.n_grid)
     assert base.size <= ref.size
     assert np.array_equal(base, ref[:base.size])
     assert np.all(ref[base.size:] < 1e-3 * _TRIM * ref.max())
