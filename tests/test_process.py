@@ -599,6 +599,32 @@ def test_gamma_zero_ensemble_rotates_its_event_stream_in_order(
     assert got.tobytes() == want.tobytes()
 
 
+def test_lockstep_runs_a_replica_past_one_block_on_its_own(monkeypatch):
+    # 48 events expected per replica; the longest-running one makes its
+    # last 6 events alone, across two blocks of 4 entries
+    monkeypatch.setattr(process, "_LOCKSTEP_ENTRIES", 4)
+    n, replicas = 8, 100
+    cfg = SimulationConfig(n=n, gamma=0.0, t_final=6.0, seed=4)
+    counts = np.sort(np.random.default_rng(4).poisson(n * 6.0, replicas))
+    assert counts[-1] - counts[-2] > 4
+    v0 = uniform_sphere_batch(n, 1, np.random.default_rng(6))[0]
+    got = simulate_ensemble(cfg, replicas, initial=v0)
+    want = _event_stream_walk(cfg, replicas, v0, 4, 4)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_numpy_trig_equals_math_on_the_drawn_angles():
+    # the gamma = 0 ensemble takes np.cos and np.sin over arrays where
+    # simulate takes math's and _event_stream_walk numpy's one angle at a
+    # time: all three rotate a pair alike by the same angle
+    theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 200_000)
+    assert np.cos(theta).tolist() == [math.cos(x) for x in theta.tolist()]
+    assert np.sin(theta).tolist() == [math.sin(x) for x in theta.tolist()]
+    some = theta[:2000]
+    assert np.cos(some).tolist() == [np.cos(x) for x in some]
+    assert np.sin(some).tolist() == [np.sin(x) for x in some]
+
+
 def test_gamma_zero_ensemble_memory_is_bounded_by_its_blocks():
     # 205 000 events: drawn at once, their pairs and angles alone would
     # take 4.7 MiB; the (800 x 64) state is 0.4 MiB
