@@ -23,10 +23,10 @@ import numpy as np
 from .densities import GridDensity1D
 from .errors import AccuracyError, ConfigurationError
 from .normalization import NormalizationLadder, as_int, check_generator
-from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints, fold,
-                         freeze, half_rule_checked, log_power_kernel,
-                         pair_kernel, polar_integral, polar_shells,
-                         trapezoid_weights)
+from .quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints, freeze,
+                         half_grid_weights, half_rule_checked,
+                         log_power_kernel, pair_kernel, polar_integral,
+                         polar_shells)
 from .sphere import rotate_pair
 
 # Monte Carlo states per batch
@@ -137,9 +137,8 @@ class ConditionedFamily:
         else:
             check_generator(source)
             self.f = source
-        # quadrature tables, built on first read and kept on the family:
-        # a class-level cache would keep every family alive
-        self._marginal = None
+        # shell tables, built on first read and kept on the family: a
+        # class-level cache would keep every family alive
         self._shell_tables: dict[tuple[int, int], tuple] = {}
 
     @functools.cached_property
@@ -185,27 +184,25 @@ class ConditionedFamily:
         logf = np.where(fv > 0, np.log(np.maximum(fv, 1e-300)), -np.inf)
         return np.exp(logf + self.log_marginal_weight(1, v * v))
 
-    def _marginal_quadrature(self):
-        """Velocity nodes, weights and unit-mass marginal values, read-only
-        and built once per family."""
-        if self._marginal is None:
-            vmax = min(self.f.v_max, np.sqrt(self.n))
-            v = np.linspace(-vmax, vmax, 4097)
-            dens = self.marginal1(v)
-            w = trapezoid_weights(v)
-            mass = float(np.sum(dens * w))
-            if not 0.9 < mass < 1.1:
-                raise AccuracyError(
-                    f"first marginal mass {mass:.4f} far from 1")
-            dens = dens / mass
-            freeze(v, w, dens)
-            self._marginal = (v, w, dens)
-        return self._marginal
+    @functools.cached_property
+    def _marginal(self):
+        """Velocity nodes on [0, min(v_max, sqrt N)], their half-grid
+        weights and the unit-mass marginal values, read-only: F_{N,1} is
+        even, so the half line carries its integrals."""
+        v = np.linspace(0.0, min(self.f.v_max, np.sqrt(self.n)), 2049)
+        dens = self.marginal1(v)
+        w = half_grid_weights(v)
+        mass = float(np.sum(dens * w))
+        if not 0.9 < mass < 1.1:
+            raise AccuracyError(f"first marginal mass {mass:.4f} far from 1")
+        dens = dens / mass
+        freeze(v, w, dens)
+        return v, w, dens
 
     def marginal_moment(self, p: float) -> float:
         """int |v|^p F_{N,1}(v) dv, by the trapezoid rule of the entropy."""
-        v, w, dens = self._marginal_quadrature()
-        return float(np.sum(np.abs(v) ** p * dens * w))
+        v, w, dens = self._marginal
+        return float(np.sum(v ** p * dens * w))
 
     # -- entropy --------------------------------------------------------
 
@@ -217,7 +214,7 @@ class ConditionedFamily:
         with M the unit-energy Gaussian, which needs only the first
         marginal and the partition function.
         """
-        v, w, dens = self._marginal_quadrature()
+        v, w, dens = self._marginal
         fv = np.maximum(self.f(v), 1e-300)
         log_m = -0.5 * v * v - 0.5 * np.log(TWO_PI)
         integrand = dens * (np.log(fv) - log_m)
@@ -230,14 +227,16 @@ class ConditionedFamily:
     def _shells(self, n_s: int, angle_nodes: int):
         """Energy shells on the support of f(v1) f(v2) within s <= N, their
         weights, the conditioning weight of the second marginal and the
-        folded f(r cos) f(r sin): read-only, built once per family and
+        folded table, each distinct f(r cos) f(r sin) once (see
+        :mod:`kaclab.quadrature`): read-only, built once per family and
         rule, as the entropy production at each gamma and the log-power
         integral all read them."""
         key = (n_s, angle_nodes)
         if key not in self._shell_tables:
             s, ws, x = polar_shells(self.f.v_max, self.n, n_s, angle_nodes)
+            e = np.maximum(self.f(x), 0.0)
             table = (s, ws, np.exp(self.log_marginal_weight(2, s)),
-                     fold(np.maximum(self.f(x), 0.0)))
+                     e[0] * e[1])
             freeze(*table)
             self._shell_tables[key] = table
         return self._shell_tables[key]
@@ -275,7 +274,7 @@ class ConditionedFamily:
             rate = weight * (1.0 + s) ** gamma
             # prefactor N / 2 on the polar measure
             return 0.5 * self.n * polar_integral(
-                ws, rate, pair_kernel(p, angle_nodes), angle_nodes)
+                ws, rate, pair_kernel(p), angle_nodes)
 
         return self._checked("production", production_value, check)
 

@@ -19,7 +19,7 @@ from .densities import GridDensity1D, mixture
 from .errors import (AccuracyError, ConfigurationError,
                      DegenerateTestFunctionError)
 from .normalization import NormalizationLadder, lambda_sup
-from .quadrature import (TWO_PI, fold, half_rule_checked, polar_integral,
+from .quadrature import (TWO_PI, half_rule_checked, polar_integral,
                          polar_shells)
 
 
@@ -132,7 +132,9 @@ def moment_envelope(witness: LogPowerWitness) -> dict:
     integral is B(r) = int_0^{2pi} Phi(r cos th)^{1+beta} dth for every a,
     and the last piece is (1/2) int B(sqrt s) A(s) ds over the polar
     shells, A(s) = int_0^{2pi} f(r cos) f(r sin).  Phi is even and f is
-    even, so both angle sums come from the quadrant points, four times.
+    even, so B's angle sum is four times the sum over both halves of the
+    quadrant points and A's is eight times the sum of the folded products
+    (see :mod:`kaclab.quadrature`).
     The last piece must pass the half rule to 1e-3 relative, else
     AccuracyError: at small delta the shells stop resolving f f.
     """
@@ -143,8 +145,9 @@ def moment_envelope(witness: LogPowerWitness) -> dict:
 
     def m_avg_value(count, angle_nodes):
         _, ws, x = polar_shells(f.v_max, count=count, angle_nodes=angle_nodes)
-        b = 4.0 * np.sum(witness.phi(x) ** (1.0 + beta), axis=1)
-        a = 4.0 * np.sum(fold(np.maximum(f(x), 0.0)), axis=1)
+        b = 4.0 * np.sum(witness.phi(x) ** (1.0 + beta), axis=(0, 2))
+        e = np.maximum(f(x), 0.0)
+        a = 8.0 * np.sum(e[0] * e[1], axis=1)
         # B A is the sum over angle pairs; the polar measure carries 1 / 2 pi
         return TWO_PI * polar_integral(ws, b, a, angle_nodes)
 

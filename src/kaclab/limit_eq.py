@@ -10,11 +10,12 @@ depends on (v, w) only through r = sqrt(v^2 + w^2), so one radial table
 A(r) = <f(r cos) f(r sin)>_th serves every grid pair.
 
 Quadrant fold.  f is even, so the radial table and the polar production
-integral use the first-quadrant fold of :mod:`kaclab.quadrature`, on a
-quarter of the angles and with a single spline evaluation per point.
-The folded products are symmetric in the quadrant, so A(r) sums half of
-them.  The gain is even in w and symmetric in (v, w), so the half grid
-carries it, and the clamp correction keeps the pairs v_i <= v_j only.
+integral use the quadrant fold of :mod:`kaclab.quadrature`: the two
+halves of the quadrant points, on an eighth of the angles each, with a
+single spline evaluation per point, and their products, each distinct
+value of f(r cos) f(r sin) once.  A(r) is the mean of those products.
+The gain is even in w and symmetric in (v, w), so the half grid carries
+it, and the clamp correction keeps the pairs v_i <= v_j only.
 
 Cached geometry.  A not-a-knot cubic spline is linear in its knot
 values twice over: its B-spline coefficients solve a banded collocation
@@ -169,49 +170,41 @@ _fit = _grid_cache(_CubicFit)
 
 
 class _QuadrantFold:
-    """f(r cos th) f(r sin th) of an even f, folded to the first quadrant.
+    """f(r cos th) f(r sin th) of an even f, folded to the first octant.
 
     f is max(0, S) with S the cubic spline of max(f_vals, 0) on the half
-    grid, and vanishes beyond the last knot.  Rows are radii, columns the
-    q first-quadrant angle midpoints of the ANGLES-point rule.  The design
-    holds the angles k < q/2 of every radius, then their mirror partners
-    q-1-k in the same order, so the two factors of the folded products
-    are two contiguous halves.
+    grid, and vanishes beyond the last knot.  The design holds the two
+    halves of :func:`~kaclab.quadrature.quadrant_points`, r cos th_k and
+    r sin th_k for every radius r and first-octant angle th_k of the
+    ANGLES-point rule, one after the other.
     """
 
     def __init__(self, v: np.ndarray, radii: np.ndarray):
         from scipy.sparse import diags_array
 
         points = quadrant_points(radii)
-        half = points.shape[1] // 2
-        # x = r cos th_k >= y = r sin th_k = r cos th_{q-1-k} for k < q/2
-        x, y = points[:, :half], points[:, ::-1][:, :half]
         self.fit = _fit(v)
         self.radii = radii
         freeze(radii)
-        self.shape = (2, len(radii), half)
-        # f vanishes beyond v_max, so a product with x there is 0: both
-        # of its rows are zero rows
-        live = np.tile((x <= v[-1]).ravel(), 2) * 1.0
-        self.design = (diags_array(live)
-                       @ self.fit.design(np.stack([x, y]).ravel()))
+        self.shape = points.shape
+        # f vanishes beyond v_max, so a product with x = r cos th_k >=
+        # r sin th_k there is 0: both of its rows are zero rows
+        live = np.tile((points[0] <= v[-1]).ravel(), 2) * 1.0
+        self.design = diags_array(live) @ self.fit.design(points.ravel())
         freeze(self.design.data, self.design.indices, self.design.indptr)
 
     def _halves(self, f_vals: np.ndarray) -> np.ndarray:
-        """E[r, k] = f(r cos th_k) and E[r, q-1-k], k < q/2, stacked."""
+        """E[0, r, k] = f(r cos th_k) and E[1, r, k] = f(r sin th_k)."""
         e = self.design @ self.fit(np.maximum(f_vals, 0.0))
         return np.maximum(e, 0.0, out=e).reshape(self.shape)
 
     def products(self, f_vals: np.ndarray) -> np.ndarray:
-        """fold(E), E[r, k] = f(r cos th_k), bit for bit: P[r, q-1-k] is
-        E[r, q-1-k] E[r, k] = P[r, k]."""
+        """The folded table E[0] E[1]."""
         ex, ey = self._halves(f_vals)
-        p = ex * ey
-        return np.concatenate([p, p[:, ::-1]], axis=1)
+        return ex * ey
 
     def angle_mean(self, f_vals: np.ndarray) -> np.ndarray:
-        """products(f_vals).mean(axis=1), from the half k < q/2 of each
-        row: E[k] E[q-1-k] takes each value twice."""
+        """products(f_vals).mean(axis=1), as one row-wise inner product."""
         ex, ey = self._halves(f_vals)
         return (1.0 / ex.shape[1]) * np.einsum("ij,ij->i", ex, ey)
 
@@ -458,7 +451,7 @@ def limit_production(f_vals: np.ndarray, v: np.ndarray, gamma: float) -> float:
     :mod:`kaclab.quadrature`) with the conditioning weight replaced by 1.
     """
     quadrant, s, ws = _production_geometry(v)
-    pair = pair_kernel(quadrant.products(f_vals), ANGLES)
+    pair = pair_kernel(quadrant.products(f_vals))
     return polar_integral(ws, (1.0 + s) ** gamma, pair, ANGLES)
 
 

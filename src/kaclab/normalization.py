@@ -185,14 +185,15 @@ class NormalizationLadder:
         integrated between the cell's edges r = sqrt(du (k -+ 1/2)) by
         _BASE_RULE-point Gauss-Legendre.
 
-        Only the cells below :meth:`_base_reach` are integrated and
-        returned; the rest are 0.  The rule runs on _BASE_BLOCK cells at a
-        time, which bounds its temporaries and leaves every mass as the
-        rule on all cells at once gives it, bit for bit.
+        Only the first count cells up to their :meth:`_base_reach` are
+        integrated and returned; the rest are 0.  The rule runs on
+        _BASE_BLOCK cells at a time, which bounds its temporaries and
+        leaves every mass as the rule on all cells at once gives it, bit
+        for bit.
         """
         f, edges = self.generator, self._edges()
         x, w = gauss_legendre(_BASE_RULE)
-        out = np.empty(min(self._base_reach(edges), count))
+        out = np.empty(self._base_reach(edges[:count + 1]))
         for start in range(0, out.size, _BASE_BLOCK):
             stop = min(start + _BASE_BLOCK, out.size)
             lo, hi = edges[start:stop], edges[start + 1:stop + 1]
@@ -202,16 +203,17 @@ class NormalizationLadder:
 
     def _base_reach(self, edges: np.ndarray) -> int:
         """The number of base cells up to the last one whose bound
-        2 max(f(lo), f(hi)) (hi - lo), from f at the cell edges (edges, as
-        :meth:`_edges` gives them), reaches
-        1e-3 _TRIM of the largest, among the cells that start below
-        f.v_max, the end of f's table.
+        2 max(f(lo), f(hi)) (hi - lo), from f at the cell edges (edges, a
+        prefix of :meth:`_edges`), reaches 1e-3 _TRIM of the largest, among
+        the cells that start below f.v_max, the end of f's table.
 
         The bound holds the mass of each cell on which f falls (every
         cell of the package's generators, Gaussians and mixtures of
         them), so the cells past the reach hold less than 1e-3 _TRIM of
         the peak: they lie outside level 1's window, which is all the walk
-        reads of it.
+        reads of it.  Such an f falls from the first cell on, where the
+        bound is largest, so the reach of a prefix of the edges is the
+        reach of all of them, cut at the prefix.
         """
         f = self.generator
         e = edges[:int(np.searchsorted(edges[:-1], f.v_max)) + 1]

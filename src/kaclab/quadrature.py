@@ -11,14 +11,16 @@ v_max, so the shells always cover [0, min(s_max, 2 v_max^2)]
 (:func:`polar_shells`) and the sums always take the polar measure
 (1/2 pi) ds dphi / 2 (:func:`polar_integral`).
 
-Quadrant fold.  For an even f and a midpoint rule with a multiple of 4
-angles, f(r cos th) f(r sin th) takes each first-quadrant value once per
-quadrant.  With q = angle_nodes / 4 and E[r, k] = f(r cos th_k) for k < q,
-sin th_k = cos th_{q-1-k} gives the products P[r, k] = E[r, k] E[r, q-1-k],
-so every shell needs q evaluations of f and sums over all angle pairs are
-16 times the sums over the q^2 folded pairs.  P is a mirror,
-P[r, k] = P[r, q-1-k] bit for bit, so a kernel that does not factorize
-reads only its first half (:func:`log_power_kernel`).
+Quadrant fold.  For an even f and a midpoint rule with a multiple of 8
+angles, f(r cos th) f(r sin th) at a first-octant midpoint th_k,
+k < q = angle_nodes / 8, recurs at its 7 mirror images in the other
+octants, and sin th_k = cos th_{2q-1-k} is another quadrant point.
+So every shell needs the two halves E[0, r, k] = f(r cos th_k) and
+E[1, r, k] = f(r sin th_k) of its 2q quadrant points
+(:func:`quadrant_points`), and the products P = E[0] E[1] hold each
+distinct value once: sums over all ordered angle pairs are 64 times the
+sums over the q^2 ordered pairs of P (:func:`pair_kernel`,
+:func:`log_power_kernel`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import AccuracyError, ConfigurationError
 
 TWO_PI = 2.0 * np.pi
-# angle midpoints per energy shell (a multiple of 4, for the fold) and
+# angle midpoints per energy shell (a multiple of 8, for the fold) and
 # Gauss-Legendre shells per integral
 ANGLES = 256
 SHELLS = 256
@@ -87,26 +89,30 @@ def angle_midpoints(count: int) -> np.ndarray:
 
 
 def quadrant_points(radii: np.ndarray, angle_nodes: int = ANGLES):
-    """r cos th_k for each radius r (rows) and first-quadrant midpoint th_k
-    (columns) of an angle_nodes-point rule, angle_nodes a multiple of 4."""
+    """The quadrant points of an angle_nodes-point rule, angle_nodes a
+    multiple of 8, as two stacked halves of shape (2, len(radii), q),
+    q = angle_nodes / 8: r cos th_k and its partner r cos th_{2q-1-k}
+    = r sin th_k for each radius r (rows) and first-octant midpoint th_k
+    (columns)."""
+    if angle_nodes % 8:
+        raise ValueError(f"the quadrant fold needs a multiple of 8 angles, "
+                         f"got {angle_nodes}")
     th = angle_midpoints(angle_nodes)[:angle_nodes // 4]
-    return np.outer(radii, np.cos(th))
+    points = np.outer(radii, np.cos(th))
+    q = angle_nodes // 8
+    return np.stack([points[:, :q], points[:, :q - 1:-1]])
 
 
 def polar_shells(v_max: float, s_max: float = np.inf, count: int = SHELLS,
                  angle_nodes: int = ANGLES):
     """Gauss-Legendre energy shells s on [0, min(s_max, 2 v_max^2)], the
     support of f(v1) f(v2) below s_max for f = 0 beyond v_max, their
-    weights and the quadrant points r cos th_k, r = sqrt(s)."""
+    weights and the two halves of the quadrant points at r = sqrt(s)
+    (:func:`quadrant_points`)."""
     top = min(float(s_max), 2.0 * v_max ** 2)
     x, w = gauss_legendre(count)
     s = 0.5 * top * (x + 1.0)
     return s, 0.5 * top * w, quadrant_points(np.sqrt(s), angle_nodes)
-
-
-def fold(e: np.ndarray) -> np.ndarray:
-    """f(r cos th) f(r sin th) on quadrant angles from E = f(r cos th)."""
-    return e * e[:, ::-1]
 
 
 def require_even(f) -> None:
@@ -118,40 +124,35 @@ def require_even(f) -> None:
             "f(-v) = f(v)")
 
 
-def pair_kernel(p: np.ndarray, angle_nodes: int) -> np.ndarray:
+def pair_kernel(p: np.ndarray) -> np.ndarray:
     """Per shell, psi summed over all ordered angle pairs, from folded p.
 
-    Over K = angle_nodes angles, sum_{i,j} (p_i - p_j)(log p_i - log p_j)
+    Over K angles, sum_{i,j} (p_i - p_j)(log p_i - log p_j)
     = 2 (K sum p log p - sum p sum log p); each folded value stands for
-    four angles, which gives 2 (4 K sum_q p log p - 16 sum_q p sum_q log p).
+    8 angles, K = 8 h with h = p.shape[1], which gives
+    128 (h sum_h p log p - sum_h p sum_h log p).
     """
     logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
-    return 2.0 * (4.0 * angle_nodes * np.sum(p * logp, axis=1)
-                  - 16.0 * np.sum(p, axis=1) * np.sum(logp, axis=1))
+    return 128.0 * (p.shape[1] * np.sum(p * logp, axis=1)
+                    - np.sum(p, axis=1) * np.sum(logp, axis=1))
 
 
 def log_power_kernel(p: np.ndarray, beta: float) -> np.ndarray:
     """Per shell, psi_beta(x, y) = (x - y)|log(x/y)|^{1+beta} over all
     ordered angle pairs, from folded p.
 
-    The fold mirrors each row, p[:, k] = p[:, q-1-k], so its distinct
-    values are the first half, each standing for 8 angles: the sum over
-    all ordered angle pairs is 128 times the sum over the unordered pairs
-    i < j of the half.  With each half row sorted, x_j - x_i and
-    log x_j - log x_i are >= 0 for i < j, and a pair whose smaller value
-    is 0 is left out.  The kernel does not factorize; the q (q - 2) / 8
-    pairs of a block of shells are summed in one vectorised pass.  Raises
-    ValueError unless p is such a mirror with an even number of columns.
+    Each folded value stands for 8 angles, so the sum over all ordered
+    angle pairs is 128 times the sum over the unordered pairs i < j of
+    each row.  With the rows sorted, x_j - x_i and log x_j - log x_i are
+    >= 0 for i < j, and a pair whose smaller value is 0 is left out.  The
+    kernel does not factorize; the h (h - 1) / 2 pairs of a block of
+    shells are summed in one vectorised pass.
     """
-    q = p.shape[1]
-    if q % 2 or not np.array_equal(p, p[:, ::-1]):
-        raise ValueError("log_power_kernel needs the fold's mirrored table, "
-                         "p[:, k] = p[:, q-1-k] with q even")
-    x = np.sort(p[:, :q // 2], axis=1)
+    x = np.sort(p, axis=1)
     # np.log need not be monotone to the last bit, so the running maximum
     # keeps every log difference >= 0
     logx = np.maximum.accumulate(np.log(np.maximum(x, 1e-300)), axis=1)
-    i, j = np.triu_indices(q // 2, 1)
+    i, j = np.triu_indices(p.shape[1], 1)
     rows = max(_PAIR_BLOCK // max(i.size, 1), 1)
     out = np.empty(len(p))
     for a in range(0, len(p), rows):
@@ -177,7 +178,7 @@ def half_rule_checked(what: str, value, atol: float) -> float:
     ANGLES // 2), the rule on half the shells and angles, to 1e-3
     relative or to atol, else AccuracyError.
 
-    The half rule keeps a multiple of 4 angles, so it folds too; it costs
+    The half rule keeps a multiple of 8 angles, so it folds too; it costs
     about half the full rule.
     """
     val = value(SHELLS, ANGLES)

@@ -13,8 +13,8 @@ from kaclab.conditioned import ConditionedFamily
 from kaclab.densities import from_callable, gaussian, mixture
 from kaclab.errors import AccuracyError, ConfigurationError
 from kaclab.normalization import NormalizationLadder
-from kaclab.quadrature import (ANGLES, SHELLS, angle_midpoints,
-                               gaussian_relative_entropy)
+from kaclab.quadrature import (ANGLES, SHELLS, TWO_PI, angle_midpoints,
+                               gaussian_relative_entropy, trapezoid_weights)
 from oracles import log_h
 
 N_GAUSS = 16
@@ -140,6 +140,27 @@ def test_marginal_mass(mix_family):
     dens = mix_family.marginal1(v)
     mass = np.trapezoid(dens, v)
     assert mass == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [8, 32, 256, 1024, 4096])
+def test_half_marginal_table_is_the_symmetric_rule(n):
+    # F_{N,1} is even, so the 2049-node rule on v >= 0 gives H_N and the
+    # marginal moments of the 4097-node trapezoid rule on [-v, v] with the
+    # same spacing, v = min(v_max, sqrt N), to 1e-14 relative
+    fam = ConditionedFamily(mixture(0.25), n)
+    top = min(fam.f.v_max, np.sqrt(n))
+    v = np.linspace(-top, top, 4097)
+    w = trapezoid_weights(v)
+    dens = fam.marginal1(v)
+    dens = dens / np.sum(dens * w)
+    log_ratio = (np.log(np.maximum(fam.f(v), 1e-300)) + 0.5 * v * v
+                 + 0.5 * np.log(TWO_PI))
+    h = (n * np.sum(dens * log_ratio * w) - 0.5 * n
+         - 0.5 * n * np.log(TWO_PI) - fam._log_zn)
+    assert fam.entropy() == pytest.approx(h, rel=1e-14)
+    for p in (2, 4, 6):
+        want = np.sum(np.abs(v) ** p * dens * w)
+        assert fam.marginal_moment(p) == pytest.approx(want, rel=1e-14)
 
 
 def test_entropy_positive_and_extensive(mix_family):
@@ -459,11 +480,11 @@ def test_shell_and_marginal_tables_are_built_once_per_family():
     got = [fam.entropy(), fam.production(0.5), fam.production(1.0),
            fam.log_power_integral(1.0), fam.marginal_moment(4.0),
            fam.entropy()]
-    rules = [(SHELLS, ANGLES // 4), (SHELLS // 2, ANGLES // 8)]
+    rules = [(2, SHELLS, ANGLES // 8), (2, SHELLS // 2, ANGLES // 16)]
     assert sorted(c for c in shapes if c in rules) == sorted(rules)
     # one marginal table, plus the generator's values in each entropy
-    assert shapes.count((4097,)) == 1 + 2
-    for table in (*fam._shells(SHELLS, ANGLES), *fam._marginal_quadrature()):
+    assert shapes.count((2049,)) == 1 + 2
+    for table in (*fam._shells(SHELLS, ANGLES), *fam._marginal):
         assert not table.flags.writeable
     # each value as a fresh family gives it, bit for bit
     want = [ConditionedFamily(f, n).entropy(),

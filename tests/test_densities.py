@@ -7,27 +7,30 @@ from hypothesis import given, strategies as st
 
 from kaclab.densities import from_callable, gaussian, mixture, moment
 from kaclab.errors import AccuracyError
-from kaclab.quadrature import (ANGLES, SHELLS, fold, gaussian_relative_entropy,
-                               log_power_kernel, pair_kernel, polar_shells,
+from kaclab.quadrature import (ANGLES, SHELLS, angle_midpoints,
+                               gaussian_relative_entropy, log_power_kernel,
+                               pair_kernel, polar_shells, quadrant_points,
                                trapezoid_weights)
 
 
 def psi(x, y):
-    """(x - y) log(x / y) from the folded pair kernel: one first-quadrant
-    pair (x, y) stands for 8 angles, whose ordered pairs sum to 32 psi."""
-    return float(pair_kernel(np.array([[x, y]]), 8)[0]) / 32.0
+    """(x - y) log(x / y) from the folded pair kernel: the folded row
+    (x, y) of 16 angles, each value standing for 8 of them, whose ordered
+    pairs sum to 128 psi."""
+    return float(pair_kernel(np.array([[x, y]]))[0]) / 128.0
 
 
 def psi_beta(x, y, beta):
     """|x - y| |log(x/y)|^{1+beta} from the folded log-power kernel: the
-    mirrored row (x, y, y, x) of 16 angles, whose ordered pairs sum to
+    folded row (x, y) of 16 angles, whose ordered pairs sum to
     128 psi_beta."""
-    return float(log_power_kernel(np.array([[x, y, y, x]]), beta)[0]) / 128.0
+    return float(log_power_kernel(np.array([[x, y]]), beta)[0]) / 128.0
 
 
 def all_ordered_pairs(p, beta):
-    """The log-power kernel by brute force: 16 times psi_beta summed over
-    all q^2 ordered pairs of each folded row, zero values left out."""
+    """The log-power kernel by brute force: 64 times psi_beta summed over
+    all h^2 ordered pairs of each folded row, each value standing for 8
+    angles, zero values left out."""
     logp = np.log(np.maximum(p, 1e-300))
     out = np.empty(len(p))
     for a, (row, lrow) in enumerate(zip(p, logp)):
@@ -35,7 +38,7 @@ def all_ordered_pairs(p, beta):
         x, lx = row[live], lrow[live]
         d = x[:, None] - x[None, :]
         dl = lx[:, None] - lx[None, :]
-        out[a] = 16.0 * np.sum(d * np.sign(dl) * np.abs(dl) ** (1.0 + beta))
+        out[a] = 64.0 * np.sum(d * np.sign(dl) * np.abs(dl) ** (1.0 + beta))
     return out
 
 
@@ -112,19 +115,44 @@ def _compact(v):
     return np.where(np.abs(v) < 6.0, np.exp(-0.5 * np.asarray(v) ** 2), 0.0)
 
 
-@pytest.mark.parametrize("f, n, rule, zeros", [
+# folded tables of a family at N on a rule of (shells, angles), and
+# whether some shells hold zeros
+folded_tables = pytest.mark.parametrize("f, n, rule, zeros", [
     (mixture(0.25), 256, (SHELLS, ANGLES), False),
     (mixture(0.25), 256, (SHELLS // 2, ANGLES // 2), False),
     (from_callable(_compact, 16.0), 4096, (SHELLS, ANGLES), True)],
     ids=["mix0.25-256x256", "mix0.25-128x128", "compact-4096"])
+
+
+def _folded(f, n, rule):
+    _, _, x = polar_shells(f.v_max, n, *rule)
+    e = np.maximum(f(x), 0.0)
+    return e[0] * e[1]
+
+
+def test_quadrant_points_are_two_halves_of_the_first_octant():
+    # r cos th_k and r sin th_k on the first-octant midpoints of the rule,
+    # stacked; a rule that is not a multiple of 8 angles does not fold
+    radii = np.array([0.5, 2.0])
+    points = quadrant_points(radii, 64)
+    th = angle_midpoints(64)[:8]
+    assert points.shape == (2, 2, 8)
+    assert np.allclose(points[0], np.outer(radii, np.cos(th)), rtol=0,
+                       atol=1e-15)
+    assert np.allclose(points[1], np.outer(radii, np.sin(th)), rtol=0,
+                       atol=1e-15)
+    for angles in (12, 20, 60):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            quadrant_points(radii, angles)
+
+
+@folded_tables
 @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
 def test_log_power_kernel_is_the_all_pairs_sum(f, n, rule, zeros, beta):
-    # the folded table of a family at N on a rule of (shells, angles); the
-    # kernel, which reads the distinct half of each row, must match the
-    # sum over all ordered pairs to 1e-13 relative per shell
+    # the kernel, which sums the unordered pairs of each row, must match
+    # the sum over all ordered pairs to 1e-13 relative per shell
     bound = 1e-13
-    _, _, x = polar_shells(f.v_max, n, *rule)
-    p = fold(np.maximum(f(x), 0.0))
+    p = _folded(f, n, rule)
     # the outer shells of the compact generator hold only zeros, and some
     # inner ones zeros next to positive values
     assert np.any(np.all(p == 0, axis=1)) == zeros
@@ -134,17 +162,26 @@ def test_log_power_kernel_is_the_all_pairs_sum(f, n, rule, zeros, beta):
     assert np.all(np.abs(got - want) <= bound * want)
 
 
-def test_log_power_kernel_needs_the_folds_mirror():
-    # the kernel reads only the first half of each row, so a table that
-    # is not the fold's mirror, or has an odd number of columns, raises
-    _, _, x = polar_shells(16.0, 256, 8, 64)
-    p = fold(gaussian(1.0)(x))
-    assert log_power_kernel(p, 0.5).shape == (8,)
-    odd = np.hstack([p[:, :8], p[:, :1], p[:, 7::-1]])
-    assert np.array_equal(odd, odd[:, ::-1])
-    for table in (np.array([[1.0, 2.0]]), p[:, :-1], gaussian(1.0)(x), odd):
-        with pytest.raises(ValueError, match="mirrored table"):
-            log_power_kernel(table, 0.5)
+@folded_tables
+def test_pair_kernel_is_the_all_pairs_sum_of_the_full_rule(f, n, rule, zeros):
+    # the pair kernel reads the rule's K = 8 h angles from the folded
+    # table's width h; by brute force over all K^2 ordered angle pairs,
+    # each of the K angles carrying its folded value and log 0 read as 0,
+    # as the kernel reads it.  Its two inner products cancel terms of size
+    # 2 K sum |p log p|, so it holds to 1e-13 of that per shell (measured
+    # 4.5e-16), and to 1e-13 relative where the sum is larger
+    bound = 1e-13
+    p = _folded(f, n, rule)
+    assert np.any(p == 0) == zeros
+    full = np.repeat(p, 8, axis=1)
+    assert full.shape[1] == rule[1]
+    logp = np.where(full > 0, np.log(np.maximum(full, 1e-300)), 0.0)
+    want = np.array([np.sum((row[:, None] - row[None, :])
+                            * (lrow[:, None] - lrow[None, :]))
+                     for row, lrow in zip(full, logp)])
+    scale = 2.0 * rule[1] * np.sum(np.abs(full * logp), axis=1)
+    got = pair_kernel(p)
+    assert np.all(np.abs(got - want) <= bound * np.maximum(scale, want))
 
 
 def test_callable_evaluation_interpolates():

@@ -18,7 +18,7 @@ from kaclab.limit_eq import (LimitSolver, _CubicFit, _gain_pairs,
                              _QuadrantFold, _radial_fold, cercignani_ratio,
                              collision_operator, limit_production)
 from kaclab.process import _half_integer_moment
-from kaclab.quadrature import (ANGLES, fold, gauss_legendre,
+from kaclab.quadrature import (ANGLES, gauss_legendre,
                                half_grid_weights, pair_kernel,
                                polar_integral, polar_shells, quadrant_points)
 
@@ -112,9 +112,11 @@ def _spline_at(knots, vals, points):
 def gather_operator(f_vals, v, gamma):
     n = len(v)
     radii = np.linspace(0.0, np.sqrt(2.0) * v[-1], 4 * n)
-    x = quadrant_points(radii).ravel()
+    points = quadrant_points(radii)
+    x = points.ravel()
     e = (x <= v[-1]) * _spline_at(v, np.maximum(f_vals, 0.0), x)
-    a_of_r = fold(np.maximum(e, 0.0).reshape(len(radii), -1)).mean(axis=1)
+    e = np.maximum(e, 0.0).reshape(points.shape)
+    a_of_r = (e[0] * e[1]).mean(axis=1)
     sq = v * v
     upper_i, upper_j = np.triu_indices(n)
     pair_gain = _spline_at(radii, a_of_r, np.sqrt(sq[upper_i] + sq[upper_j]))
@@ -178,9 +180,9 @@ def test_operator_misses_the_pin_without_the_clamp_correction(monkeypatch):
 
 @pytest.mark.parametrize("nodes", [257, 513])
 def test_fold_products_are_the_row_order_fold_bit_for_bit(nodes):
-    # the designs in the layout radius by radius, angle by angle, as fold()
-    # reads them; the halves' layout gives the same bits, and so the same
-    # limit production
+    # the design on the quadrant points as quadrant_points stacks them,
+    # each point masked on its own; the folded products E[0] E[1] are
+    # products() bit for bit, and so give the same limit production
     v = np.linspace(0.0, 8.0, nodes)
     f_vals = mixture(0.1)(v)
     for quadrant in (_radial_fold(v), _production_geometry(v)[0]):
@@ -188,12 +190,12 @@ def test_fold_products_are_the_row_order_fold_bit_for_bit(nodes):
         x = points.ravel()
         design = diags_array((x <= v[-1]) * 1.0) @ quadrant.fit.design(x)
         e = np.maximum(design @ quadrant.fit(np.maximum(f_vals, 0.0)), 0.0)
-        want = fold(e.reshape(points.shape))
+        e = e.reshape(points.shape)
+        want = e[0] * e[1]
         got = quadrant.products(f_vals)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     _, s, ws = _production_geometry(v)
-    want = polar_integral(ws, (1.0 + s) ** 0.5, pair_kernel(want, ANGLES),
-                          ANGLES)
+    want = polar_integral(ws, (1.0 + s) ** 0.5, pair_kernel(want), ANGLES)
     assert limit_production(f_vals, v, 0.5) == want
 
 
@@ -474,7 +476,7 @@ def test_limit_production_against_2048_shells(delta, gamma, bound):
     v = np.linspace(0.0, f.v_max, 513)
     f_vals = f(v)
     s, ws, _ = polar_shells(v[-1], np.inf, 2048, ANGLES)
-    pair = pair_kernel(_QuadrantFold(v, np.sqrt(s)).products(f_vals), ANGLES)
+    pair = pair_kernel(_QuadrantFold(v, np.sqrt(s)).products(f_vals))
     ref = polar_integral(ws, (1.0 + s) ** gamma, pair, ANGLES)
     assert abs(limit_production(f_vals, v, gamma) / ref - 1.0) <= bound
 

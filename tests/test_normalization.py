@@ -169,13 +169,18 @@ def test_blocked_base_is_the_unblocked_rule(f, n_max, n_grid):
     # the bench's three ladders (32 768, 5 078 and 12 914 base cells):
     # the rule in blocks of _BASE_BLOCK cells gives every mass bit for bit,
     # on the whole base, which a ladder integrates once its horizon moves
-    # to the grid's end, and on the cells up to the first horizon
+    # to the grid's end, and on the cells up to the first horizon, whose
+    # reach reads only their edges and is the whole reach cut there
     ladder = NormalizationLadder(f, n_max, n_grid=n_grid)
     base = ladder._base_masses(ladder.n_grid)
     assert base.size > _BASE_BLOCK
     assert np.array_equal(base, _unblocked_base(ladder))
-    head = ladder._base_masses(ladder._horizon + 1)
-    assert head.size == min(base.size, ladder._horizon + 1)
+    count = ladder._horizon + 1
+    edges = ladder._edges()
+    assert (ladder._base_reach(edges[:count + 1])
+            == min(ladder._base_reach(edges), count))
+    head = ladder._base_masses(count)
+    assert head.size == min(base.size, count)
     assert np.array_equal(head, base[:head.size])
 
 
@@ -506,7 +511,7 @@ def test_reads_after_a_read_past_the_horizon_are_whole_grid_reads(f, n):
     # levels from the start, bit for bit
     def reads(ladder):
         fam = ConditionedFamily(ladder, n)
-        v = fam._marginal_quadrature()[0]
+        v = fam._marginal[0]
         s = polar_shells(f.v_max, n, SHELLS, ANGLES)[0]
         return [fam._log_zn, fam.log_marginal_weight(1, v * v),
                 fam.log_marginal_weight(2, s), fam.entropy(),
